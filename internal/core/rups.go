@@ -265,7 +265,7 @@ func (s *Searcher) bounds(targetLen, w, endOff int) (lo, hi int) {
 func (s *Searcher) warmSegment(pl *segmentPlan) {
 	endA := s.aCtx.Len() - 1 - pl.endOff
 	endB := s.bCtx.Len() - 1 - pl.endOff
-	scAB := newSegScorer(s.idxA, s.idxB, endA-pl.w+1, pl.w, s.p.NoColumnTerm)
+	scAB := s.segScorer(s.idxA, s.idxB, endA-pl.w+1, pl)
 	loB, hiB := s.bounds(s.bCtx.Len(), pl.w, pl.endOff)
 	floB, fhiB := clampRange(loB, hiB, scAB.positions())
 	abWarm := floB <= fhiB && pl.pivotB >= floB && pl.pivotB <= fhiB
@@ -274,7 +274,7 @@ func (s *Searcher) warmSegment(pl *segmentPlan) {
 	var loA, hiA int
 	baWarm := false
 	if !s.p.SingleSided {
-		scBA = newSegScorer(s.idxB, s.idxA, endB-pl.w+1, pl.w, s.p.NoColumnTerm)
+		scBA = s.segScorer(s.idxB, s.idxA, endB-pl.w+1, pl)
 		loA, hiA = s.bounds(s.aCtx.Len(), pl.w, pl.endOff)
 		floA, fhiA := clampRange(loA, hiA, scBA.positions())
 		baWarm = floA <= fhiA && pl.pivotA >= floA && pl.pivotA <= fhiA
@@ -327,12 +327,23 @@ func (s *Searcher) scanAB(pl *segmentPlan) {
 	sp := s.rec.StartChild(s.trace, s.scanParent, "scan_ab")
 	sp.Arg = int64(pl.endOff)
 	endA := s.aCtx.Len() - 1 - pl.endOff
-	sc := newSegScorer(s.idxA, s.idxB, endA-pl.w+1, pl.w, s.p.NoColumnTerm)
+	sc := s.segScorer(s.idxA, s.idxB, endA-pl.w+1, pl)
 	lo, hi := s.bounds(s.bCtx.Len(), pl.w, pl.endOff)
 	pl.posB, pl.scoreAB = sc.bestWindowInFrom(lo, hi, pl.pivotB)
 	s.flushScan(sc)
 	sc.release()
 	sp.End()
+}
+
+// segScorer builds one direction scan's scorer for the reference segment
+// of src starting at lo, carrying the segment's coherency threshold as the
+// bounded scan's floor: placements that cannot reach it are never scored
+// to completion, and combine rejects the segment exactly as it would on
+// the full maximum.
+func (s *Searcher) segScorer(src, tgt *matrixIndex, lo int, pl *segmentPlan) *segScorer {
+	sc := newSegScorer(src, tgt, lo, pl.w, s.p.NoColumnTerm)
+	sc.floor = pl.threshold
+	return sc
 }
 
 // clampRange intersects [lo, hi] with the valid placements [0, n-1].
@@ -347,11 +358,12 @@ func clampRange(lo, hi, n int) (int, int) {
 }
 
 // flushScan folds one direction scan's placement counts into the metrics
-// registry (two atomic adds; skipped entirely while telemetry is off).
+// registry (three atomic adds; skipped entirely while telemetry is off).
 func (s *Searcher) flushScan(sc *segScorer) {
 	if t := s.tel; t != nil {
 		t.windows.Add(uint64(sc.visited))
 		t.pruned.Add(uint64(sc.pruned))
+		t.abandoned.Add(uint64(sc.abandoned))
 	}
 }
 
@@ -361,7 +373,7 @@ func (s *Searcher) scanBA(pl *segmentPlan) {
 	sp := s.rec.StartChild(s.trace, s.scanParent, "scan_ba")
 	sp.Arg = int64(pl.endOff)
 	endB := s.bCtx.Len() - 1 - pl.endOff
-	sc := newSegScorer(s.idxB, s.idxA, endB-pl.w+1, pl.w, s.p.NoColumnTerm)
+	sc := s.segScorer(s.idxB, s.idxA, endB-pl.w+1, pl)
 	lo, hi := s.bounds(s.aCtx.Len(), pl.w, pl.endOff)
 	pl.posA, pl.scoreBA = sc.bestWindowInFrom(lo, hi, pl.pivotA)
 	s.flushScan(sc)
@@ -371,15 +383,12 @@ func (s *Searcher) scanBA(pl *segmentPlan) {
 
 // combine folds the two direction results into the segment's SYN point
 // (paper §IV-D: the better-scoring direction wins), applying the coherency
-// threshold and the heading gate.
+// threshold and the heading gate. Each direction's score is exact when it
+// reaches the threshold and some lower score (or -Inf, position -1) when
+// the bounded scan proved it cannot, so the winner and the verdict equal
+// those of two full scans.
 func (s *Searcher) combine(pl *segmentPlan) (SYNPoint, bool) {
 	t := s.tel
-	if pl.posB < 0 && pl.posA < 0 {
-		if t != nil {
-			t.rejected.Inc()
-		}
-		return SYNPoint{}, false
-	}
 	best := SYNPoint{WindowLen: pl.w}
 	endA := s.aCtx.Len() - 1 - pl.endOff
 	endB := s.bCtx.Len() - 1 - pl.endOff
@@ -393,7 +402,10 @@ func (s *Searcher) combine(pl *segmentPlan) (SYNPoint, bool) {
 		best.IdxB = s.offB + endB
 	}
 	if t != nil {
-		t.margin.Observe(best.Score - pl.threshold)
+		// One observation per combined segment. A segment with no scored
+		// placement (-Inf) counts at the coefficient's floor of −2, which
+		// keeps it in the underflow bucket and the sum finite.
+		t.margin.Observe(math.Max(best.Score, -2) - pl.threshold)
 	}
 	if best.Score < pl.threshold {
 		if t != nil {

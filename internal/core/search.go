@@ -330,18 +330,25 @@ type segScorer struct {
 	// pearsonFromSums with per-position variance differences).
 	ws *winStats
 
+	// floor is the segment's coherency threshold: a placement scoring below
+	// it can never become a SYN, so the bounded scan stops scoring it (see
+	// scanCut). The Searcher sets it per segment; directly constructed
+	// scorers keep -Inf and return the exact maximum.
+	floor float64
+
 	// Scan telemetry, accumulated as plain ints during the placement loops
 	// and flushed to the searcher's counters once per direction scan:
-	// visited placements had their channel term evaluated, pruned ones were
-	// rejected on the column-term bound alone.
-	visited, pruned int
+	// visited placements had their channel term entered, pruned ones were
+	// rejected on the column-term bound alone, and abandoned ones (a subset
+	// of visited) were dropped part-way through the channel term.
+	visited, pruned, abandoned int
 }
 
 // newSegScorer prepares a reference segment scorer. Degenerate inputs
 // (k == 0, w <= 0, segment out of range) yield a scorer with no positions
 // instead of a panic.
 func newSegScorer(src, tgt *matrixIndex, lo, w int, noCol bool) *segScorer {
-	s := &segScorer{src: src, tgt: tgt, lo: lo, w: w, noCol: noCol}
+	s := &segScorer{src: src, tgt: tgt, lo: lo, w: w, noCol: noCol, floor: math.Inf(-1)}
 	if src.k == 0 || tgt.k == 0 || w <= 0 || lo < 0 || lo+w > src.m {
 		s.w = 0
 		return s
@@ -460,17 +467,68 @@ func (s *segScorer) scoreAt(j int) float64 {
 
 // chanTerm is Eq. 2's first term: the mean per-channel Pearson correlation
 // of the reference segment against the target window at j (dense path).
-// On the planned path each row costs one dot product, one sqrt and two
-// multiplies — the target-window reciprocal √variance is formed lazily
-// from the prefix tables, because warm-started and well-pruned scans
-// visit far fewer placements than precomputing a k×n table would cover;
-// otherwise the full variance difference is formed per position.
+// Planned scorers sum through chanSum, so a bounded scan's score is the
+// same bits as scoreAt's; otherwise the full variance difference is formed
+// per position.
 func (s *segScorer) chanTerm(j int) float64 {
+	if s.ws != nil {
+		sum, _ := s.chanSum(j, 0, nil)
+		return sum / float64(s.src.k)
+	}
 	wf := float64(s.w)
 	sc := s.scratch
 	var chanSum float64
-	if s.ws != nil {
-		for i := 0; i < s.src.k; i++ {
+	for i := 0; i < s.src.k; i++ {
+		ps := s.tgt.preSum[i]
+		pq := s.tgt.preSq[i]
+		sy := ps[j+s.w] - ps[j]
+		sqy := pq[j+s.w] - pq[j]
+		sxy := dot(sc.dev[i], s.tgt.shifted[i][j:j+s.w])
+		chanSum += pearsonFromSums(wf, sc.devSum[i], sc.devVar[i], sy, sqy, sxy)
+	}
+	return chanSum / float64(s.src.k)
+}
+
+// abandonEvery is how many channels chanSum accumulates between checks of
+// its early-abandon bound.
+const abandonEvery = 4
+
+// abandonSlack pads chanSum's partial bound before it is tested against
+// the scan cut. The bound is exact in real arithmetic; the slack absorbs
+// the rounding that separates the floating-point bound from the
+// floating-point score (see chanSum).
+const abandonSlack = 1e-9
+
+// chanSum sums the per-channel correlations of the placement at j on the
+// planned dense path (s.ws != nil): per row one dot product, one sqrt and
+// two multiplies, the target-window reciprocal √variance formed lazily
+// from the prefix tables, because warm-started and well-pruned scans visit
+// far fewer placements than precomputing a k×n table would cover.
+//
+// With a non-nil cut, chanSum abandons the placement (ok false) once it is
+// provably dead. Every r is clamped to ≤ 1, so after i of k channels the
+// placement's score sum/k + cr is at most (partial + (k−i))/k + cr; every
+// abandonEvery channels that bound, plus abandonSlack, is tested with
+// cut.dead. Channels are accumulated in the same order either way, so a
+// placement that is not abandoned returns the same bits as chanTerm.
+//
+// Rounding. In real arithmetic over the r values actually computed, the
+// bound dominates the score. The floating-point score and bound are each
+// sums of at most k terms of magnitude ≤ 1 (partial sums ≤ k), so each
+// differs from its real value by less than k²·2⁻⁵³ on the channel-sum
+// scale — under 5·10⁻¹² at the 194-channel maximum, under 3·10⁻¹⁴ once
+// divided by k and shifted by cr (|cr| ≤ 1). abandonSlack is four orders
+// of magnitude larger, so an abandoned placement's computed score is
+// strictly below its padded bound: below the incumbent (which it would
+// have had to beat strictly), below the floor, or losing to the seed.
+// Rounding therefore cannot drop a placement that would have won.
+func (s *segScorer) chanSum(j int, cr float64, cut *scanCut) (sum float64, ok bool) {
+	k := s.src.k
+	kf := float64(k)
+	wf := float64(s.w)
+	sc := s.scratch
+	for i := 0; i < k; {
+		for end := min(i+abandonEvery, k); i < end; i++ {
 			ps := s.tgt.preSum[i]
 			pq := s.tgt.preSq[i]
 			sy := ps[j+s.w] - ps[j]
@@ -485,19 +543,13 @@ func (s *segScorer) chanTerm(j int) float64 {
 			} else if r < -1 {
 				r = -1
 			}
-			chanSum += r
+			sum += r
 		}
-		return chanSum / float64(s.src.k)
+		if cut != nil && i < k && cut.dead((sum+float64(k-i))/kf+cr+abandonSlack) {
+			return sum, false
+		}
 	}
-	for i := 0; i < s.src.k; i++ {
-		ps := s.tgt.preSum[i]
-		pq := s.tgt.preSq[i]
-		sy := ps[j+s.w] - ps[j]
-		sqy := pq[j+s.w] - pq[j]
-		sxy := dot(sc.dev[i], s.tgt.shifted[i][j:j+s.w])
-		chanSum += pearsonFromSums(wf, sc.devSum[i], sc.devVar[i], sy, sqy, sxy)
-	}
-	return chanSum / float64(s.src.k)
+	return sum, true
 }
 
 // colTerm is Eq. 2's second term: the correlation of the column means
@@ -578,7 +630,7 @@ func (s *segScorer) bestWindowIn(lo, hi int) (pos int, score float64) {
 	return s.bestWindowInFrom(lo, hi, -1)
 }
 
-// bestWindowInFrom is bestWindowIn with an explicit scan pivot: the pruned
+// bestWindowInFrom is bestWindowIn with an explicit scan pivot: the bounded
 // scan starts at pivot and expands outward, so a warm-start hint placing
 // the pivot on the true match establishes a strong incumbent immediately
 // and the column-term bound prunes the rest of the range. A pivot outside
@@ -586,21 +638,19 @@ func (s *segScorer) bestWindowIn(lo, hi int) (pos int, score float64) {
 // midpoint. The pivot only reorders evaluation — the returned maximum is
 // identical for every pivot, which is what makes warm-started results
 // exactly equal to the cold oracle's.
+//
+// On the dense bounded path the scan also prunes against s.floor (see
+// scanBounded): when the range's maximum is ≥ the floor it is returned
+// bit-exactly, otherwise the result is some score below the floor (or -1,
+// -Inf). The sparse path and the NoColumnTerm ablation scan every
+// placement.
 func (s *segScorer) bestWindowInFrom(lo, hi, pivot int) (pos int, score float64) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > s.positions()-1 {
-		hi = s.positions() - 1
-	}
+	lo, hi = clampRange(lo, hi, s.positions())
 	if hi < lo {
 		return -1, math.Inf(-1)
 	}
-	if s.dense && !s.noCol && s.ws != nil {
-		if pivot < lo || pivot > hi {
-			pivot = lo + (hi-lo)/2
-		}
-		return s.bestWindowPrunedFrom(lo, hi, pivot)
+	if s.canBound() {
+		return s.scanBounded(lo, hi, pivot, math.Inf(-1), true)
 	}
 	best := math.Inf(-1)
 	bestJ := -1
@@ -614,33 +664,105 @@ func (s *segScorer) bestWindowInFrom(lo, hi, pivot int) (pos int, score float64)
 	return bestJ, best
 }
 
-// bestWindowPrunedFrom is the dense-path scan with a branch-and-bound
-// prune: Eq. 2's per-channel mean term is a mean of clamped correlations,
-// so it never exceeds 1, and a placement can only beat the incumbent when
-// its (cheap, single-dot) column term satisfies colR + 1 > best. Column
-// terms are evaluated first for the whole range; placements are then
-// visited pivot-outward. A cold scan pivots on the range midpoint (the
-// aligned position, where the locality bound expects the match); a
-// warm-started scan pivots on the tracker's predicted placement. Either
-// way a strong incumbent appears early and prunes most of the k·w channel
-// work elsewhere. Same maximum as the plain scan; only evaluation order
-// differs.
-func (s *segScorer) bestWindowPrunedFrom(lo, hi, pivot int) (pos int, score float64) {
+// bestWindow scans every window placement.
+func (s *segScorer) bestWindow() (pos int, score float64) {
+	return s.bestWindowIn(0, s.positions()-1)
+}
+
+// canBound reports whether the dense bounded path — and with it the
+// column-term bound scanBounded relies on — is available for this scorer.
+func (s *segScorer) canBound() bool {
+	return s.dense && !s.noCol && s.ws != nil && s.positions() > 0
+}
+
+// bestWindowSeededIn scans [lo, hi] like bestWindowIn but also prunes
+// against a cross-direction seed: the other direction's exact score, which
+// this direction must beat for combine to pick it. Placements whose bound
+// cannot reach the seed are skipped, so a direction holding no real
+// alignment costs about one column sweep. tiesWin states combine's tie
+// rule for this direction (AB wins exact score ties, BA loses them): a
+// ties-win direction keeps placements that can merely *equal* the seed, a
+// ties-lose direction prunes them too.
+//
+// The returned best is exact whenever it would win combine against the
+// seed and reaches the floor — a winning placement j has a bound ≥
+// score(j) ≥ (or >) seed and is never pruned. Otherwise the result may
+// undercount, but every skipped placement provably loses combine to the
+// seeding direction or misses the threshold, so combine's outcome equals
+// the cold full scan's either way.
+func (s *segScorer) bestWindowSeededIn(lo, hi int, seed float64, tiesWin bool) (pos int, score float64) {
+	lo, hi = clampRange(lo, hi, s.positions())
+	if hi < lo {
+		return -1, math.Inf(-1)
+	}
+	if !s.canBound() {
+		return s.bestWindowInFrom(lo, hi, -1)
+	}
+	return s.scanBounded(lo, hi, -1, seed, tiesWin)
+}
+
+// scanCut is what a placement's score must clear to change a bounded
+// direction scan's answer: strictly beat the incumbent best, reach the
+// segment's coherency floor (a score equal to the threshold is accepted),
+// and win combine against the cross-direction seed under tiesWin. An
+// unseeded scan carries seed -Inf.
+type scanCut struct {
+	best, floor, seed float64
+	tiesWin           bool
+}
+
+// dead reports whether a placement whose score is at most bound can no
+// longer change the answer.
+func (c *scanCut) dead(bound float64) bool {
+	//lint:ignore floatcmp combine's tie rule is exact score equality (clamped correlations tie at exactly 2); an epsilon would change which direction wins
+	return bound <= c.best || bound < c.floor || bound < c.seed || (!c.tiesWin && bound == c.seed)
+}
+
+// scanBounded is the dense-path branch-and-bound scan over the clamped,
+// non-empty range [lo, hi], cut against s.floor and the cross-direction
+// seed (-Inf when unseeded) under tiesWin. Eq. 2's per-channel mean term
+// is a mean of clamped correlations, so it never exceeds 1, and a
+// placement can only matter when its (cheap, single-dot) column term gives
+// colR + 1 a live bound under the cut (see scanCut.dead). Column terms are evaluated first for
+// the whole range; placements are then visited pivot-outward (an
+// out-of-range pivot means the midpoint). A cold scan pivots on the range
+// midpoint (the aligned position, where the locality bound expects the
+// match); a warm-started scan pivots on the tracker's predicted placement.
+// Either way a strong incumbent appears early, and a placement that
+// survives the column bound is still abandoned inside its channel term as
+// soon as its partial bound dies (chanSum).
+//
+// Exactness: a placement with the range's maximum score M ≥ max(floor,
+// seed) — strictly above a ties-lose seed — is never pruned or abandoned
+// unless an earlier-visited placement already holds M, so the scan returns
+// the same (pos, M) as a full scan in the same order. Every other result is
+// a maximum over a subset of exact scores, so it never exceeds M and stays
+// below the floor or loses to the seed.
+func (s *segScorer) scanBounded(lo, hi, pivot int, seed float64, tiesWin bool) (pos int, score float64) {
+	if pivot < lo || pivot > hi {
+		pivot = lo + (hi-lo)/2
+	}
 	colR := s.scratch.growColR(hi - lo + 1)
 	for j := lo; j <= hi; j++ {
 		colR[j-lo] = s.colTerm(j)
 	}
-	best := math.Inf(-1)
+	cut := scanCut{best: math.Inf(-1), floor: s.floor, seed: seed, tiesWin: tiesWin}
+	kf := float64(s.src.k)
 	bestJ := -1
 	visit := func(j int) {
 		cr := colR[j-lo]
-		if cr+1 <= best {
+		if cut.dead(cr + 1) {
 			s.pruned++
 			return
 		}
 		s.visited++
-		if sc := s.chanTerm(j) + cr; sc > best {
-			best = sc
+		sum, ok := s.chanSum(j, cr, &cut)
+		if !ok {
+			s.abandoned++
+			return
+		}
+		if sc := sum/kf + cr; sc > cut.best {
+			cut.best = sc
 			bestJ = j
 		}
 	}
@@ -653,62 +775,5 @@ func (s *segScorer) bestWindowPrunedFrom(lo, hi, pivot int) (pos int, score floa
 			visit(pivot - d)
 		}
 	}
-	return bestJ, best
-}
-
-// bestWindow scans every window placement.
-func (s *segScorer) bestWindow() (pos int, score float64) {
-	return s.bestWindowIn(0, s.positions()-1)
-}
-
-// canBound reports whether the dense pruned path — and with it the
-// column-term bound bestWindowSeededIn relies on — is available for this
-// scorer.
-func (s *segScorer) canBound() bool {
-	return s.dense && !s.noCol && s.ws != nil && s.positions() > 0
-}
-
-// bestWindowSeededIn scans [lo, hi] like bestWindowIn but prunes against a
-// cross-direction seed: the other direction's exact score, which this
-// direction must beat for combine to pick it. Placements whose column-term
-// bound colR + 1 cannot reach the seed are skipped without the k·w channel
-// dot products, so a direction holding no real alignment costs one column
-// sweep. tiesWin states combine's tie rule for this direction (AB wins
-// exact score ties, BA loses them): a ties-win direction keeps placements
-// that can merely *equal* the seed, a ties-lose direction prunes them too.
-//
-// The returned best is exact whenever it would win combine against the
-// seed — a winning placement j has colR(j) + 1 ≥ score(j) ≥ (or >) seed and
-// is never pruned. Otherwise the result may undercount, but every skipped
-// placement provably loses combine to the seeding direction, so combine's
-// outcome equals the cold full scan's either way.
-func (s *segScorer) bestWindowSeededIn(lo, hi int, seed float64, tiesWin bool) (pos int, score float64) {
-	lo, hi = clampRange(lo, hi, s.positions())
-	if hi < lo {
-		return -1, math.Inf(-1)
-	}
-	if !s.canBound() {
-		return s.bestWindowInFrom(lo, hi, -1)
-	}
-	colR := s.scratch.growColR(hi - lo + 1)
-	for j := lo; j <= hi; j++ {
-		colR[j-lo] = s.colTerm(j)
-	}
-	best := math.Inf(-1)
-	bestJ := -1
-	for j := lo; j <= hi; j++ {
-		cr := colR[j-lo]
-		bound := cr + 1
-		//lint:ignore floatcmp combine's tie rule is exact score equality (clamped correlations tie at exactly 2); an epsilon would change which direction wins
-		if bound <= best || bound < seed || (!tiesWin && bound == seed) {
-			s.pruned++
-			continue
-		}
-		s.visited++
-		if sc := s.chanTerm(j) + cr; sc > best {
-			best = sc
-			bestJ = j
-		}
-	}
-	return bestJ, best
+	return bestJ, cut.best
 }

@@ -8,13 +8,14 @@ import "rups/internal/obs"
 // scan loops themselves only bump plain ints that are flushed here in one
 // atomic add per direction.
 type searchTelemetry struct {
-	searches *obs.Counter
-	segments *obs.Counter
-	windows  *obs.Counter
-	pruned   *obs.Counter
-	accepted *obs.Counter
-	rejected *obs.Counter
-	margin   *obs.Histogram
+	searches  *obs.Counter
+	segments  *obs.Counter
+	windows   *obs.Counter
+	pruned    *obs.Counter
+	abandoned *obs.Counter
+	accepted  *obs.Counter
+	rejected  *obs.Counter
+	margin    *obs.Histogram
 
 	// Warm-start accounting (tracked searches only — see core.Tracker).
 	warmHits      *obs.Counter
@@ -28,9 +29,11 @@ var searchTel = obs.NewView(func(r *obs.Registry) *searchTelemetry {
 		segments: r.Counter("rups_searcher_segments_total",
 			"segment offsets planned for double-sliding checks"),
 		windows: r.Counter("rups_searcher_windows_scanned_total",
-			"window placements fully scored (channel term evaluated)"),
+			"window placements whose channel term was evaluated (abandoned ones included)"),
 		pruned: r.Counter("rups_searcher_windows_pruned_total",
 			"window placements skipped by the branch-and-bound column-term bound"),
+		abandoned: r.Counter("rups_searcher_windows_abandoned_total",
+			"scanned window placements abandoned part-way through the channel term by the early-abandon bound"),
 		accepted: r.Counter("rups_searcher_syn_accepted_total",
 			"segment checks whose best window passed the coherency threshold and heading gate"),
 		rejected: r.Counter("rups_searcher_syn_rejected_total",

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"rups/internal/obs"
@@ -69,5 +73,52 @@ func TestSearcherTelemetryDisabledCostsNothing(t *testing.T) {
 	if tel.searches.Value() == 0 || tel.windows.Value() == 0 || tel.margin.Count() == 0 {
 		t.Errorf("enabled search left counters empty: searches=%d windows=%d margins=%d",
 			tel.searches.Value(), tel.windows.Value(), tel.margin.Count())
+	}
+}
+
+// TestSearcherMarginOnePerSegment: the coherency-margin histogram takes
+// exactly one observation per combined segment, and a segment the bounded
+// scan proved below its threshold still lands in the underflow bucket with
+// a finite value. Abandoned placements are a subset of scanned ones.
+func TestSearcherMarginOnePerSegment(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.Enable(reg)
+	defer obs.Disable()
+	p := DefaultParams()
+	p.WindowChannels = 40
+
+	a, _ := plantedPair(31, 300, 20, 1.0)
+	_, b := plantedPair(32, 300, 20, 1.0) // another world: unrelated to a
+	if syns := FindSYNs(a, b, p, p.NumSYN); len(syns) != 0 {
+		t.Fatalf("unrelated pair produced %d SYNs", len(syns))
+	}
+	tel := searchTel.Get()
+	segs := tel.segments.Value()
+	if segs == 0 || tel.margin.Count() != segs || tel.rejected.Value() != segs {
+		t.Fatalf("unrelated pair: %d segments, %d margin observations, %d rejections",
+			segs, tel.margin.Count(), tel.rejected.Value())
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	underflow := fmt.Sprintf("rups_searcher_coherency_margin_bucket{le=\"0.00390625\"} %d\n", segs)
+	if !strings.Contains(buf.String(), underflow) {
+		t.Errorf("rejected segments missing from the underflow bucket; want line %q in\n%s", underflow, buf.String())
+	}
+	if sum := tel.margin.Sum(); math.IsInf(sum, 0) || math.IsNaN(sum) || sum >= 0 {
+		t.Errorf("margin sum over rejected segments = %v, want finite and negative", sum)
+	}
+
+	a, b = plantedPair(33, 300, 20, 1.0)
+	if syns := FindSYNs(a, b, p, p.NumSYN); len(syns) == 0 {
+		t.Fatal("planted pair produced no SYNs")
+	}
+	if segs := tel.segments.Value(); tel.margin.Count() != segs || tel.accepted.Value()+tel.rejected.Value() != segs {
+		t.Errorf("after planted pair: %d segments, %d margin observations, %d accepted + %d rejected",
+			segs, tel.margin.Count(), tel.accepted.Value(), tel.rejected.Value())
+	}
+	if ab, sc := tel.abandoned.Value(), tel.windows.Value(); ab == 0 || ab > sc {
+		t.Errorf("abandoned %d of %d scanned placements; want 0 < abandoned ≤ scanned", ab, sc)
 	}
 }

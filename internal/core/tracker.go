@@ -12,10 +12,12 @@ const DefaultWarmRadiusM = 25
 // tick's SYN index delta IdxB − IdxA — a quantity stable under appends,
 // since both indexes are global marks counted from each trajectory's
 // start. The searcher turns a hint into a predicted window placement and
-// scans a bounded window around it, accepting the bounded result only when
-// the column-term bound proves it dominates the whole locality range — a
-// wrong hint costs a demoted full rescan, never correctness (the result is
-// always identical to the cold oracle's).
+// pivots that direction's exact branch-and-bound scan on it: the scan still
+// covers the whole locality range, but on a live lock its first visit is the
+// true match and the bound cuts nearly every other placement. The other
+// direction scans seeded with the first one's score (Searcher.warmSegment).
+// A wrong hint only reorders the scan and costs more channel terms, never
+// correctness: the result is always identical to the cold oracle's.
 //
 // State machine per segment:
 //
