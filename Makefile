@@ -3,7 +3,7 @@
 .PHONY: all build test test-short race lint lint-sarif lint-ignores \
 	lint-prune lint-fix allocreport bench bench-all eval eval-quick \
 	fuzz fuzz-trajectory fuzz-trace fuzz-v2v fuzz-v2v-frame fuzz-v2v-beacon \
-	maps serve soak clean
+	fuzz-chanblock arm64-check maps serve soak clean
 
 all: build test
 
@@ -28,6 +28,25 @@ race:
 lint:
 	go vet ./...
 	go run ./cmd/rups-lint -baseline lint-baseline.json ./...
+
+# Platform-independent SYN arithmetic: the tree vets for arm64, and the
+# arm64 code of the packages the SYN search computes with holds no fused
+# multiply-add. Go may fuse x*y+z into one FMA on arm64 (the spec allows
+# it; amd64 never does), which would round differently from amd64; every
+# product feeding a sum there is rounded explicitly with float64(...). The
+# listing is compiled with an empty build cache, since a cached package
+# prints no assembly.
+ARM64_FMA_PKGS = ./internal/core ./internal/stats ./internal/trajectory
+
+arm64-check:
+	GOARCH=arm64 go vet ./...
+	@cache=$$(mktemp -d); \
+	GOCACHE=$$cache GOARCH=arm64 go build -gcflags=-S $(ARM64_FMA_PKGS) > $$cache/asm.txt 2>&1; rc=$$?; \
+	if [ $$rc -ne 0 ] || ! grep -q STEXT $$cache/asm.txt; then \
+		echo "arm64 assembly listing failed"; rm -rf $$cache; exit 1; fi; \
+	if grep -E '\s(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\s' $$cache/asm.txt; then \
+		echo "fused multiply-add in the arm64 SYN arithmetic"; rm -rf $$cache; exit 1; fi; \
+	rm -rf $$cache
 
 # SARIF 2.1.0 report for CI annotation (same findings as `make lint`).
 lint-sarif:
@@ -100,6 +119,7 @@ fuzz:
 	$(MAKE) fuzz-v2v || rc=1; \
 	$(MAKE) fuzz-v2v-frame || rc=1; \
 	$(MAKE) fuzz-v2v-beacon || rc=1; \
+	$(MAKE) fuzz-chanblock || rc=1; \
 	exit $$rc
 
 fuzz-trajectory:
@@ -116,6 +136,9 @@ fuzz-v2v-frame:
 
 fuzz-v2v-beacon:
 	go test -run '^FuzzParseBeacon$$' -fuzz '^FuzzParseBeacon$$' -fuzztime $(FUZZTIME) ./internal/v2v/
+
+fuzz-chanblock:
+	go test -run '^FuzzChanBlock$$' -fuzz '^FuzzChanBlock$$' -fuzztime $(FUZZTIME) ./internal/core/
 
 maps:
 	go run ./cmd/rups-map -out docs/city.svg

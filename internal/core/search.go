@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"rups/internal/stats"
@@ -65,60 +66,35 @@ type matrixIndex struct {
 	colPre     []float64
 	colPreSq   []float64
 
-	// wins caches per-window-length placement statistics (one entry per
-	// distinct w the Searcher planned). Built sequentially at planning
-	// time via ensureWindowStats, then read immutably by concurrent
+	// wins lists the window lengths the Searcher planned (ensureWindowStats):
+	// written sequentially at planning time, then read by concurrent
 	// direction scans.
-	wins []winStats
+	wins []int
 
 	// ar is the owning Searcher's bump allocator (nil for directly
 	// constructed indexes, which then fall back to plain allocation).
 	ar *arena
 }
 
-// winStats holds, for one window length, the reciprocal √variance of every
-// column-mean window placement — colInvSqrt[j] = 1/√vy(j), or 0 when the
-// placement is degenerate (vy ≤ 0, the multiplicative identity of "no
-// evidence"). The column term is evaluated for every placement of the
-// pruned scan's bound sweep, so it pays to precompute; the per-channel
-// reciprocals are formed lazily in chanTerm instead — warm-started and
-// well-pruned scans visit far fewer placements than a full k×n table
-// would cover.
-type winStats struct {
-	w          int
-	colInvSqrt []float64
-}
-
-// ensureWindowStats builds the winStats entry for window length w if the
-// dense fast path can use one. It must be called from a single goroutine
-// before scoring fans out — the Searcher does so while planning segments;
-// scans afterwards only read.
+// ensureWindowStats marks window length w as planned, enabling the bounded
+// scan (canBound) for scorers of that length. It must be called from a
+// single goroutine before scoring fans out — the Searcher does so while
+// planning segments; scans afterwards only read.
 func (idx *matrixIndex) ensureWindowStats(w int) {
-	if !idx.dense || idx.k == 0 || w <= 0 || w > idx.m || idx.windowStats(w) != nil {
+	if !idx.dense || idx.k == 0 || w <= 0 || w > idx.m || idx.planned(w) {
 		return
 	}
-	n := idx.m - w + 1
-	wf := float64(w)
-	ws := winStats{w: w, colInvSqrt: idx.ar.grab(n)}
-	for j := 0; j < n; j++ {
-		sy := idx.colPre[j+w] - idx.colPre[j]
-		if vy := idx.colPreSq[j+w] - idx.colPreSq[j] - sy*sy/wf; vy > 0 {
-			ws.colInvSqrt[j] = 1 / math.Sqrt(vy)
-		} else {
-			ws.colInvSqrt[j] = 0 // arena memory arrives unzeroed
-		}
-	}
-	idx.wins = append(idx.wins, ws)
+	idx.wins = append(idx.wins, w)
 }
 
-// windowStats returns the cached entry for w, or nil.
-func (idx *matrixIndex) windowStats(w int) *winStats {
-	for i := range idx.wins {
-		if idx.wins[i].w == w {
-			return &idx.wins[i]
+// planned reports whether ensureWindowStats marked w.
+func (idx *matrixIndex) planned(w int) bool {
+	for _, pw := range idx.wins {
+		if pw == w {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // newMatrixIndex builds the shared precomputation for one selected power
@@ -140,15 +116,27 @@ func newMatrixIndexArena(rows [][]float64, ar *arena) *matrixIndex {
 		return idx
 	}
 	idx.m = len(rows[0])
-	for i := 0; i < idx.k; i++ {
-		for _, v := range rows[i] {
-			if stats.IsMissing(v) {
-				idx.dense = false
-			}
+	// Row sums, four rows at a time: the dense path's row shifts, and the
+	// missing-entry check. NaN propagates through addition, so a row whose
+	// sum is not NaN holds no missing entry; only a NaN sum (a missing
+	// entry, or infinities cancelling) needs the row scanned.
+	idx.shift = ar.grab(idx.k)
+	for i := 0; i < idx.k; i += 4 {
+		l := lanes4(i, idx.k)
+		r := pick4(rows, l)
+		for q, sum := range sum4(&r) {
+			idx.shift[l[q]] = sum
+		}
+	}
+	for i, sum := range idx.shift {
+		if math.IsNaN(sum) && slices.ContainsFunc(rows[i], stats.IsMissing) {
+			idx.dense = false
+			break
 		}
 	}
 	idx.col = columnMeansInto(rows, ar.grab(idx.m))
 	if !idx.dense {
+		idx.shift = nil
 		idx.missPre = make([][]int32, idx.k)
 		mpBack := make([]int32, idx.k*(idx.m+1)) // one backing array for all rows
 		for i := 0; i < idx.k; i++ {
@@ -164,7 +152,12 @@ func newMatrixIndexArena(rows [][]float64, ar *arena) *matrixIndex {
 		return idx
 	}
 
-	idx.shift = ar.grab(idx.k)
+	for i, sum := range idx.shift {
+		idx.shift[i] = 0
+		if idx.m > 0 {
+			idx.shift[i] = sum / float64(idx.m) //lint:ignore indexunit m is the sample count of the row mean here, not a metre distance
+		}
+	}
 	idx.shifted = make([][]float64, idx.k)
 	idx.preSum = make([][]float64, idx.k)
 	idx.preSq = make([][]float64, idx.k)
@@ -176,28 +169,14 @@ func newMatrixIndexArena(rows [][]float64, ar *arena) *matrixIndex {
 	psBack := ar.grab(idx.k * (idx.m + 1))
 	pqBack := ar.grab(idx.k * (idx.m + 1))
 	for i := 0; i < idx.k; i++ {
-		var sum float64
-		for _, v := range rows[i] {
-			sum += v
-		}
-		c := 0.0
-		if idx.m > 0 {
-			c = sum / float64(idx.m) //lint:ignore indexunit m is the sample count of the row mean here, not a metre distance
-		}
-		idx.shift[i] = c
-		sh := shBack[i*idx.m : (i+1)*idx.m : (i+1)*idx.m]
-		ps := psBack[i*(idx.m+1) : (i+1)*(idx.m+1) : (i+1)*(idx.m+1)]
-		pq := pqBack[i*(idx.m+1) : (i+1)*(idx.m+1) : (i+1)*(idx.m+1)]
-		ps[0], pq[0] = 0, 0 // arena memory arrives unzeroed
-		for j, v := range rows[i] {
-			d := v - c
-			sh[j] = d
-			ps[j+1] = ps[j] + d
-			pq[j+1] = pq[j] + d*d
-		}
-		idx.shifted[i] = sh
-		idx.preSum[i] = ps
-		idx.preSq[i] = pq
+		idx.shifted[i] = shBack[i*idx.m : (i+1)*idx.m : (i+1)*idx.m]
+		idx.preSum[i] = psBack[i*(idx.m+1) : (i+1)*(idx.m+1) : (i+1)*(idx.m+1)]
+		idx.preSq[i] = pqBack[i*(idx.m+1) : (i+1)*(idx.m+1) : (i+1)*(idx.m+1)]
+	}
+	for a := 0; a < idx.k; a += 2 {
+		b := min(a+1, idx.k-1)
+		shiftPrefix2(rows[a], rows[b], idx.shift[a], idx.shift[b],
+			idx.shifted[a], idx.shifted[b], idx.preSum[a], idx.preSum[b], idx.preSq[a], idx.preSq[b])
 	}
 
 	var colSum float64
@@ -215,7 +194,7 @@ func newMatrixIndexArena(rows [][]float64, ar *arena) *matrixIndex {
 		d := v - idx.colShift
 		idx.colShifted[j] = d
 		idx.colPre[j+1] = idx.colPre[j] + d
-		idx.colPreSq[j+1] = idx.colPreSq[j] + d*d
+		idx.colPreSq[j+1] = idx.colPreSq[j] + float64(d*d)
 	}
 	return idx
 }
@@ -235,25 +214,44 @@ func (idx *matrixIndex) segmentDense(lo, w int) bool {
 }
 
 // columnMeansInto averages each column over rows into out (len(a[0])
-// cells, every one written), skipping missing values.
+// cells, every one written), skipping missing values. Each column's sum is
+// one chain in row order; four columns are summed side by side (the spare
+// lanes of the last group repeat the last column).
 func columnMeansInto(a [][]float64, out []float64) []float64 {
 	m := len(a[0])
-	for j := 0; j < m; j++ {
-		var sum float64
-		var n int
-		for i := range a {
-			if v := a[i][j]; !stats.IsMissing(v) {
-				sum += v
-				n++
+	for j := 0; j < m; j += 4 {
+		l := lanes4(j, m)
+		var s0, s1, s2, s3 float64
+		var n0, n1, n2, n3 int
+		for _, row := range a {
+			if v := row[l[0]]; !stats.IsMissing(v) {
+				s0 += v
+				n0++
+			}
+			if v := row[l[1]]; !stats.IsMissing(v) {
+				s1 += v
+				n1++
+			}
+			if v := row[l[2]]; !stats.IsMissing(v) {
+				s2 += v
+				n2++
+			}
+			if v := row[l[3]]; !stats.IsMissing(v) {
+				s3 += v
+				n3++
 			}
 		}
-		if n == 0 {
-			out[j] = stats.Missing
-		} else {
-			out[j] = sum / float64(n)
-		}
+		out[l[0]], out[l[1]], out[l[2]], out[l[3]] = colMean(s0, n0), colMean(s1, n1), colMean(s2, n2), colMean(s3, n3)
 	}
 	return out
+}
+
+// colMean is sum/n, or Missing for a column with no valid entry.
+func colMean(sum float64, n int) float64 {
+	if n == 0 {
+		return stats.Missing
+	}
+	return sum / float64(n)
 }
 
 // segScratch holds the per-segment scratch buffers a segScorer materializes
@@ -324,11 +322,12 @@ type segScorer struct {
 	refColDevSum, refColVar float64
 	colInvVx                float64 // 1/√refColVar, 0 when degenerate
 
-	// ws is the target's precomputed placement statistics for this window
-	// length (nil when the Searcher did not plan this w — e.g. directly
-	// constructed scorers in tests — in which case scoring falls back to
-	// pearsonFromSums with per-position variance differences).
-	ws *winStats
+	// planned reports that the Searcher planned this window length on the
+	// target (ensureWindowStats). Planned scorers score through the
+	// correlation kernel and may run the bounded scan; unplanned ones —
+	// e.g. directly constructed scorers in tests — fall back to
+	// pearsonFromSums with per-position variance differences.
+	planned bool
 
 	// floor is the segment's coherency threshold: a placement scoring below
 	// it can never become a SYN, so the bounded scan stops scoring it (see
@@ -357,27 +356,28 @@ func newSegScorer(src, tgt *matrixIndex, lo, w int, noCol bool) *segScorer {
 	if !s.dense {
 		return s
 	}
-	s.ws = tgt.windowStats(w)
+	s.planned = tgt.planned(w)
 	sc := segPool.Get().(*segScratch)
 	sc.grow(src.k, w)
 	s.scratch = sc
-	for i := 0; i < src.k; i++ {
-		row := src.rows[i][lo : lo+w]
-		var sum float64
-		for _, v := range row {
-			sum += v
+	// Segment means (devSum holds them until the deviation pass), then the
+	// deviations and their moments.
+	for i := 0; i < src.k; i += 4 {
+		l := lanes4(i, src.k)
+		r := pick4(src.rows, l)
+		for q := range r {
+			r[q] = r[q][lo : lo+w]
 		}
-		mean := sum / float64(w)
-		dev := sc.dev[i]
-		var dsum, dvar float64
-		for u, v := range row {
-			d := v - mean
-			dev[u] = d
-			dsum += d
-			dvar += d * d
+		for q, sum := range sum4(&r) {
+			sc.devSum[l[q]] = sum / float64(w)
 		}
-		sc.devSum[i] = dsum
-		sc.devVar[i] = dvar
+	}
+	for a := 0; a < src.k; a += 2 {
+		b := min(a+1, src.k-1)
+		sa, qa, sb, qb := deviations2(src.rows[a][lo:lo+w], src.rows[b][lo:lo+w], sc.devSum[a], sc.devSum[b], sc.dev[a], sc.dev[b])
+		sc.devSum[a], sc.devVar[a], sc.devSum[b], sc.devVar[b] = sa, qa, sb, qb
+	}
+	for i, dvar := range sc.devVar {
 		sc.invVx[i] = 0
 		if dvar > 0 {
 			sc.invVx[i] = 1 / math.Sqrt(dvar)
@@ -397,7 +397,7 @@ func newSegScorer(src, tgt *matrixIndex, lo, w int, noCol bool) *segScorer {
 			d := v - mean
 			sc.colDev[u] = d
 			dsum += d
-			dvar += d * d
+			dvar += float64(d * d)
 		}
 		s.refColDevSum = dsum
 		s.refColVar = dvar
@@ -428,28 +428,6 @@ func (s *segScorer) positions() int {
 	return 0
 }
 
-// dot returns Σ a[u]·b[u]. Unrolled four-wide: this product is the inner
-// loop of the whole SYN search (k·w multiplies per window position), and
-// the independent accumulators let the hardware overlap the chains. The
-// loop bound u < len(a)-3 together with the up-front reslice of b lets the
-// compiler drop every bounds check in the hot loop (-d=ssa/check_bce).
-func dot(a, b []float64) float64 {
-	b = b[:len(a)]
-	var s0, s1, s2, s3 float64
-	u := 0
-	for ; u < len(a)-3; u += 4 {
-		x, y := a[u:u+4:u+4], b[u:u+4:u+4]
-		s0 += x[0] * y[0]
-		s1 += x[1] * y[1]
-		s2 += x[2] * y[2]
-		s3 += x[3] * y[3]
-	}
-	for ; u < len(a); u++ {
-		s0 += a[u] * b[u]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
 // scoreAt returns the trajectory correlation of the reference segment
 // against the target window starting at column j.
 func (s *segScorer) scoreAt(j int) float64 {
@@ -471,7 +449,7 @@ func (s *segScorer) scoreAt(j int) float64 {
 // same bits as scoreAt's; otherwise the full variance difference is formed
 // per position.
 func (s *segScorer) chanTerm(j int) float64 {
-	if s.ws != nil {
+	if s.planned {
 		sum, _ := s.chanSum(j, 0, nil)
 		return sum / float64(s.src.k)
 	}
@@ -490,7 +468,8 @@ func (s *segScorer) chanTerm(j int) float64 {
 }
 
 // abandonEvery is how many channels chanSum accumulates between checks of
-// its early-abandon bound.
+// its early-abandon bound: one correlation-kernel call (corr4 has four
+// lanes, and chanSum fills them with lanes4).
 const abandonEvery = 4
 
 // abandonSlack pads chanSum's partial bound before it is tested against
@@ -500,17 +479,19 @@ const abandonEvery = 4
 const abandonSlack = 1e-9
 
 // chanSum sums the per-channel correlations of the placement at j on the
-// planned dense path (s.ws != nil): per row one dot product, one sqrt and
-// two multiplies, the target-window reciprocal √variance formed lazily
-// from the prefix tables, because warm-started and well-pruned scans visit
-// far fewer placements than precomputing a k×n table would cover.
+// planned dense path: channels go through the correlation kernel
+// abandonEvery at a time (corr4: per channel one dot product, the target
+// window's 1/√variance from the prefix tables, two multiplies and the
+// clamp), and their r are added in channel order. When k is not a multiple
+// of four the last block's spare lanes repeat channel k−1 and are not
+// added.
 //
 // With a non-nil cut, chanSum abandons the placement (ok false) once it is
 // provably dead. Every r is clamped to ≤ 1, so after i of k channels the
-// placement's score sum/k + cr is at most (partial + (k−i))/k + cr; every
-// abandonEvery channels that bound, plus abandonSlack, is tested with
-// cut.dead. Channels are accumulated in the same order either way, so a
-// placement that is not abandoned returns the same bits as chanTerm.
+// placement's score sum/k + cr is at most (partial + (k−i))/k + cr; after
+// every block that bound, plus abandonSlack, is tested with cut.dead.
+// Channels are accumulated in the same order either way, so a placement
+// that is not abandoned returns the same bits as chanTerm.
 //
 // Rounding. In real arithmetic over the r values actually computed, the
 // bound dominates the score. The floating-point score and bound are each
@@ -525,27 +506,24 @@ const abandonSlack = 1e-9
 func (s *segScorer) chanSum(j int, cr float64, cut *scanCut) (sum float64, ok bool) {
 	k := s.src.k
 	kf := float64(k)
-	wf := float64(s.w)
+	w := s.w
 	sc := s.scratch
-	for i := 0; i < k; {
-		for end := min(i+abandonEvery, k); i < end; i++ {
-			ps := s.tgt.preSum[i]
-			pq := s.tgt.preSq[i]
-			sy := ps[j+s.w] - ps[j]
-			var iy float64
-			if vy := pq[j+s.w] - pq[j] - sy*sy/wf; vy > 0 {
-				iy = 1 / math.Sqrt(vy)
-			}
-			sxy := dot(sc.dev[i], s.tgt.shifted[i][j:j+s.w])
-			r := (sxy - sc.devSum[i]*sy/wf) * sc.invVx[i] * iy
-			if r > 1 {
-				r = 1
-			} else if r < -1 {
-				r = -1
-			}
+	tgt := s.tgt
+	var b corrBlock
+	for i := 0; i < k; i += abandonEvery {
+		for c, ch := range lanes4(i, k) {
+			b.x[c] = sc.dev[ch][:w]
+			b.y[c] = tgt.shifted[ch][j : j+w]
+			ps, pq := tgt.preSum[ch], tgt.preSq[ch]
+			b.sLo[c], b.sHi[c] = ps[j], ps[j+w]
+			b.qLo[c], b.qHi[c] = pq[j], pq[j+w]
+			b.sx[c], b.ix[c] = sc.devSum[ch], sc.invVx[ch]
+		}
+		corr4(&b, w, float64(w))
+		for _, r := range b.r[:min(abandonEvery, k-i)] {
 			sum += r
 		}
-		if cut != nil && i < k && cut.dead((sum+float64(k-i))/kf+cr+abandonSlack) {
+		if cut != nil && i+abandonEvery < k && cut.dead((sum+float64(k-i-abandonEvery))/kf+cr+abandonSlack) {
 			return sum, false
 		}
 	}
@@ -555,21 +533,40 @@ func (s *segScorer) chanSum(j int, cr float64, cut *scanCut) (sum float64, ok bo
 // colTerm is Eq. 2's second term: the correlation of the column means
 // (dense path).
 func (s *segScorer) colTerm(j int) float64 {
+	if s.planned {
+		var r [1]float64
+		s.colTerms(j, r[:])
+		return r[0]
+	}
 	wf := float64(s.w)
 	sy := s.tgt.colPre[j+s.w] - s.tgt.colPre[j]
 	sxy := dot(s.scratch.colDev[:s.w], s.tgt.colShifted[j:j+s.w])
-	if ws := s.ws; ws != nil {
-		r := (sxy - s.refColDevSum*sy/wf) * s.colInvVx * ws.colInvSqrt[j]
-		if r > 1 {
-			return 1
-		}
-		if r < -1 {
-			return -1
-		}
-		return r
-	}
 	sqy := s.tgt.colPreSq[j+s.w] - s.tgt.colPreSq[j]
 	return pearsonFromSums(wf, s.refColDevSum, s.refColVar, sy, sqy, sxy)
+}
+
+// colTerms fills out[q] with the column term of placement lo+q on the
+// planned dense path, four placements per kernel call: the lanes share the
+// reference column deviations and slide the target window (spare lanes of
+// the last call repeat its last placement).
+func (s *segScorer) colTerms(lo int, out []float64) {
+	w := s.w
+	tgt := s.tgt
+	var b corrBlock
+	for c := range b.x {
+		b.x[c] = s.scratch.colDev[:w]
+		b.sx[c], b.ix[c] = s.refColDevSum, s.colInvVx
+	}
+	for q := 0; q < len(out); q += 4 {
+		for c, p := range lanes4(q, len(out)) {
+			j := lo + p
+			b.y[c] = tgt.colShifted[j : j+w]
+			b.sLo[c], b.sHi[c] = tgt.colPre[j], tgt.colPre[j+w]
+			b.qLo[c], b.qHi[c] = tgt.colPreSq[j], tgt.colPreSq[j+w]
+		}
+		corr4(&b, w, float64(w))
+		copy(out[q:], b.r[:])
+	}
 }
 
 // scoreSlow is the missing-tolerant fallback. Pearson documents a 0 return
@@ -672,7 +669,7 @@ func (s *segScorer) bestWindow() (pos int, score float64) {
 // canBound reports whether the dense bounded path — and with it the
 // column-term bound scanBounded relies on — is available for this scorer.
 func (s *segScorer) canBound() bool {
-	return s.dense && !s.noCol && s.ws != nil && s.positions() > 0
+	return s.dense && !s.noCol && s.planned && s.positions() > 0
 }
 
 // bestWindowSeededIn scans [lo, hi] like bestWindowIn but also prunes
@@ -743,9 +740,7 @@ func (s *segScorer) scanBounded(lo, hi, pivot int, seed float64, tiesWin bool) (
 		pivot = lo + (hi-lo)/2
 	}
 	colR := s.scratch.growColR(hi - lo + 1)
-	for j := lo; j <= hi; j++ {
-		colR[j-lo] = s.colTerm(j)
-	}
+	s.colTerms(lo, colR)
 	cut := scanCut{best: math.Inf(-1), floor: s.floor, seed: seed, tiesWin: tiesWin}
 	kf := float64(s.src.k)
 	bestJ := -1

@@ -63,7 +63,7 @@ func Variance(xs []float64) float64 {
 			continue
 		}
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 		n++
 	}
 	if n < 2 {
@@ -148,14 +148,14 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // Median returns the 0.5-quantile of xs.
@@ -255,7 +255,7 @@ func KolmogorovSmirnov(xs, ys []float64) (d, p float64) {
 	}
 	p = 0
 	for k := 1; k <= 100; k++ {
-		term := 2 * math.Pow(-1, float64(k-1)) * math.Exp(-2*float64(k*k)*lambda*lambda)
+		term := float64(2 * math.Pow(-1, float64(k-1)) * math.Exp(-2*float64(k*k)*lambda*lambda))
 		p += term
 		if math.Abs(term) < 1e-12 {
 			break

@@ -31,7 +31,7 @@ func (o *Online) Add(x float64) {
 	o.n++
 	d := x - o.mean
 	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
+	o.m2 += float64(d * (x - o.mean))
 }
 
 // N returns the number of accumulated samples.

@@ -48,9 +48,9 @@ func Pearson(x, y []float64) float64 {
 			continue
 		}
 		dx, dy := x[i]-mx, y[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	// A non-positive sum of squares means the vector is constant over the
 	// valid pairs (the ordered comparison also rejects any rounding or
@@ -132,8 +132,8 @@ func RelativeChange(x, xp []float64) float64 {
 			continue
 		}
 		d := x[i] - xp[i]
-		diff2 += d * d
-		norm2 += x[i] * x[i]
+		diff2 += float64(d * d)
+		norm2 += float64(x[i] * x[i])
 	}
 	if norm2 <= 0 {
 		return 0

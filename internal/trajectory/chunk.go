@@ -150,6 +150,61 @@ func (p *powStore) rowSegs(ch, lo, hi int, fn func(seg []float64, base int)) {
 	}
 }
 
+// rowMeans fills ms[ch] (len(ms) == width) with each channel's mean over
+// the local columns, skipping missing cells — stats.MeanOK per row, bit for
+// bit. Each row's sum is one serial chain in column order, as MeanOK adds
+// it; four rows are summed side by side within every channel-major tile so
+// the four chains' add latencies overlap. When the width is not a multiple
+// of four the last group repeats its final row in the spare lanes, which
+// then compute (and store) exactly that row's values.
+func (p *powStore) rowMeans(ms []chMean) {
+	w := p.width
+	for ch := range ms {
+		ms[ch] = chMean{ch: ch} // mean accumulates the sum until the end
+	}
+	for i := 0; i < p.n; {
+		g := p.off + i
+		ci, col := g>>chunkShift, g&chunkMask
+		end := min(col+(p.n-i), ChunkMarks)
+		vals := p.chunks[ci].vals
+		for c0 := 0; c0 < w; c0 += 4 {
+			c1, c2, c3 := min(c0+1, w-1), min(c0+2, w-1), min(c0+3, w-1)
+			r0 := vals[c0*ChunkMarks+col : c0*ChunkMarks+end]
+			r1 := vals[c1*ChunkMarks+col : c1*ChunkMarks+end][:len(r0)]
+			r2 := vals[c2*ChunkMarks+col : c2*ChunkMarks+end][:len(r0)]
+			r3 := vals[c3*ChunkMarks+col : c3*ChunkMarks+end][:len(r0)]
+			s0, s1, s2, s3 := ms[c0].mean, ms[c1].mean, ms[c2].mean, ms[c3].mean
+			n0, n1, n2, n3 := ms[c0].n, ms[c1].n, ms[c2].n, ms[c3].n
+			for u, v0 := range r0 {
+				if !stats.IsMissing(v0) {
+					s0 += v0
+					n0++
+				}
+				if v1 := r1[u]; !stats.IsMissing(v1) {
+					s1 += v1
+					n1++
+				}
+				if v2 := r2[u]; !stats.IsMissing(v2) {
+					s2 += v2
+					n2++
+				}
+				if v3 := r3[u]; !stats.IsMissing(v3) {
+					s3 += v3
+					n3++
+				}
+			}
+			ms[c0].mean, ms[c1].mean, ms[c2].mean, ms[c3].mean = s0, s1, s2, s3
+			ms[c0].n, ms[c1].n, ms[c2].n, ms[c3].n = n0, n1, n2, n3
+		}
+		i += end - col
+	}
+	for ch := range ms {
+		if ms[ch].n > 0 {
+			ms[ch].mean /= float64(ms[ch].n)
+		}
+	}
+}
+
 // copyRow copies local columns [lo, lo+len(dst)) of row ch into dst.
 func (p *powStore) copyRow(ch, lo int, dst []float64) {
 	p.rowSegs(ch, lo, lo+len(dst), func(seg []float64, base int) {

@@ -1,6 +1,12 @@
 package trajectory
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"rups/internal/stats"
+)
 
 // TestTailSnapshotSealsOnlyCoveredChunks: snapshotting a Tail view must
 // neither reference nor seal chunks entirely below the view's first
@@ -46,5 +52,54 @@ func TestTailSnapshotSealsOnlyCoveredChunks(t *testing.T) {
 	}
 	if got := a.At(0, n-1); got != -40 {
 		t.Errorf("live trajectory lost its rewrite: read %v, want -40", got)
+	}
+}
+
+// TestRowMeansMatchMeanOK pins the interleaved tile sums to stats.MeanOK
+// over each materialized row, bit for bit: widths that leave the last
+// four-row group padded, Tail views starting mid-chunk, missing cells and
+// all-missing rows.
+func TestRowMeansMatchMeanOK(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, width := range []int{1, 2, 3, 4, 5, 7, 194} {
+		const n = 2*ChunkMarks + 37
+		a := NewAwareWidth(Geo{Marks: make([]GeoMark, n)}, width)
+		for ch := 0; ch < width; ch++ {
+			if ch%5 == 3 {
+				continue // all missing
+			}
+			for i := 0; i < n; i++ {
+				if rng.Intn(9) > 0 {
+					a.SetPower(ch, i, -110+60*rng.Float64())
+				}
+			}
+		}
+		for _, view := range []*Aware{a, a.Tail(n - 1), a.Tail(ChunkMarks + 3), a.Tail(5)} {
+			ms := make([]chMean, width)
+			view.pw.rowMeans(ms)
+			for ch, m := range ms {
+				want, ok := stats.MeanOK(view.RowCopy(ch, 0, view.Len()))
+				if m.ch != ch || (m.n > 0) != ok || (ok && math.Float64bits(m.mean) != math.Float64bits(want)) {
+					t.Fatalf("width %d, view len %d, ch %d: rowMeans %+v, MeanOK (%v, %v)", width, view.Len(), ch, m, want, ok)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTopChannels times the checking-window channel ranking of a 1 km,
+// 194-channel context: every row's mean, then the top-45 selection.
+func BenchmarkTopChannels(b *testing.B) {
+	const n, width = 1000, 194
+	a := NewAwareWidth(Geo{Marks: make([]GeoMark, n)}, width)
+	rng := rand.New(rand.NewSource(3))
+	for ch := 0; ch < width; ch++ {
+		for i := 0; i < n; i++ {
+			a.SetPower(ch, i, -110+60*rng.Float64())
+		}
+	}
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		a.TopChannels(45)
 	}
 }

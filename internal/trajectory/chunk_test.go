@@ -1,6 +1,7 @@
 package trajectory_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -145,20 +146,27 @@ func TestTailCountsMarks(t *testing.T) {
 }
 
 // TestSnapshotSurvivesLiveRewrites is the interning race hammer: while the
-// live trajectory is concurrently rewritten in place (COW swaps on pinned
-// chunks) AND extended past fresh chunk seams, readers iterating a
-// snapshot must always see the pre-snapshot values. Run with -race this
-// proves the sealed-chunk sharing contract.
+// live trajectory's single writer rewrites history in place (COW swaps on
+// pinned chunks) and extends it past fresh chunk seams, readers iterating
+// a snapshot — cell by cell, and tile-wise through the channel ranking —
+// must always see the pre-snapshot values. Run with -race this proves the
+// sealed-chunk sharing contract: a trajectory has one writer goroutine,
+// and only snapshot reads may run beside it.
 func TestSnapshotSurvivesLiveRewrites(t *testing.T) {
 	const width, n = 8, 300
 	a := grown(n, width)
 	s := a.Snapshot()
+	wantTop := s.TopChannels(width)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { // history rewriter: forces COW swaps under the snapshot
+	go func() { // the writer: history rewrites forcing COW swaps under the snapshot, and appends growing the shared tail chunk and beyond
 		defer wg.Done()
+		power := make([]float64, width)
+		for ch := range power {
+			power[ch] = -1
+		}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -166,21 +174,21 @@ func TestSnapshotSurvivesLiveRewrites(t *testing.T) {
 			default:
 			}
 			a.SetPower(i%width, (i*37)%n, -1)
+			a.Append(trajectory.GeoMark{T: float64(n + i)}, power)
 		}
 	}()
-	go func() { // appender: grows the shared tail chunk and beyond
+	go func() { // a tile reader: the channel ranking sums whole snapshot rows
 		defer wg.Done()
-		power := make([]float64, width)
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			for ch := range power {
-				power[ch] = -1
+			if got := s.TopChannels(width); !reflect.DeepEqual(got, wantTop) {
+				t.Errorf("snapshot ranking moved: %v, want %v", got, wantTop)
+				return
 			}
-			a.Append(trajectory.GeoMark{T: float64(n + i)}, power)
 		}
 	}()
 
