@@ -4,7 +4,7 @@
 package rangefinder
 
 import (
-	"sync/atomic"
+	"math"
 
 	"rups/internal/noise"
 )
@@ -15,11 +15,11 @@ const MaxRangeM = 50.0
 // NoiseSigmaM is the per-reading measurement noise.
 const NoiseSigmaM = 0.03
 
-// Rangefinder is one mounted unit. It is safe for concurrent use: the
-// reading counter that drives the noise stream is atomic.
+// Rangefinder is one mounted unit. It holds no mutable state, so it is
+// safe for concurrent use: a reading's noise is keyed on the sim time it is
+// taken at, never on how many readings came before it.
 type Rangefinder struct {
 	seed uint64
-	n    atomic.Uint64
 }
 
 // New creates a rangefinder with its own noise stream.
@@ -27,13 +27,14 @@ func New(seed uint64) *Rangefinder {
 	return &Rangefinder{seed: seed}
 }
 
-// Measure reads the true distance; ok is false beyond the effective range
-// (no return signal).
-func (r *Rangefinder) Measure(trueDist float64) (d float64, ok bool) {
+// Measure reads the true distance at sim time t; ok is false beyond the
+// effective range (no return signal). The same (distance, t) always gives
+// the same reading, whatever order or goroutine the readings are taken on.
+func (r *Rangefinder) Measure(trueDist, t float64) (d float64, ok bool) {
 	if trueDist < 0 || trueDist > MaxRangeM {
 		return 0, false
 	}
-	d = trueDist + NoiseSigmaM*noise.Gaussian(r.seed, r.n.Add(1))
+	d = trueDist + NoiseSigmaM*noise.Gaussian(r.seed, math.Float64bits(t))
 	if d < 0 {
 		d = 0
 	}

@@ -12,7 +12,7 @@ func TestMeasureInRange(t *testing.T) {
 	var errAcc stats.Online
 	for i := 0; i < 1000; i++ {
 		truth := float64(i%49) + 0.5
-		d, ok := r.Measure(truth)
+		d, ok := r.Measure(truth, float64(i)/10)
 		if !ok {
 			t.Fatalf("in-range measurement %v failed", truth)
 		}
@@ -25,13 +25,13 @@ func TestMeasureInRange(t *testing.T) {
 
 func TestMeasureOutOfRange(t *testing.T) {
 	r := New(2)
-	if _, ok := r.Measure(MaxRangeM + 1); ok {
+	if _, ok := r.Measure(MaxRangeM+1, 0); ok {
 		t.Error("measured beyond effective range")
 	}
-	if _, ok := r.Measure(-1); ok {
+	if _, ok := r.Measure(-1, 0); ok {
 		t.Error("measured negative distance")
 	}
-	if _, ok := r.Measure(MaxRangeM); !ok {
+	if _, ok := r.Measure(MaxRangeM, 0); !ok {
 		t.Error("boundary measurement failed")
 	}
 }
@@ -39,8 +39,25 @@ func TestMeasureOutOfRange(t *testing.T) {
 func TestMeasureNonNegative(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 500; i++ {
-		if d, ok := r.Measure(0.001); ok && d < 0 {
+		if d, ok := r.Measure(0.001, float64(i)); ok && d < 0 {
 			t.Fatal("negative reading")
 		}
+	}
+}
+
+// TestMeasureKeyedOnTime: a reading depends only on the distance and the
+// sim time it is taken at — repeating it, or taking others in between,
+// changes nothing.
+func TestMeasureKeyedOnTime(t *testing.T) {
+	r := New(4)
+	first, _ := r.Measure(20, 12.5)
+	for i := 0; i < 10; i++ {
+		r.Measure(30, float64(i))
+	}
+	if again, _ := r.Measure(20, 12.5); again != first {
+		t.Fatalf("same time read %v, then %v", first, again)
+	}
+	if other, _ := r.Measure(20, 12.6); other == first {
+		t.Fatalf("readings at different times share noise: %v", other)
 	}
 }

@@ -379,7 +379,7 @@ func (r *Run) Query(t float64, p core.Params) QueryResult {
 	// The rangefinder sees the leader when it is near the boresight of the
 	// follower's heading and in range.
 	if r.Scenario.LeaderLane == r.Scenario.FollowerLane {
-		if d, ok := r.laser.Measure(truthF.Dist(truthL)); ok {
+		if d, ok := r.laser.Measure(truthF.Dist(truthL), t); ok {
 			res.LaserM, res.LaserOK = d, true
 		}
 	}
@@ -440,10 +440,9 @@ func (r *Run) QueryMany(times []float64, p core.Params) []QueryResult {
 
 // QueryManyParallel evaluates the queries concurrently over a worker pool
 // and returns the results in input order. Query is read-only with respect
-// to the run (GPS fixes are precomputed; the rangefinder counter is
-// atomic), so the fan-out is safe; determinism of each individual result is
-// preserved because nothing depends on evaluation order except the
-// rangefinder's noise stream, whose amplitude is centimetres.
+// to the run (GPS fixes are precomputed; the rangefinder's noise is keyed
+// on the query time), so the fan-out is safe and every result is the one a
+// sequential pass gives, whatever the scheduling.
 func (r *Run) QueryManyParallel(times []float64, p core.Params, workers int) []QueryResult {
 	if workers < 1 {
 		workers = 1

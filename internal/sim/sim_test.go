@@ -151,3 +151,27 @@ func TestTruckPerturbationAffectsField(t *testing.T) {
 		t.Errorf("only %d/%d queries resolved under perturbation", ok, len(results))
 	}
 }
+
+// TestQueryManyLaserIndependentOfScheduling: the rangefinder reading of a
+// query is fixed by the query, so a sequential pass and a parallel fan-out
+// over the same times give identical laser readings.
+func TestQueryManyLaserIndependentOfScheduling(t *testing.T) {
+	r := getRun(t)
+	p := core.DefaultParams()
+	times := r.QueryTimes(12, 5)
+	seq := r.QueryManyParallel(times, p, 1)
+	par := r.QueryManyParallel(times, p, 4)
+	seen := 0
+	for i := range times {
+		if seq[i].LaserOK != par[i].LaserOK || seq[i].LaserM != par[i].LaserM {
+			t.Errorf("query %d at t=%v: sequential laser (%v, %v), parallel (%v, %v)",
+				i, times[i], seq[i].LaserM, seq[i].LaserOK, par[i].LaserM, par[i].LaserOK)
+		}
+		if seq[i].LaserOK {
+			seen++
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no query had a laser reading; the check compared nothing")
+	}
+}
