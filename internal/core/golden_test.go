@@ -12,12 +12,15 @@ import (
 	"rups/internal/trajectory"
 )
 
-// goldenPath holds resolved estimates recorded before the threshold-floor
-// and early-abandon cuts went into the bounded scan: resolveGolden over
-// goldenCases, run with the scan that still computed every direction's
-// exact maximum. The file is the oracle the golden test trusts instead of
-// today's core.Resolve, which is the very code those cuts changed — so it
-// must never be regenerated from the code it checks.
+// goldenPath holds resolved estimates recorded with the scan from before
+// the threshold-floor and early-abandon cuts went into the bounded scan:
+// resolveGolden over goldenCases, run with the scan that still computed
+// every direction's exact maximum. The file is the oracle the golden test
+// trusts instead of today's core.Resolve, which is the very code those
+// cuts changed — so it must never be regenerated from the code it checks.
+// When power cells became whole-dB bytes the fixtures changed, and the
+// file was re-recorded once by that older scan over fixtures rounded the
+// way trajectory.CellByte rounds them.
 var goldenPath = filepath.Join("testdata", "resolve_golden.json")
 
 // goldenSYN and goldenRecord store every float as its IEEE-754 bit pattern

@@ -1,10 +1,63 @@
 package trajectory
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
+	"rups/internal/gsm"
 	"rups/internal/stats"
 )
+
+// Power cells. Every power cell is stored as one byte: the reading rounded
+// to a whole dB above gsm.NoiseFloorDBm, clamped to [0, 254], with
+// MissingCell for an unscanned channel. That is the 1 dB resolution GSM
+// receivers report and the paper's one byte per channel-metre (§V-B). A
+// cell is rounded exactly once, when it is written (SetPower, Append,
+// AppendColumns, FromRows, Bind, Interpolate); reads return the cell's
+// dBm exactly, so rewriting a cell with what was read from it is a no-op
+// and every byte codec carrying cells (the wire format, the reliable-sync
+// chunks) is lossless.
+const (
+	// CellBytes is the storage size of one power cell.
+	CellBytes = 1
+	// MissingCell is the cell byte of a missing (unscanned) channel.
+	MissingCell = 0xFF
+	// floorDB is the noise floor as an integer dB (a compile-time check
+	// that the floor is a whole dB, which rowMeans' exact sums rely on).
+	floorDB = int(gsm.NoiseFloorDBm)
+)
+
+// CellByte quantizes an RSSI in dBm to its power cell: the whole dB above
+// the noise floor nearest to it, clamped to [0, 254], or MissingCell for
+// stats.Missing. It is the one dBm→cell mapping: storage, the trajectory
+// wire format and the V2V codecs all round through it.
+func CellByte(dBm float64) uint8 {
+	if stats.IsMissing(dBm) {
+		return MissingCell
+	}
+	q := math.Round(gsm.Excess(dBm))
+	if q < 0 {
+		q = 0
+	}
+	if q > MissingCell-1 {
+		q = MissingCell - 1
+	}
+	return uint8(q)
+}
+
+// CellDBm returns the RSSI in dBm a power cell holds (stats.Missing for
+// MissingCell). CellByte(CellDBm(b)) == b for every byte b.
+func CellDBm(b uint8) float64 { return cellDBm[b] }
+
+// cellDBm tabulates CellDBm: the hot row copies decode through it.
+var cellDBm = func() (t [256]float64) {
+	for b := range t {
+		t[b] = gsm.NoiseFloorDBm + float64(b)
+	}
+	t[MissingCell] = stats.Missing
+	return t
+}()
 
 // Chunked power storage: the backing store behind Aware's power matrix.
 //
@@ -38,9 +91,10 @@ const (
 	chunkMask  = ChunkMarks - 1
 )
 
-// powChunk is one sealed-or-growing width×ChunkMarks tile.
+// powChunk is one sealed-or-growing width×ChunkMarks tile of cells (see
+// CellByte): one byte per channel-metre.
 type powChunk struct {
-	vals []float64 // width × ChunkMarks, channel-major
+	vals []uint8 // width × ChunkMarks, channel-major
 	// shared is the watermark: columns [0, shared) are referenced by a
 	// snapshot and must not be rewritten in place.
 	shared int
@@ -49,9 +103,9 @@ type powChunk struct {
 // newPowChunk allocates a tile with every cell missing, so columns beyond
 // the live length always read as unscanned no matter how they were grown.
 func newPowChunk(width int) *powChunk {
-	c := &powChunk{vals: make([]float64, width*ChunkMarks)}
+	c := &powChunk{vals: make([]uint8, width*ChunkMarks)}
 	for i := range c.vals {
-		c.vals[i] = stats.Missing
+		c.vals[i] = MissingCell
 	}
 	return c
 }
@@ -82,7 +136,7 @@ func newPowStore(width, n int) powStore {
 // at reads channel ch at local column i. Bounds are the caller's problem.
 func (p *powStore) at(ch, i int) float64 {
 	g := p.off + i
-	return p.chunks[g>>chunkShift].vals[ch*ChunkMarks+g&chunkMask]
+	return CellDBm(p.chunks[g>>chunkShift].vals[ch*ChunkMarks+g&chunkMask])
 }
 
 // ensureOwned returns chunk ci, privatized with a copy-on-write clone first
@@ -93,7 +147,7 @@ func (p *powStore) at(ch, i int) float64 {
 func (p *powStore) ensureOwned(ci, col int) *powChunk {
 	c := p.chunks[ci]
 	if col < c.shared {
-		clone := &powChunk{vals: append([]float64(nil), c.vals...)}
+		clone := &powChunk{vals: append([]uint8(nil), c.vals...)}
 		p.chunks[ci] = clone
 		return clone
 	}
@@ -105,7 +159,7 @@ func (p *powStore) set(ch, i int, v float64) {
 	p.mutable()
 	g := p.off + i
 	c := p.ensureOwned(g>>chunkShift, g&chunkMask)
-	c.vals[ch*ChunkMarks+g&chunkMask] = v
+	c.vals[ch*ChunkMarks+g&chunkMask] = CellByte(v)
 }
 
 // mutable panics when the store is a borrowed view.
@@ -128,7 +182,7 @@ func (p *powStore) appendCol(power []float64) {
 	c := p.chunks[ci]
 	col := g & chunkMask
 	for ch := 0; ch < p.width; ch++ {
-		c.vals[ch*ChunkMarks+col] = power[ch]
+		c.vals[ch*ChunkMarks+col] = CellByte(power[ch])
 	}
 	p.n++
 }
@@ -136,97 +190,123 @@ func (p *powStore) appendCol(power []float64) {
 // rowSegs calls fn with the contiguous storage pieces of row ch covering
 // local columns [lo, hi), in order. fn receives each piece and the local
 // column of its first element.
-func (p *powStore) rowSegs(ch, lo, hi int, fn func(seg []float64, base int)) {
+func (p *powStore) rowSegs(ch, lo, hi int, fn func(seg []uint8, base int)) {
 	for i := lo; i < hi; {
 		g := p.off + i
 		ci, col := g>>chunkShift, g&chunkMask
-		end := col + (hi - i)
-		if end > ChunkMarks {
-			end = ChunkMarks
-		}
-		row := p.chunks[ci].vals[ch*ChunkMarks+col : ch*ChunkMarks+end]
-		fn(row, i)
+		end := min(col+(hi-i), ChunkMarks)
+		fn(p.chunks[ci].vals[ch*ChunkMarks+col:ch*ChunkMarks+end], i)
+		i += end - col
+	}
+}
+
+// ownedRowSegs is rowSegs for writing: each piece's chunk is privatized
+// first when the piece starts below its shared watermark.
+func (p *powStore) ownedRowSegs(ch, lo, hi int, fn func(seg []uint8, base int)) {
+	p.mutable()
+	for i := lo; i < hi; {
+		g := p.off + i
+		ci, col := g>>chunkShift, g&chunkMask
+		end := min(col+(hi-i), ChunkMarks)
+		fn(p.ensureOwned(ci, col).vals[ch*ChunkMarks+col:ch*ChunkMarks+end], i)
 		i += end - col
 	}
 }
 
 // rowMeans fills ms[ch] (len(ms) == width) with each channel's mean over
 // the local columns, skipping missing cells — stats.MeanOK per row, bit for
-// bit. Each row's sum is one serial chain in column order, as MeanOK adds
-// it; four rows are summed side by side within every channel-major tile so
-// the four chains' add latencies overlap. When the width is not a multiple
-// of four the last group repeats its final row in the spare lanes, which
-// then compute (and store) exactly that row's values.
+// bit. A cell is the integer dB CellDBm(b) = floorDB + b, so every partial
+// sum of MeanOK's float chain is an exact integer: summing the bytes as
+// integers and converting once gives the same bits.
 func (p *powStore) rowMeans(ms []chMean) {
-	w := p.width
 	for ch := range ms {
-		ms[ch] = chMean{ch: ch} // mean accumulates the sum until the end
+		ms[ch] = chMean{ch: ch} // mean accumulates the byte sum until the end
 	}
 	for i := 0; i < p.n; {
 		g := p.off + i
 		ci, col := g>>chunkShift, g&chunkMask
 		end := min(col+(p.n-i), ChunkMarks)
 		vals := p.chunks[ci].vals
-		for c0 := 0; c0 < w; c0 += 4 {
-			c1, c2, c3 := min(c0+1, w-1), min(c0+2, w-1), min(c0+3, w-1)
-			r0 := vals[c0*ChunkMarks+col : c0*ChunkMarks+end]
-			r1 := vals[c1*ChunkMarks+col : c1*ChunkMarks+end][:len(r0)]
-			r2 := vals[c2*ChunkMarks+col : c2*ChunkMarks+end][:len(r0)]
-			r3 := vals[c3*ChunkMarks+col : c3*ChunkMarks+end][:len(r0)]
-			s0, s1, s2, s3 := ms[c0].mean, ms[c1].mean, ms[c2].mean, ms[c3].mean
-			n0, n1, n2, n3 := ms[c0].n, ms[c1].n, ms[c2].n, ms[c3].n
-			for u, v0 := range r0 {
-				if !stats.IsMissing(v0) {
-					s0 += v0
-					n0++
-				}
-				if v1 := r1[u]; !stats.IsMissing(v1) {
-					s1 += v1
-					n1++
-				}
-				if v2 := r2[u]; !stats.IsMissing(v2) {
-					s2 += v2
-					n2++
-				}
-				if v3 := r3[u]; !stats.IsMissing(v3) {
-					s3 += v3
-					n3++
-				}
-			}
-			ms[c0].mean, ms[c1].mean, ms[c2].mean, ms[c3].mean = s0, s1, s2, s3
-			ms[c0].n, ms[c1].n, ms[c2].n, ms[c3].n = n0, n1, n2, n3
+		for ch := range ms {
+			sum, n := cellSum(vals[ch*ChunkMarks+col : ch*ChunkMarks+end])
+			ms[ch].mean += float64(sum) // integer-valued, so exact
+			ms[ch].n += n
 		}
 		i += end - col
 	}
 	for ch := range ms {
-		if ms[ch].n > 0 {
-			ms[ch].mean /= float64(ms[ch].n)
+		if n := ms[ch].n; n > 0 {
+			ms[ch].mean = float64(int(ms[ch].mean)+floorDB*n) / float64(n)
 		}
 	}
+}
+
+// cellSum returns the sum of seg's present cell bytes and how many there
+// are; len(seg) ≤ ChunkMarks. Eight cells are loaded as one word and added
+// pairwise into four 16-bit lanes, which at most ChunkMarks/8 words
+// (16 × 2 × 255 < 2¹⁶) cannot overflow. A segment holding any MissingCell
+// is summed again byte by byte, skipping them.
+func cellSum(seg []uint8) (sum, n int) {
+	const (
+		ones   = 0x0101010101010101
+		highs  = 0x8080808080808080
+		bytes2 = 0x00FF00FF00FF00FF
+		lanes2 = 0x0000FFFF0000FFFF
+	)
+	var acc, missing uint64
+	k := 0
+	for ; k+8 <= len(seg); k += 8 {
+		w := binary.LittleEndian.Uint64(seg[k:])
+		missing |= (^w - ones) & w & highs // a high bit per 0xFF byte
+		acc += w&bytes2 + w>>8&bytes2
+	}
+	for _, b := range seg[k:] {
+		if b == MissingCell {
+			missing = 1
+		}
+		sum += int(b)
+	}
+	if missing != 0 {
+		sum = 0
+		for _, b := range seg {
+			if b != MissingCell {
+				sum += int(b)
+				n++
+			}
+		}
+		return sum, n
+	}
+	acc = acc&lanes2 + acc>>16&lanes2
+	return sum + int(acc&0xFFFFFFFF+acc>>32), len(seg)
 }
 
 // copyRow copies local columns [lo, lo+len(dst)) of row ch into dst.
 func (p *powStore) copyRow(ch, lo int, dst []float64) {
-	p.rowSegs(ch, lo, lo+len(dst), func(seg []float64, base int) {
-		copy(dst[base-lo:], seg)
+	p.rowSegs(ch, lo, lo+len(dst), func(seg []uint8, base int) {
+		out := dst[base-lo:][:len(seg)]
+		for k, b := range seg {
+			out[k] = cellDBm[b]
+		}
 	})
 }
 
-// setRow writes vals into local columns [lo, lo+len(vals)) of row ch,
-// privatizing shared chunks as it goes.
+// setRow writes vals (dBm) into local columns [lo, lo+len(vals)) of row
+// ch, rounding each to its cell and privatizing shared chunks as it goes.
 func (p *powStore) setRow(ch, lo int, vals []float64) {
-	p.mutable()
-	for i := 0; i < len(vals); {
-		g := p.off + lo + i
-		ci, col := g>>chunkShift, g&chunkMask
-		end := col + (len(vals) - i)
-		if end > ChunkMarks {
-			end = ChunkMarks
+	p.ownedRowSegs(ch, lo, lo+len(vals), func(seg []uint8, base int) {
+		in := vals[base-lo:][:len(seg)]
+		for k, v := range in {
+			seg[k] = CellByte(v)
 		}
-		c := p.ensureOwned(ci, col)
-		copy(c.vals[ch*ChunkMarks+col:ch*ChunkMarks+end], vals[i:])
-		i += end - col
-	}
+	})
+}
+
+// setCells writes raw cells into local columns [lo, lo+len(cells)) of row
+// ch, privatizing shared chunks as it goes.
+func (p *powStore) setCells(ch, lo int, cells []uint8) {
+	p.ownedRowSegs(ch, lo, lo+len(cells), func(seg []uint8, base int) {
+		copy(seg, cells[base-lo:])
+	})
 }
 
 // viewOf returns a store over local columns [lo, hi) sharing chunk storage
@@ -272,8 +352,8 @@ func (p *powStore) snapshot() (powStore, int) {
 func (p *powStore) clone() powStore {
 	out := newPowStore(p.width, p.n)
 	for ch := 0; ch < p.width; ch++ {
-		p.rowSegs(ch, 0, p.n, func(seg []float64, base int) {
-			out.setRow(ch, base, seg)
+		p.rowSegs(ch, 0, p.n, func(seg []uint8, base int) {
+			out.setCells(ch, base, seg)
 		})
 	}
 	return out

@@ -9,8 +9,10 @@ import (
 	"rups/internal/trajectory"
 )
 
-// cellVal is a deterministic per-cell fingerprint for boundary tests.
-func cellVal(ch, i int) float64 { return -100 + float64(ch) + float64(i)/1000 }
+// cellVal is a deterministic per-cell fingerprint for boundary tests: a
+// whole dB inside the cell range, so it is stored exactly, and shifting a
+// row by any column count under 255 changes it.
+func cellVal(ch, i int) float64 { return -110 + float64((ch*89+i*7)%255) }
 
 // TestChunkBoundaryAppends grows a trajectory one mark at a time across
 // several chunk seams (ChunkMarks = 128) and checks every cell lands where

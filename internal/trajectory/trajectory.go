@@ -60,8 +60,9 @@ type Sample struct {
 
 // Aware is a GSM-aware trajectory: the geographical trajectory with a
 // channel-major power matrix over chunked storage. Cell (ch, i) is the RSSI
-// (dBm) of channel ch at metre i, or stats.Missing when that channel was
-// not scanned near that metre — read it with At, write it with SetPower.
+// (dBm, a whole dB: see CellByte) of channel ch at metre i, or
+// stats.Missing when that channel was not scanned near that metre — read
+// it with At, write it with SetPower.
 type Aware struct {
 	Geo Geo
 	pw  powStore
@@ -107,7 +108,8 @@ func (a *Aware) At(ch, i int) float64 {
 	return a.pw.at(ch, i)
 }
 
-// SetPower writes the power cell of channel ch at metre i. Writes below a
+// SetPower writes the power cell of channel ch at metre i, rounded to its
+// cell (CellByte), so At(ch, i) returns CellDBm(CellByte(v)). Writes below a
 // snapshot's sealed watermark privatize the affected chunk first
 // (copy-on-write), so snapshots never observe them; views do, sharing the
 // live chunk table. It panics on out-of-range cells and on views.
@@ -119,7 +121,8 @@ func (a *Aware) SetPower(ch, i int, v float64) {
 // Bind associates time-domain scanner samples with the geographical
 // trajectory (paper §IV-C): the samples taken during (t_{i-1}, t_i] belong
 // to metre i. Multiple readings of the same channel within one metre are
-// averaged. Samples outside the trajectory's time span are dropped.
+// averaged in full precision, and each cell is stored (rounded) once.
+// Samples outside the trajectory's time span are dropped.
 func Bind(g Geo, samples []Sample) *Aware {
 	return BindWidth(g, samples, gsm.NumChannels)
 }
@@ -130,32 +133,49 @@ func BindWidth(g Geo, samples []Sample, width int) *Aware {
 	if len(g.Marks) == 0 {
 		return a
 	}
-	counts := make(map[[2]int]int)
+	// mean/count hold the running average of the current mark's readings
+	// per channel; flush stores them when the sweep leaves the mark.
+	mean := make([]float64, width)
+	count := make([]int, width)
+	measured := 0
 	mark := 0
+	flush := func() {
+		for ch, n := range count {
+			if n > 0 {
+				a.pw.set(ch, mark, mean[ch])
+				count[ch] = 0
+				measured++
+			}
+		}
+	}
 	for _, s := range samples {
 		if s.Ch < 0 || s.Ch >= width {
 			panic(fmt.Sprintf("trajectory: sample channel %d out of range", s.Ch))
 		}
 		// Samples must be fed in time order for the single forward sweep.
-		for mark < len(g.Marks) && g.Marks[mark].T < s.T {
-			mark++
+		if mark < len(g.Marks) && g.Marks[mark].T < s.T {
+			flush()
+			for mark < len(g.Marks) && g.Marks[mark].T < s.T {
+				mark++
+			}
 		}
 		if mark >= len(g.Marks) {
 			break // beyond the last completed metre
 		}
-		key := [2]int{s.Ch, mark}
-		if counts[key] == 0 {
-			a.pw.set(s.Ch, mark, s.RSSI)
+		if count[s.Ch] == 0 {
+			mean[s.Ch] = s.RSSI
 		} else {
-			// Running average of repeated readings.
-			n := float64(counts[key])
-			a.pw.set(s.Ch, mark, (float64(a.pw.at(s.Ch, mark)*n)+s.RSSI)/(n+1))
+			n := float64(count[s.Ch])
+			mean[s.Ch] = (float64(mean[s.Ch]*n) + s.RSSI) / (n + 1)
 		}
-		counts[key]++
+		count[s.Ch]++
+	}
+	if mark < len(g.Marks) {
+		flush()
 	}
 	if t := trajTel.Get(); t != nil {
 		t.marksBound.Add(uint64(len(g.Marks)))
-		t.measured.Add(uint64(len(counts)))
+		t.measured.Add(uint64(measured))
 	}
 	return a
 }
@@ -215,9 +235,9 @@ func (a *Aware) MissingFrac() float64 {
 	}
 	missing := 0
 	for ch := 0; ch < a.pw.width; ch++ {
-		a.pw.rowSegs(ch, 0, a.Len(), func(seg []float64, _ int) {
-			for _, v := range seg {
-				if stats.IsMissing(v) {
+		a.pw.rowSegs(ch, 0, a.Len(), func(seg []uint8, _ int) {
+			for _, b := range seg {
+				if b == MissingCell {
 					missing++
 				}
 			}
@@ -231,7 +251,7 @@ func (a *Aware) MissingFrac() float64 {
 // §IV-C: "missing channels are estimated by linearly interpolating between
 // neighbouring power vectors over distance"). Leading and trailing gaps are
 // extended from the nearest valid value; channels never scanned stay
-// missing.
+// missing. Filled cells are rounded to whole dB as they are stored.
 func (a *Aware) Interpolate() {
 	a.pw.mutable()
 	filled := 0
@@ -488,7 +508,7 @@ func (a *Aware) Snapshot() *Aware {
 	if t := trajTel.Get(); t != nil {
 		t.snapshots.Inc()
 		t.snapMarks.Observe(float64(a.Len()))
-		t.snapSharedB.Add(uint64(8 * a.pw.width * a.Len()))
+		t.snapSharedB.Add(uint64(CellBytes * a.pw.width * a.Len()))
 		t.snapCopiedB.Add(uint64(16*len(marks) + 8*ptrs))
 	}
 	return &Aware{Geo: Geo{Marks: marks}, pw: pw}

@@ -5,15 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"rups/internal/gsm"
-	"rups/internal/stats"
 )
 
 // Wire format. The paper's arithmetic (§V-B: a one-kilometre journey
 // context is about 182 KB) implies roughly one byte per (channel, metre)
-// cell, so the format quantizes RSSI to 1 dB steps above the noise floor in
-// a single byte, with 0xFF marking a missing cell. Headings are quantized
+// cell, so the format carries the stored power cells (CellByte) as they
+// are, with MissingCell marking a missing cell. Headings are quantized
 // to 16 bits (≈0.005° resolution) and timestamps are stored as float32
 // offsets from a float64 base.
 //
@@ -31,8 +28,6 @@ const (
 	wireVersion = 1
 )
 
-const missingByte = 0xFF
-
 // headerSize is the fixed encoding overhead in bytes.
 const headerSize = 4 + 2 + 4 + 2 + 8
 
@@ -40,30 +35,6 @@ const headerSize = 4 + 2 + 4 + 2 + 8
 // and n channels — the quantity the V2V layer fragments into WSM packets.
 func EncodedSize(m, n int) int {
 	return headerSize + m*6 + n*m
-}
-
-// rssiToByte quantizes an RSSI in dBm to a byte: dB above the noise floor,
-// clamped to [0, 254].
-func rssiToByte(v float64) byte {
-	if stats.IsMissing(v) {
-		return missingByte
-	}
-	q := math.Round(gsm.Excess(v))
-	if q < 0 {
-		q = 0
-	}
-	if q > 254 {
-		q = 254
-	}
-	return byte(q)
-}
-
-// byteToRSSI inverts rssiToByte.
-func byteToRSSI(b byte) float64 {
-	if b == missingByte {
-		return stats.Missing
-	}
-	return gsm.NoiseFloorDBm + float64(b)
 }
 
 // MarshalBinary encodes the trajectory in the wire format.
@@ -90,10 +61,8 @@ func (a *Aware) MarshalBinary() ([]byte, error) {
 			math.Float32bits(float32(mk.T-tBase)))
 	}
 	for ch := 0; ch < n; ch++ {
-		a.pw.rowSegs(ch, 0, m, func(seg []float64, _ int) {
-			for _, v := range seg {
-				buf = append(buf, rssiToByte(v))
-			}
+		a.pw.rowSegs(ch, 0, m, func(seg []uint8, _ int) {
+			buf = append(buf, seg...)
 		})
 	}
 	return buf, nil
@@ -135,13 +104,9 @@ func (a *Aware) UnmarshalBinary(data []byte) error {
 		off += 6
 	}
 	pw := newPowStore(n, m)
-	row := make([]float64, m)
 	for ch := 0; ch < n; ch++ {
-		for i := 0; i < m; i++ {
-			row[i] = byteToRSSI(data[off])
-			off++
-		}
-		pw.setRow(ch, 0, row)
+		pw.setCells(ch, 0, data[off:off+m])
+		off += m
 	}
 	a.Geo = Geo{Marks: marks}
 	a.pw = pw

@@ -142,20 +142,26 @@ func TestWireRoundTripProperty(t *testing.T) {
 }
 
 func TestRSSIQuantization(t *testing.T) {
-	if rssiToByte(stats.Missing) != missingByte {
+	if CellByte(stats.Missing) != MissingCell {
 		t.Error("missing not encoded as 0xFF")
 	}
-	if got := byteToRSSI(0); got != gsm.NoiseFloorDBm {
+	if got := CellDBm(0); got != gsm.NoiseFloorDBm {
 		t.Errorf("byte 0 = %v", got)
 	}
-	if !stats.IsMissing(byteToRSSI(missingByte)) {
+	if !stats.IsMissing(CellDBm(MissingCell)) {
 		t.Error("0xFF not decoded as missing")
 	}
 	// Clamping: stronger than representable saturates at 254.
-	if got := rssiToByte(500); got != 254 {
+	if got := CellByte(500); got != 254 {
 		t.Errorf("clamped high = %d", got)
 	}
-	if got := rssiToByte(-200); got != 0 {
+	if got := CellByte(-200); got != 0 {
 		t.Errorf("clamped low = %d", got)
+	}
+	// Every cell reads back as a value that rounds to itself.
+	for b := 0; b < 256; b++ {
+		if got := CellByte(CellDBm(uint8(b))); got != uint8(b) {
+			t.Errorf("cell %d reads back as %v, which rounds to %d", b, CellDBm(uint8(b)), got)
+		}
 	}
 }

@@ -14,15 +14,19 @@ import (
 // The reliable sync protocol's wire formats.
 //
 // A *chunk* is the protocol's sequence-numbered unit: a contiguous run of
-// trajectory marks starting at mark FromMark, encoded *losslessly* (raw
-// float64 bits). Unlike the legacy quantized Delta encoding, a chunk round
-// trip is bit-exact, so a fully synced copy is byte-identical to the
-// sender's prefix — which is what lets the reliable path degrade to the
-// perfect-channel baseline exactly when the link is clean.
+// trajectory marks starting at mark FromMark, encoded *losslessly*: the
+// geometry as raw float64 bits and the power as the trajectory's own
+// one-byte cells (trajectory.CellByte), which every stored cell already
+// is. Unlike the legacy Delta encoding, whose geometry is quantized, a
+// chunk round trip of a trajectory's rows is bit-exact, so a fully synced
+// copy is byte-identical to the sender's prefix — which is what lets the
+// reliable path degrade to the perfect-channel baseline exactly when the
+// link is clean.
 //
-// One mark spans 16 B of geometry plus 8 B per channel (194 GSM channels
-// ≈ 1.6 KB), so chunks exceed the 1400 B WSM payload and are fragmented
-// into DATA frames; every frame carries a CRC32 so in-flight corruption is
+// One mark spans 16 B of geometry plus 1 B per channel (194 GSM channels
+// ≈ 210 B, the paper's one byte per channel-metre), so a chunk of the
+// default 8 marks exceeds the 1400 B WSM payload and is fragmented into
+// DATA frames; every frame carries a CRC32 so in-flight corruption is
 // detected and the frame dropped rather than applied.
 //
 // DATA frame (little endian):
@@ -98,12 +102,18 @@ const (
 
 var errBadFrame = errors.New("v2v: malformed frame")
 
-// encodeChunk serializes a chunk losslessly: header, per-mark geometry
-// (theta, t as float64 bits), then the channel-major power rows.
+// chunkSize is the encoded length of a chunk of n marks over chans
+// channels: header, 16 B of geometry per mark, one cell per channel-metre.
+func chunkSize(n, chans int) int { return chunkHeaderLen + n*16 + chans*n }
+
+// encodeChunk serializes a chunk: header, per-mark geometry (theta, t as
+// float64 bits), then the channel-major power cells. Power values are
+// rounded to their cells, which loses nothing for rows read from a
+// trajectory.
 func encodeChunk(d Delta) []byte {
 	n := len(d.Marks)
 	chans := len(d.Power)
-	buf := make([]byte, 0, chunkHeaderLen+n*16+chans*n*8)
+	buf := make([]byte, 0, chunkSize(n, chans))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.FromMark))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(n))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(chans))
@@ -112,9 +122,8 @@ func encodeChunk(d Delta) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(mk.T))
 	}
 	for ch := 0; ch < chans; ch++ {
-		row := d.Power[ch]
-		for i := 0; i < n; i++ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(row[i]))
+		for _, v := range d.Power[ch][:n] {
+			buf = append(buf, trajectory.CellByte(v))
 		}
 	}
 	return buf
@@ -131,8 +140,8 @@ func decodeChunk(b []byte) (Delta, error) {
 	if n == 0 || chans == 0 {
 		return Delta{}, errBadFrame
 	}
-	if len(b) != chunkHeaderLen+n*16+chans*n*8 {
-		return Delta{}, fmt.Errorf("v2v: chunk size %d, want %d", len(b), chunkHeaderLen+n*16+chans*n*8)
+	if want := chunkSize(n, chans); len(b) != want {
+		return Delta{}, fmt.Errorf("v2v: chunk size %d, want %d", len(b), want)
 	}
 	d := Delta{FromMark: from, Marks: make([]trajectory.GeoMark, n)}
 	off := chunkHeaderLen
@@ -144,12 +153,13 @@ func decodeChunk(b []byte) (Delta, error) {
 		off += 16
 	}
 	d.Power = make([][]float64, chans)
-	for ch := 0; ch < chans; ch++ {
-		row := make([]float64, n)
-		for i := range row {
-			row[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
-			off += 8
+	back := make([]float64, chans*n)
+	for ch := range d.Power {
+		row := back[ch*n : (ch+1)*n : (ch+1)*n]
+		for i, c := range b[off : off+n] {
+			row[i] = trajectory.CellDBm(c)
 		}
+		off += n
 		d.Power[ch] = row
 	}
 	return d, nil

@@ -38,9 +38,9 @@ import (
 // SyncConfig tunes the reliable sync protocol. Zero values take defaults.
 type SyncConfig struct {
 	// ChunkMarks is the number of marks per chunk (default 8). A
-	// 194-channel mark is ~1.6 KB on the wire, so chunks span several
-	// WSM fragments regardless; larger chunks amortize headers, smaller
-	// ones localize loss.
+	// 194-channel mark is ~210 B on the wire (16 B of geometry and one
+	// byte per cell), so a default chunk spans two WSM fragments; larger
+	// chunks amortize headers, smaller ones localize loss.
 	ChunkMarks int
 	// Window is the maximum number of unacked chunks in flight
 	// (default 8).

@@ -49,7 +49,7 @@ func assertBitExact(t *testing.T, cp, src *trajectory.Aware, wantLen int) {
 
 func TestSessionPerfectLinkBitExact(t *testing.T) {
 	src := mkAware(21, 300)
-	// A few missing cells: the lossless encoding must carry NaN through.
+	// A few missing cells: the chunk encoding must carry MissingCell through.
 	src.SetPower(3, 7, stats.Missing)
 	src.SetPower(100, 250, stats.Missing)
 	data := link.New(link.Params{Seed: 1}, 0)

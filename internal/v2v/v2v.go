@@ -206,7 +206,7 @@ func ParseBeacon(b []byte) (vehicleID uint32, contextLen int, err error) {
 //	channels uint16
 //	tBase    float64
 //	marks    × { theta uint16, dt float32 }
-//	power    channels × marks bytes (1 dB quantization, 0xFF missing)
+//	power    channels × marks power cells (trajectory.CellByte)
 const deltaMagic = 0x52555044
 
 // MarshalBinary encodes the delta for transmission. Deltas that would not
@@ -239,7 +239,7 @@ func (d Delta) MarshalBinary() ([]byte, error) {
 			return nil, fmt.Errorf("v2v: ragged delta row %d", ch)
 		}
 		for i := 0; i < m; i++ {
-			buf = append(buf, quantizeRSSI(d.Power[ch][i]))
+			buf = append(buf, trajectory.CellByte(d.Power[ch][i]))
 		}
 	}
 	return buf, nil
@@ -285,7 +285,7 @@ func (d *Delta) UnmarshalBinary(data []byte) error {
 	for ch := 0; ch < n; ch++ {
 		row := make([]float64, m)
 		for i := 0; i < m; i++ {
-			row[i] = dequantizeRSSI(data[off])
+			row[i] = trajectory.CellDBm(data[off])
 			off++
 		}
 		power[ch] = row
@@ -294,27 +294,4 @@ func (d *Delta) UnmarshalBinary(data []byte) error {
 	d.Marks = marks
 	d.Power = power
 	return nil
-}
-
-// quantizeRSSI mirrors the trajectory wire format's 1 dB cell encoding.
-func quantizeRSSI(v float64) byte {
-	if math.IsNaN(v) {
-		return 0xFF
-	}
-	q := math.Round(v + 110)
-	if q < 0 {
-		q = 0
-	}
-	if q > 254 {
-		q = 254
-	}
-	return byte(q)
-}
-
-// dequantizeRSSI inverts quantizeRSSI.
-func dequantizeRSSI(b byte) float64 {
-	if b == 0xFF {
-		return math.NaN()
-	}
-	return -110 + float64(b)
 }
