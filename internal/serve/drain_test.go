@@ -182,10 +182,12 @@ func TestLoadGeneratorAgainstFaults(t *testing.T) {
 		Addr:    "127.0.0.1:0",
 		Workers: 2,
 		Params:  testParams(),
-		// Deliberately tight: force refusal paths under the fleet.
+		// Deliberately tight: force refusal paths under the fleet. The
+		// budget holds ~820 of the fleet's width-8 marks, well under the
+		// 40 × 72 it streams, so eviction must engage.
 		QueueCap:       16,
 		PerConnQueries: 4,
-		MemBudgetBytes: 64 << 10,
+		MemBudgetBytes: residentBytes(820, 8),
 		OutboxCap:      32,
 		Staleness:      core.Staleness{StaleAfterSec: 30, ExpireAfterSec: 150},
 	})

@@ -297,7 +297,7 @@ func TestEvictionUnderMemoryBudget(t *testing.T) {
 	defer obs.Disable()
 
 	width := 8
-	perMark := int64(16 + 8*width)
+	perMark := residentBytes(1, width)
 	tab := newVTable(25*perMark, core.Staleness{}) // room for ~25 marks
 	sim := NewSimClock(10)
 	tel := stel()
@@ -456,4 +456,37 @@ func TestMalformedInputsDoNotKillTheServer(t *testing.T) {
 		t.Fatalf("server dead after framing violation: %v", err)
 	}
 	cl2.Close()
+}
+
+// TestResidentChargePerMark: a vehicle is charged 16 B of geometry plus
+// one byte per stored power cell for every mark it holds, and the
+// resident-bytes gauge reports the charge.
+func TestResidentChargePerMark(t *testing.T) {
+	obs.Enable(obs.NewRegistry())
+	defer obs.Disable()
+
+	const width, marks = 194, 300
+	tab := newVTable(0, core.Staleness{})
+	e, _ := tab.attach(7, width, func() {}, 0)
+	g := trajectory.Geo{Marks: make([]trajectory.GeoMark, marks)}
+	for i := range g.Marks {
+		g.Marks[i] = trajectory.GeoMark{T: float64(i)}
+	}
+	d, err := v2v.MakeDelta(trajectory.NewAwareWidth(g, width), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fr := range v2v.DataFrames(d, obs.TraceRef{}, 1) {
+		e.mu.Lock()
+		e.rx.Offer(fr)
+		e.mu.Unlock()
+	}
+	tab.charge(e, 0)
+	want := int64(marks * (16 + width))
+	if e.bytes != want {
+		t.Errorf("charged %d B for %d marks × %d channels, want %d", e.bytes, marks, width, want)
+	}
+	if got := stel().residentBytes.Value(); got != want {
+		t.Errorf("resident-bytes gauge %d, want %d", got, want)
+	}
 }

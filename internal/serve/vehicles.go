@@ -48,11 +48,14 @@ func (e *vehicleEntry) snapshot() *trajectory.Aware {
 	return e.rx.Copy().Snapshot()
 }
 
-// residentBytes estimates an entry's footprint: per mark, the GeoMark
-// (theta+t) plus one float64 power cell per channel. Deliberately an
-// estimate — the budget bounds growth, it is not an allocator.
+// markGeoBytes is the resident size of one trajectory.GeoMark (theta, t).
+const markGeoBytes = 16
+
+// residentBytes estimates an entry's footprint: per mark, the GeoMark plus
+// one stored power cell per channel. Deliberately an estimate — the budget
+// bounds growth, it is not an allocator.
 func residentBytes(marks, width int) int64 {
-	return int64(marks) * int64(16+8*width)
+	return int64(marks) * int64(markGeoBytes+trajectory.CellBytes*width)
 }
 
 // vtable is the resident-vehicle table: an LRU over vehicleEntry under a
