@@ -1,7 +1,7 @@
 # Convenience targets; everything is plain `go` underneath.
 
 .PHONY: all build test test-short race lint lint-sarif lint-ignores \
-	lint-prune lint-fix allocreport bench bench-all eval eval-quick \
+	lint-prune lint-fix allocreport bench-all eval eval-quick \
 	fuzz fuzz-trajectory fuzz-trace fuzz-v2v fuzz-v2v-frame fuzz-v2v-beacon fuzz-v2v-chunk \
 	fuzz-chanblock arm64-check maps serve soak clean
 
@@ -73,30 +73,9 @@ lint-fix:
 allocreport:
 	go run ./cmd/rups-lint -allocreport 7 ./...
 
-# The perf trajectory: run the search, engine, warm-start, and
-# telemetry-overhead benchmarks, then merge the current record with the
-# committed previous-PR record (raw lines inside are benchstat-compatible).
-# Override the triple to regenerate an older record:
-#   make bench BENCH_BASELINE=results/bench_pr3_current.txt \
-#              BENCH_CURRENT=results/bench_pr4_current.txt BENCH_OUT=BENCH_4.json
-# BenchmarkSearcherInstrumented vs the baseline BenchmarkFindSYNs is the
-# disabled-telemetry overhead check: it must stay within ~2% ns/op and at
-# identical allocs/op. BenchmarkEngineSteadyState Warm vs Cold compares
-# warm-started and cold resolves of the same ticks: ≥ 3× in BENCH_5.json,
-# ~1.2× since the threshold floor and early abandon made the cold scan
-# cheap (docs/PERFORMANCE.md).
-BENCH_BASELINE ?= results/bench_pr4_current.txt
-BENCH_CURRENT  ?= results/bench_pr5_current.txt
-BENCH_OUT      ?= BENCH_5.json
-
-bench:
-	go test -run XXXNONE \
-		-bench 'BenchmarkFindSYNs$$|BenchmarkSearcherInstrumented|BenchmarkEngineResolve|BenchmarkEngineSteadyState' \
-		-benchmem -count 3 . | tee $(BENCH_CURRENT)
-	go run ./cmd/rups-bench -baseline $(BENCH_BASELINE) \
-		-current $(BENCH_CURRENT) -out $(BENCH_OUT)
-
-# The full suite (one benchmark per paper table/figure plus cost models).
+# The full micro-benchmark suite (one benchmark per paper table/figure plus
+# cost models): per-layer probes. End-to-end performance is perfbench/
+# (bash perfbench/run.sh; see BENCHMARK.json).
 bench-all:
 	go test -run XXXNONE -bench=. -benchmem ./...
 

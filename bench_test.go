@@ -1,6 +1,7 @@
 // Benchmarks: one per paper table/figure (the workload that regenerates
 // it), plus the §V cost-model benches and ablation benches for the design
-// choices DESIGN.md §5 calls out. Run with:
+// choices DESIGN.md §5 calls out. They are per-layer probes; end-to-end
+// performance is measured by perfbench/ (see BENCHMARK.json). Run with:
 //
 //	go test -bench=. -benchmem
 package rups_test
@@ -252,10 +253,11 @@ func BenchmarkFindSYNs(b *testing.B) {
 }
 
 // BenchmarkSearcherInstrumented is BenchmarkFindSYNs with the telemetry
-// layer explicitly disabled — the overhead guard for PR 4's instrument
+// layer explicitly disabled — the overhead guard for the instrument
 // sites. b.ReportAllocs pins the disabled hot path at the same allocs/op
-// as the uninstrumented baseline, and the ns/op mean lands in BENCH_4.json
-// next to the committed PR 3 BenchmarkFindSYNs record (budget: ≤2%).
+// as the uninstrumented baseline, and its ns/op should stay within ~2% of
+// BenchmarkFindSYNs run alongside it (go test -bench 'FindSYNs$|Instrumented$'
+// -count 10, compared with benchstat).
 func BenchmarkSearcherInstrumented(b *testing.B) {
 	obs.Disable()
 	obs.SetRecorder(nil)
@@ -428,9 +430,8 @@ func BenchmarkEngineSteadyStateCold(b *testing.B) {
 // BenchmarkEngineSteadyStateWarm is the same ladder through ResolvePairsAt
 // on a persistent engine: the pair's tracker survives across ticks, so
 // every measured resolve warm-starts from the previous tick's SYN offsets.
-// BENCH_5.json recorded ≥ 3× fewer ns/op than the cold run; since the
-// threshold floor and early abandon cut the cold scan, the ratio is ~1.2×
-// (docs/PERFORMANCE.md).
+// Since the threshold floor and early abandon cut the cold scan, it runs
+// ~1.2× fewer ns/op than the cold run (docs/PERFORMANCE.md).
 func BenchmarkEngineSteadyStateWarm(b *testing.B) {
 	views := getSteadyViews()
 	p := core.DefaultParams()

@@ -14,8 +14,9 @@ import (
 // full search allocates exactly what the uninstrumented searcher did — an
 // enable/disable cycle in between must not leave any residue (cached
 // handles are keyed on the registry pointer and go nil again). The timing
-// side of the ≤2% budget is tracked by BenchmarkSearcherInstrumented in
-// BENCH_4.json.
+// side of the ≤2% budget is BenchmarkSearcherInstrumented against
+// BenchmarkFindSYNs (go test -bench, repo root); end to end, perfbench's
+// obs.trace_overhead_frac metrics price the enabled path.
 func TestSearcherTelemetryDisabledCostsNothing(t *testing.T) {
 	obs.Disable()
 	obs.SetRecorder(nil)

@@ -23,10 +23,11 @@ const DefaultWarmRadiusM = 25
 //
 //	no hint ──(SYN accepted)──▶ tracked ──(SYN accepted)──▶ tracked
 //	tracked ──(segment rejected: coherency loss, heading gate)──▶ no hint
-//	any ──(Tracker.Reset: staleness expiry, pair re-keyed)──▶ no hint
+//	any ──(Tracker.Reset: staleness expiry)──▶ no hint
 //
-// A Tracker is owned by one engine pair slot and must not be shared across
-// goroutines within a batch; the engine serializes all use per pair.
+// A Tracker is owned by one engine pair (engine.PairID) and must not be
+// shared across goroutines within a batch; the engine hands it only to the
+// first query naming the pair.
 type Tracker struct {
 	radius int
 	hints  map[int]int

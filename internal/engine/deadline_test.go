@@ -9,6 +9,17 @@ import (
 	"rups/internal/engine"
 )
 
+// deadlineQueries names each pair by its slot indexes and attaches its
+// deadline.
+func deadlineQueries(pairs [][2]int, dls []float64) []engine.Query {
+	qs := make([]engine.Query, len(pairs))
+	for i, pr := range pairs {
+		qs[i] = engine.Query{A: pr[0], B: pr[1],
+			Pair: engine.PairID{uint32(pr[0]), uint32(pr[1])}, Deadline: dls[i]}
+	}
+	return qs
+}
+
 // TestDeadlineShedDeadOnArrival: a pair whose deadline passed before the
 // batch was admitted is shed before any scheduling — Shed true, OK false —
 // while pairs with live or absent deadlines resolve normally.
@@ -24,7 +35,7 @@ func TestDeadlineShedDeadOnArrival(t *testing.T) {
 	pairs := [][2]int{{0, 1}, {1, 2}, {0, 2}}
 	now := 2000.0
 	dls := []float64{now - 0.001, now + 10, 0} // expired, live, none
-	res := b.ResolvePairsDeadlineAt(pairs, dls, p, now, core.Staleness{})
+	res := b.Resolve(deadlineQueries(pairs, dls), p, now, core.Staleness{})
 	if !res[0].Shed || res[0].OK {
 		t.Fatalf("expired pair: %+v, want shed and not OK", res[0])
 	}
@@ -61,7 +72,7 @@ func TestDeadlineRecheckAtTaskStart(t *testing.T) {
 	now := 2000.0
 	pairs := [][2]int{{0, 1}, {1, 2}}
 	dls := []float64{now + 5, now + 5} // live at admission, dead at start
-	res := b.ResolvePairsDeadlineAt(pairs, dls, p, now, core.Staleness{})
+	res := b.Resolve(deadlineQueries(pairs, dls), p, now, core.Staleness{})
 	for i, r := range res {
 		if !r.Shed || r.OK {
 			t.Fatalf("pair %d: %+v, want shed at task start", i, r)
@@ -69,7 +80,7 @@ func TestDeadlineRecheckAtTaskStart(t *testing.T) {
 	}
 	// Zero deadlines never consult the clock: the same batch still
 	// resolves everything.
-	res = b.ResolvePairsDeadlineAt(pairs, []float64{0, 0}, p, now, core.Staleness{})
+	res = b.Resolve(deadlineQueries(pairs, []float64{0, 0}), p, now, core.Staleness{})
 	for i, r := range res {
 		if r.Shed || !r.OK {
 			t.Fatalf("undeadlined pair %d: %+v, want resolved", i, r)
@@ -77,8 +88,8 @@ func TestDeadlineRecheckAtTaskStart(t *testing.T) {
 	}
 }
 
-// TestDeadlineNilMatchesResolvePairsAt: nil and misaligned deadline slices
-// degrade to plain ResolvePairsAt, bit for bit.
+// TestDeadlineNilMatchesResolvePairsAt: queries without deadlines resolve
+// exactly like ResolvePairsAt, bit for bit.
 func TestDeadlineNilMatchesResolvePairsAt(t *testing.T) {
 	trajs := syntheticConvoy(5, 3, 250, 20, 1.0)
 	p := convoyParams()
@@ -92,8 +103,7 @@ func TestDeadlineNilMatchesResolvePairsAt(t *testing.T) {
 	pairs := [][2]int{{0, 1}, {1, 2}, {0, 2}}
 	now := 1250.0 // newest mark T≈1249 → fresh
 	want := b.ResolvePairsAt(pairs, p, now, pol)
-	gotNil := b.ResolvePairsDeadlineAt(pairs, nil, p, now, pol)
-	gotBad := b.ResolvePairsDeadlineAt(pairs, []float64{1}, p, now, pol)
+	got := b.Resolve(deadlineQueries(pairs, []float64{0, 0, 0}), p, now, pol)
 	stripLat := func(rs []engine.Result) []engine.Result {
 		out := append([]engine.Result(nil), rs...)
 		for i := range out {
@@ -101,17 +111,14 @@ func TestDeadlineNilMatchesResolvePairsAt(t *testing.T) {
 		}
 		return out
 	}
-	if !reflect.DeepEqual(stripLat(want), stripLat(gotNil)) {
-		t.Fatalf("nil deadlines diverged:\n%+v\n%+v", want, gotNil)
-	}
-	if !reflect.DeepEqual(stripLat(want), stripLat(gotBad)) {
-		t.Fatalf("misaligned deadlines diverged:\n%+v\n%+v", want, gotBad)
+	if !reflect.DeepEqual(stripLat(want), stripLat(got)) {
+		t.Fatalf("undeadlined queries diverged:\n%+v\n%+v", want, got)
 	}
 }
 
 // TestEngineCloseDuringResolvePairsAt is the shutdown-race regression test
 // for the staleness/deadline entry point: Close racing an in-flight
-// ResolvePairsAt (and ResolvePairsDeadlineAt) batch must neither panic nor
+// ResolvePairsAt (and deadlined Resolve) batch must neither panic nor
 // deadlock — admitted batches degrade to inline execution and still return
 // oracle-correct results. Run under -race.
 func TestEngineCloseDuringResolvePairsAt(t *testing.T) {
@@ -137,7 +144,7 @@ func TestEngineCloseDuringResolvePairsAt(t *testing.T) {
 						t.Errorf("round %d iter %d pair %d not OK", round, i, pi)
 					}
 				}
-				dres := b.ResolvePairsDeadlineAt(pairs, []float64{1e9, 1e9, 1e9}, p, 1250.0, pol)
+				dres := b.Resolve(deadlineQueries(pairs, []float64{1e9, 1e9, 1e9}), p, 1250.0, pol)
 				for pi, r := range dres {
 					if !r.OK || r.Shed {
 						t.Errorf("round %d iter %d deadlined pair %d: %+v", round, i, pi, r)

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,29 +46,19 @@ type Engine struct {
 	mu     sync.RWMutex
 	closed bool
 
-	// trackers caches per-pair warm-start state across batches, keyed by
-	// the pair's indexes into the admitted trajectory slice — callers using
-	// ResolvePairsAt must therefore admit in a stable order (the linked-
-	// convoy sim does: one fixed slot pair per link); a caller whose
-	// admission order shifts between batches only loses warm windows (the
-	// warm path is oracle-equivalent for any hint), it cannot get a wrong
-	// answer. tmu guards the map; each Tracker itself is only touched by
-	// its pair's single task. Entries are evicted on staleness expiry and
-	// after trackerIdleBatches warm batches without use, so a departed
-	// pair's state does not accumulate forever.
-	tmu      sync.Mutex
-	trackers map[[2]int]*trackerEntry
-	// tgen counts ResolvePairsAt calls; each entry remembers the last
-	// generation that used it.
-	tgen uint64
-	// classes remembers each pair's last staleness class (zero value =
-	// fresh), so the flight recorder sees *transitions* — one event per
-	// state change, not one per tick. Guarded by tmu; swept with trackers.
-	classes map[[2]int]core.Freshness
+	// pairs holds each pair's cross-batch state, keyed by its stable
+	// identity (see PairID). tmu guards the map and its entries; a
+	// tracker's hints are only touched by the task its query hands it to.
+	// Entries no batch has queried for trackerIdleBatches generations are
+	// swept, so a departed pair does not accumulate state forever.
+	tmu   sync.Mutex
+	pairs map[PairID]*pairState
+	// gen counts Resolve calls that carried identified queries.
+	gen uint64
 
 	// nowBits is the float64 bits of the latest batch's sim time — the
 	// timestamp run()'s flight events carry. The engine has no sim clock
-	// of its own; ResolvePairsAt batches donate theirs.
+	// of its own; Resolve batches donate theirs.
 	nowBits atomic.Uint64
 
 	// clockNow, when set, is the time source deadline rechecks consult at
@@ -86,81 +77,66 @@ func (e *Engine) SetClock(now func() float64) { e.clockNow = now }
 // simNow returns the latest batch sim time donated to the engine.
 func (e *Engine) simNow() float64 { return math.Float64frombits(e.nowBits.Load()) }
 
-// trackerEntry is one cached tracker plus the last generation (warm batch)
-// that touched it.
-type trackerEntry struct {
-	tk  *core.Tracker
-	gen uint64
+// pairState is one pair's cross-batch state: its warm-start tracker, its
+// last staleness class (zero value = fresh) so the flight recorder sees
+// transitions rather than one event per tick, and the last generation
+// that queried it.
+type pairState struct {
+	tk    *core.Tracker
+	class core.Freshness
+	gen   uint64
 }
 
-// trackerIdleBatches is how many consecutive warm batches a tracker entry
-// may go unused before eviction. Convoy callers resolve every tracked pair
-// every tick, so anything idle this long has left the platoon.
+// trackerIdleBatches is how many consecutive generations a pair may go
+// unqueried before its state is swept. Convoy callers resolve every
+// tracked pair every tick, so anything idle this long has left the
+// platoon.
 const trackerIdleBatches = 64
 
-// tracker returns (creating on first contact) the warm-start state for a
-// pair key.
-func (e *Engine) tracker(pr [2]int) *core.Tracker {
+// beginGen opens a new generation and sweeps out pairs no batch has
+// queried for trackerIdleBatches generations. The sweep is O(cached
+// pairs) once per Resolve call. A swept pair that returns starts over:
+// cold scans, and a fresh first classification.
+func (e *Engine) beginGen(fl *flight.Ring, now float64) {
 	e.tmu.Lock()
 	defer e.tmu.Unlock()
-	if e.trackers == nil {
-		e.trackers = make(map[[2]int]*trackerEntry)
-	}
-	te := e.trackers[pr]
-	if te == nil {
-		te = &trackerEntry{tk: core.NewTracker(0)}
-		e.trackers[pr] = te
-	}
-	te.gen = e.tgen
-	return te.tk
-}
-
-// dropTracker evicts a pair's warm-start state entirely (staleness expiry:
-// a context too old to answer with cannot vouch for a warm window either,
-// and an expired pair may never come back).
-func (e *Engine) dropTracker(pr [2]int, fl *flight.Ring, now float64) {
-	e.tmu.Lock()
-	defer e.tmu.Unlock()
-	if _, ok := e.trackers[pr]; ok && fl != nil {
-		fl.Emit(flight.Event{T: now, Kind: flight.KindWarmEvict,
-			A: int32(pr[0]), B: int32(pr[1]), V1: int64(e.tgen)})
-	}
-	delete(e.trackers, pr)
-}
-
-// beginTrackerGen opens a new tracker generation and sweeps out entries
-// that no warm batch has touched for trackerIdleBatches generations. The
-// sweep is O(cached pairs) once per ResolvePairsAt call. Swept pairs also
-// lose their staleness-class memory: if they return, their first
-// classification is a fresh transition again.
-func (e *Engine) beginTrackerGen(fl *flight.Ring, now float64) {
-	e.tmu.Lock()
-	defer e.tmu.Unlock()
-	e.tgen++
-	for pr, te := range e.trackers {
-		if e.tgen-te.gen > trackerIdleBatches {
+	e.gen++
+	for id, st := range e.pairs {
+		if e.gen-st.gen > trackerIdleBatches {
 			if fl != nil {
+				a, b := id.flightAB()
 				fl.Emit(flight.Event{T: now, Kind: flight.KindWarmEvict,
-					A: int32(pr[0]), B: int32(pr[1]), V1: int64(te.gen)})
+					A: a, B: b, V1: int64(st.gen)})
 			}
-			delete(e.trackers, pr)
-			delete(e.classes, pr)
+			delete(e.pairs, id)
 		}
 	}
 }
 
-// noteClass records a pair's staleness class and reports the previous one
-// (zero value core.FreshContext for a first sighting) — the transition
-// edge the flight recorder events on.
-func (e *Engine) noteClass(pr [2]int, cls core.Freshness) core.Freshness {
+// touch records one query of pair id at class cls: it creates the pair's
+// state on first contact, stamps it with the current generation, and on
+// expiry resets its tracker (a context too old to answer with cannot
+// vouch for a warm window either). It returns the tracker only to the
+// generation's first query of the pair, so a pair listed twice in one
+// batch never races on its hints, plus the pair's previous class and the
+// generation.
+func (e *Engine) touch(id PairID, cls core.Freshness) (tk *core.Tracker, prev core.Freshness, gen uint64) {
 	e.tmu.Lock()
 	defer e.tmu.Unlock()
-	if e.classes == nil {
-		e.classes = make(map[[2]int]core.Freshness)
+	st := e.pairs[id]
+	if st == nil {
+		st = &pairState{tk: core.NewTracker(0)}
+		e.pairs[id] = st
 	}
-	prev := e.classes[pr]
-	e.classes[pr] = cls
-	return prev
+	if st.gen != e.gen {
+		tk = st.tk
+	}
+	st.gen = e.gen
+	if cls == core.ExpiredContext {
+		st.tk.Reset()
+	}
+	prev, st.class = st.class, cls
+	return tk, prev, e.gen
 }
 
 // New starts an engine with the given number of workers; workers <= 0 means
@@ -169,7 +145,7 @@ func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{workers: workers, tasks: make(chan func())}
+	e := &Engine{workers: workers, tasks: make(chan func()), pairs: make(map[PairID]*pairState)}
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go e.worker()
@@ -189,7 +165,7 @@ func (e *Engine) worker() {
 }
 
 // Close shuts the pool down and waits for in-flight tasks to finish. Close
-// is idempotent. Afterwards Admit/ResolveAll/Resolve return ErrClosed;
+// is idempotent. Afterwards Admit and ResolveAll return ErrClosed;
 // batches admitted before Close still resolve correctly, degraded to
 // inline (sequential) execution.
 func (e *Engine) Close() {
@@ -302,7 +278,7 @@ type Result struct {
 	// LatencySec is this pair's wall-clock resolve time (searcher build
 	// through aggregation, queue wait excluded). Measured only when
 	// telemetry is enabled or the pair is causally traced; 0 otherwise —
-	// the disabled fast path never reads the clock.
+	// an untimed pair never reads the clock.
 	LatencySec float64
 }
 
@@ -355,289 +331,219 @@ func (b *Batch) ResolveAll(p core.Params) []Result {
 	return b.ResolvePairs(pairs, p)
 }
 
-// ResolvePairsAt resolves the given pairs under a staleness policy at sim
-// time now — the graceful-degradation entry point for lossy-link callers.
-// A pair's age is the older of its two contexts' ages (a resolution is
-// only as current as its weaker side):
+// PairID is a pair's stable identity: the ordered (resolver, peer)
+// vehicle IDs. Warm-start trackers and staleness classes key on it, so a
+// pair keeps its state however its trajectories land in a batch's slots.
+// Flight events carry each half as its int32 bit pattern.
+type PairID [2]uint32
+
+// flightAB returns the pair as flight-event A and B.
+func (id PairID) flightAB() (a, b int32) {
+	//lint:ignore widenconv deliberate bit pattern: flight events carry uint32 vehicle IDs in their int32 fields
+	return int32(id[0]), int32(id[1])
+}
+
+// noPair marks a query without identity: it reads and writes no pair
+// state (ResolvePairs, the cold oracle).
+var noPair = PairID{math.MaxUint32, math.MaxUint32}
+
+// Query is one pair to resolve: A and B index the batch's admitted
+// trajectories and Pair names the two vehicles. Deadline > 0 is the
+// absolute time (same domain as Resolve's now) by which the resolution
+// must have *started*; 0 means none. Ref, when nonzero, is the
+// cross-vehicle trace ref of the context admission that produced the
+// pair's snapshot (typically v2v.Session.TraceRef): the pair's queue wait
+// and resolve pipeline then record as children of the sender-side sync
+// spans, so one trace tells the pair's whole story across both vehicles.
+type Query struct {
+	A, B     int
+	Pair     PairID
+	Deadline float64
+	Ref      obs.TraceRef
+}
+
+// Resolve resolves the queries at time now under a staleness policy and
+// returns results in query order. Queries with out-of-range indexes yield
+// OK == false rather than a panic. A pair's age is the older of its two
+// contexts' ages (a resolution is only as current as its weaker side):
 //
-//   - expired pairs are not resolved at all: OK == false, no panic, no
-//     silently wrong d_r from fossil context — and the pair's warm-start
-//     tracker is evicted, so the next resolve after re-contact scans cold;
+//   - expired pairs are not resolved at all: OK == false, no silently
+//     wrong d_r from fossil context — and the pair's tracker is reset, so
+//     the next resolve after re-contact scans cold;
 //   - stale pairs resolve normally but carry Stale == true;
 //   - fresh pairs resolve normally.
 //
-// Unlike ResolvePairs (the cold oracle), this entry point warm-starts
-// every pair from the engine's per-pair tracker cache: steady-state
-// re-resolves pivot their scans on the previous tick's SYN offsets. A warm
-// bounded scan is accepted only when it is proven to dominate the full
-// scan range (and demotes to the cold scan otherwise), so results stay
-// identical to the cold path's — with a zero-value (disabled) policy this
-// returns exactly what ResolvePairs would, just faster on repeat contact.
-func (b *Batch) ResolvePairsAt(pairs [][2]int, p core.Params, now float64, pol core.Staleness) []Result {
-	return b.resolveAt(pairs, nil, nil, p, now, pol)
-}
-
-// ResolvePairsDeadlineAt is ResolvePairsAt with per-pair deadlines —
-// the load-shedding entry point for service callers. deadlines is aligned
-// with pairs; entry dl > 0 is the absolute time (same domain as now) by
-// which pair pi's resolution must have *started*, and 0 means no deadline.
-// A pair already past its deadline at admission is shed before any
-// scheduling (Result.Shed, OK false); with SetClock installed, the
-// deadline is rechecked when a worker picks the task up, so work that
-// expired while queued behind a backlog is shed instead of run — expired
-// answers nobody is waiting for anymore never displace live ones.
-// Misaligned deadlines cannot be attributed and are ignored entirely.
-func (b *Batch) ResolvePairsDeadlineAt(pairs [][2]int, deadlines []float64, p core.Params, now float64, pol core.Staleness) []Result {
-	if deadlines != nil && len(deadlines) != len(pairs) {
-		deadlines = nil
-	}
-	return b.resolveAt(pairs, nil, deadlines, p, now, pol)
-}
-
-// ResolvePairsTracedAt is ResolvePairsAt with causal stitching: refs is
-// aligned with pairs, each entry the cross-vehicle trace ref of the
-// context admission that produced the pair's snapshot (typically
-// v2v.Session.TraceRef). A traced pair's queue wait and resolve pipeline
-// record as children of the sender-side sync spans, so one trace tells
-// the pair's whole story across both vehicles. Zero refs (and a nil
-// slice) resolve exactly like ResolvePairsAt.
-func (b *Batch) ResolvePairsTracedAt(pairs [][2]int, refs []obs.TraceRef, p core.Params, now float64, pol core.Staleness) []Result {
-	if refs != nil && len(refs) != len(pairs) {
-		refs = nil // misaligned refs cannot be attributed; resolve unstitched
-	}
-	return b.resolveAt(pairs, refs, nil, p, now, pol)
-}
-
-func (b *Batch) resolveAt(pairs [][2]int, refs []obs.TraceRef, dls []float64, p core.Params, now float64, pol core.Staleness) []Result {
+// Each pair warm-starts from its tracker: steady-state re-resolves pivot
+// their scans on the previous tick's SYN offsets. A warm bounded scan is
+// accepted only when it is proven to dominate the full scan range (and
+// demotes to the cold scan otherwise), so results are identical to the
+// cold oracle's for any hint.
+//
+// Deadlines shed load: a query already past its deadline at admission is
+// shed before any scheduling (Result.Shed, OK false); with SetClock
+// installed, the deadline is rechecked when a worker picks the task up,
+// so work that expired while queued behind a backlog is shed instead of
+// run — answers nobody is waiting for never displace live ones.
+//
+// Batches may resolve concurrently on one engine as long as no PairID is
+// in two of them at once: the pair's tracker would be shared.
+func (b *Batch) Resolve(qs []Query, p core.Params, now float64, pol core.Staleness) []Result {
+	e := b.e
 	tel := engineTel.Get()
 	fl := flight.Active()
-	b.e.nowBits.Store(math.Float64bits(now))
-	b.e.beginTrackerGen(fl, now)
-	keep := make([][2]int, 0, len(pairs))
-	kept := make([]int, 0, len(pairs))
-	tks := make([]*core.Tracker, 0, len(pairs))
-	var keepRefs []obs.TraceRef
-	if refs != nil {
-		keepRefs = make([]obs.TraceRef, 0, len(pairs))
-	}
-	var keepDls []float64
-	if dls != nil {
-		keepDls = make([]float64, 0, len(pairs))
-	}
-	out := make([]Result, len(pairs))
-	stale := make([]bool, len(pairs))
-	// Each tracker must be owned by exactly one concurrent pair task, but
-	// pairs is caller-controlled and may list the same pair twice — only
-	// the first occurrence gets the tracker; repeats resolve cold, which
-	// yields the identical result (the warm path is oracle-equivalent)
-	// without racing on the shared hint state.
-	seen := make(map[[2]int]bool, len(pairs))
-	for pi, pr := range pairs {
-		out[pi] = Result{A: pr[0], B: pr[1]}
-		if pr[0] < 0 || pr[0] >= len(b.snaps) || pr[1] < 0 || pr[1] >= len(b.snaps) {
-			continue
-		}
-		if dls != nil && dls[pi] > 0 && now > dls[pi] {
-			// Dead on arrival: the caller's deadline passed before this
-			// batch was even admitted. Shed before classification or
-			// scheduling — no tracker touch, no staleness transition.
-			out[pi].Shed = true
-			if tel != nil {
-				tel.pairsShed.Inc()
-			}
-			if fl != nil {
-				fl.Emit(flight.Event{T: now, Kind: flight.KindShed,
-					A: int32(pr[0]), B: int32(pr[1]),
-					V1: int64((now - dls[pi]) * 1000)})
-			}
-			continue
-		}
-		var tk *core.Tracker
-		if !seen[pr] {
-			seen[pr] = true
-			tk = b.e.tracker(pr)
-		}
-		if pol.Enabled() {
-			age := core.ContextAge(b.snaps[pr[0]], now)
-			if ab := core.ContextAge(b.snaps[pr[1]], now); ab > age {
-				age = ab
-			}
-			cls := pol.Classify(age)
-			if fl != nil {
-				if prev := b.e.noteClass(pr, cls); prev != cls {
-					fl.Emit(flight.Event{T: now, Kind: flight.KindStaleness,
-						A: int32(pr[0]), B: int32(pr[1]),
-						V1: int64(cls), V2: int64(prev)})
-					if cls == core.ExpiredContext {
-						// Crossing into expiry refuses the pair — one of the
-						// black-box anomaly triggers. Emit the expiry detail,
-						// then dump (best-effort; the capsule is advisory).
-						fl.Emit(flight.Event{T: now, Kind: flight.KindExpired,
-							A: int32(pr[0]), B: int32(pr[1]),
-							V1: int64(age * 1000)})
-						//lint:ignore errflow best-effort black-box dump; resolution must not fail because the disk did
-						_, _ = fl.Anomaly("refused_pair", flight.Event{T: now,
-							Kind: flight.KindRefused,
-							A:    int32(pr[0]), B: int32(pr[1]),
-							V1: int64(age * 1000)})
-					}
-				}
-			}
-			switch cls {
-			case core.ExpiredContext:
-				if tel != nil {
-					tel.pairsExpired.Inc()
-				}
-				if tk != nil {
-					b.e.dropTracker(pr, fl, now)
-				}
-				continue
-			case core.StaleContext:
-				if tel != nil {
-					tel.pairsStale.Inc()
-				}
-				stale[pi] = true
-			}
-		}
-		keep = append(keep, pr)
-		kept = append(kept, pi)
-		tks = append(tks, tk)
-		if keepRefs != nil {
-			keepRefs = append(keepRefs, refs[pi])
-		}
-		if keepDls != nil {
-			keepDls = append(keepDls, dls[pi])
-		}
-	}
-	for i, r := range b.resolvePairs(keep, p, tks, keepRefs, keepDls, now) {
-		pi := kept[i]
-		if !r.Shed {
-			r.Stale = stale[pi]
-		}
-		out[pi] = r
-	}
-	return out
-}
-
-// ResolvePairs resolves the given pairs (indexes into the admitted slice)
-// and returns results in input order. Pairs with out-of-range indexes
-// yield OK == false rather than a panic. This is the cold-scan entry
-// point — no warm-start state is consulted or updated.
-func (b *Batch) ResolvePairs(pairs [][2]int, p core.Params) []Result {
-	return b.resolvePairs(pairs, p, nil, nil, nil, 0)
-}
-
-// resolvePairs fans the pair queries over the pool. tks, when non-nil, is
-// aligned with pairs and attaches each pair's warm-start tracker to its
-// searcher; each tracker is touched only by its own pair's task, so the
-// fan-out needs no extra locking. refs, when non-nil, is aligned with
-// pairs and stitches each pair's spans into its cross-vehicle trace; dls,
-// when non-nil, is aligned with pairs and carries each pair's start
-// deadline for the task-start recheck (see ResolvePairsDeadlineAt); now
-// timestamps flight events from the fan-out.
-func (b *Batch) resolvePairs(pairs [][2]int, p core.Params, tks []*core.Tracker, refs []obs.TraceRef, dls []float64, now float64) []Result {
-	tel := engineTel.Get()
 	rec := obs.ActiveRecorder()
-	fl := flight.Active()
 	var start time.Time
 	if tel != nil {
 		tel.batches.Inc()
 		start = time.Now()
 	}
-	out := make([]Result, len(pairs))
-	tasks := make([]func(), 0, len(pairs))
-	// shedNow implements the task-start deadline recheck: queued work whose
-	// deadline passed while it waited is dropped unrun. Only the slot owner
-	// calls it, so writing out[pi] is race-free.
-	clock := b.e.clockNow
-	shedNow := func(pi int, pr [2]int) bool {
-		if dls == nil || dls[pi] <= 0 || clock == nil {
-			return false
-		}
-		late := clock() - dls[pi]
-		if late <= 0 {
-			return false
-		}
-		out[pi].Shed = true
+	e.nowBits.Store(math.Float64bits(now))
+	if slices.ContainsFunc(qs, func(q Query) bool { return q.Pair != noPair }) {
+		e.beginGen(fl, now)
+	}
+	out := make([]Result, len(qs))
+	tasks := make([]func(), 0, len(qs))
+	// shed drops query i unrun once its deadline has passed; late is how
+	// far past, atStart 1 when the recheck ran at task start. Only the
+	// slot owner calls it, so writing out[i] is race-free.
+	shed := func(i int, late float64, atStart int64) {
+		out[i].Shed = true
 		if tel != nil {
 			tel.pairsShed.Inc()
 		}
 		if fl != nil {
+			a, b := qs[i].Pair.flightAB()
 			fl.Emit(flight.Event{T: now, Kind: flight.KindShed,
-				A: int32(pr[0]), B: int32(pr[1]),
-				V1: int64(late * 1000), V2: 1})
+				A: a, B: b, V1: int64(late * 1000), V2: atStart})
 		}
-		return true
 	}
-	for pi, pr := range pairs {
-		pi, pr := pi, pr
-		out[pi] = Result{A: pr[0], B: pr[1]}
-		if pr[0] < 0 || pr[0] >= len(b.snaps) || pr[1] < 0 || pr[1] >= len(b.snaps) {
+	clock := e.clockNow
+	for i, q := range qs {
+		out[i] = Result{A: q.A, B: q.B}
+		if q.A < 0 || q.A >= len(b.snaps) || q.B < 0 || q.B >= len(b.snaps) {
 			continue
 		}
-		var ref obs.TraceRef
-		if refs != nil {
-			ref = refs[pi]
-		}
-		if ref.Trace == 0 && tel == nil {
-			// Disabled-telemetry, unstitched fast path: byte-for-byte the
-			// allocation profile of the uninstrumented fan-out — no clock
-			// reads, no span values in the closure. (The deadline recheck
-			// only reads a clock when the caller both passed deadlines and
-			// installed one.)
-			tasks = append(tasks, func() {
-				if shedNow(pi, pr) {
-					return
-				}
-				s := core.NewSearcher(b.snaps[pr[0]], b.snaps[pr[1]], p)
-				if tks != nil && tks[pi] != nil {
-					s.SetTracker(tks[pi])
-				}
-				if fl != nil {
-					s.SetFlight(fl, pr[0], pr[1], now)
-				}
-				out[pi].Est, out[pi].OK = s.Resolve(b.e.run)
-				s.Release()
-			})
+		if q.Deadline > 0 && now > q.Deadline {
+			// Dead on arrival: shed before classification or scheduling —
+			// no tracker touch, no staleness transition.
+			shed(i, now-q.Deadline, 0)
 			continue
+		}
+		fa, fb := q.Pair.flightAB()
+		cls, age := core.FreshContext, 0.0
+		if pol.Enabled() {
+			age = max(core.ContextAge(b.snaps[q.A], now), core.ContextAge(b.snaps[q.B], now))
+			cls = pol.Classify(age)
+		}
+		var tk *core.Tracker
+		if q.Pair != noPair {
+			var prev core.Freshness
+			var gen uint64
+			tk, prev, gen = e.touch(q.Pair, cls)
+			if fl != nil && prev != cls {
+				fl.Emit(flight.Event{T: now, Kind: flight.KindStaleness,
+					A: fa, B: fb, V1: int64(cls), V2: int64(prev)})
+				if cls == core.ExpiredContext {
+					// Crossing into expiry refuses the pair — one of the
+					// black-box anomaly triggers. Emit the expiry detail
+					// and the tracker reset, then dump (best-effort; the
+					// capsule is advisory).
+					fl.Emit(flight.Event{T: now, Kind: flight.KindExpired,
+						A: fa, B: fb, V1: int64(age * 1000)})
+					fl.Emit(flight.Event{T: now, Kind: flight.KindWarmEvict,
+						A: fa, B: fb, V1: int64(gen)})
+					//lint:ignore errflow best-effort black-box dump; resolution must not fail because the disk did
+					_, _ = fl.Anomaly("refused_pair", flight.Event{T: now,
+						Kind: flight.KindRefused, A: fa, B: fb, V1: int64(age * 1000)})
+				}
+			}
+		}
+		switch cls {
+		case core.ExpiredContext:
+			if tel != nil {
+				tel.pairsExpired.Inc()
+			}
+			continue
+		case core.StaleContext:
+			if tel != nil {
+				tel.pairsStale.Inc()
+			}
 		}
 		// The queue span opens at scheduling and closes when a worker (or
 		// the inline fallback) picks the task up: its duration is the
 		// pair's queue wait, the critical-path component no per-stage span
-		// could otherwise see. Inert when the pair is unstitched.
+		// could otherwise see. Inert (zero) when the pair is unstitched.
 		var qsp obs.Span
-		if ref.Trace != 0 {
-			qsp = rec.StartChild(ref.Trace, ref.Parent, "queue")
-			qsp.Arg = int64(pr[0])<<32 | int64(pr[1])
+		if q.Ref.Trace != 0 {
+			qsp = rec.StartChild(q.Ref.Trace, q.Ref.Parent, "queue")
+			qsp.Arg = int64(q.Pair[0])<<32 | int64(q.Pair[1])
 		}
+		// The clock is read only for telemetry or a traced pair; the
+		// deadline recheck only when the caller both set a deadline and
+		// installed a clock.
+		timed := tel != nil || q.Ref.Trace != 0
 		tasks = append(tasks, func() {
 			qsp.End()
-			if shedNow(pi, pr) {
-				return
+			if q.Deadline > 0 && clock != nil {
+				if late := clock() - q.Deadline; late > 0 {
+					shed(i, late, 1)
+					return
+				}
 			}
-			t0 := time.Now()
-			s := core.NewSearcher(b.snaps[pr[0]], b.snaps[pr[1]], p)
-			if tks != nil && tks[pi] != nil {
-				s.SetTracker(tks[pi])
+			out[i].Stale = cls == core.StaleContext
+			var t0 time.Time
+			if timed {
+				t0 = time.Now()
 			}
-			s.SetTrace(ref)
+			s := core.NewSearcher(b.snaps[q.A], b.snaps[q.B], p)
+			s.SetTracker(tk)
+			s.SetTrace(q.Ref)
 			if fl != nil {
-				s.SetFlight(fl, pr[0], pr[1], now)
+				s.SetFlight(fl, int(fa), int(fb), now)
 			}
-			out[pi].Est, out[pi].OK = s.Resolve(b.e.run)
+			out[i].Est, out[i].OK = s.Resolve(e.run)
 			s.Release()
-			lat := time.Since(t0).Seconds()
-			out[pi].LatencySec = lat
-			if tel != nil {
-				tel.pairSec.Observe(lat)
+			if timed {
+				out[i].LatencySec = time.Since(t0).Seconds()
+				if tel != nil {
+					tel.pairSec.Observe(out[i].LatencySec)
+				}
 			}
 		})
 	}
-	b.e.run(tasks...)
+	e.run(tasks...)
 	if tel != nil {
 		tel.batchSec.Observe(time.Since(start).Seconds())
 	}
 	return out
+}
+
+// ResolvePairs resolves the given pairs (indexes into the admitted slice)
+// and returns results in input order. This is the cold oracle: no
+// warm-start state is consulted or updated.
+func (b *Batch) ResolvePairs(pairs [][2]int, p core.Params) []Result {
+	return b.Resolve(slotQueries(pairs, false), p, 0, core.Staleness{})
+}
+
+// ResolvePairsAt is Resolve with each pair named by its slot indexes — a
+// stable identity only for callers that admit in a fixed order. With a
+// zero-value (disabled) policy it returns exactly what ResolvePairs
+// would, just faster on repeat contact.
+func (b *Batch) ResolvePairsAt(pairs [][2]int, p core.Params, now float64, pol core.Staleness) []Result {
+	return b.Resolve(slotQueries(pairs, true), p, now, pol)
+}
+
+// slotQueries builds one query per pair, identified by its slot indexes
+// when keyed and by noPair otherwise.
+func slotQueries(pairs [][2]int, keyed bool) []Query {
+	qs := make([]Query, len(pairs))
+	for i, pr := range pairs {
+		qs[i] = Query{A: pr[0], B: pr[1], Pair: noPair}
+		if keyed {
+			qs[i].Pair = PairID{uint32(pr[0]), uint32(pr[1])}
+		}
+	}
+	return qs
 }
 
 // ResolveAll admits the platoon and resolves every unordered pair — the
@@ -649,18 +555,4 @@ func (e *Engine) ResolveAll(trajs []*trajectory.Aware, p core.Params) ([]Result,
 		return nil, err
 	}
 	return b.ResolveAll(p), nil
-}
-
-// Resolve answers a single pair through the pool (admitting both
-// trajectories first). The batch entry points amortize better; this exists
-// for callers resolving one query at a time. Returns ErrClosed after Close.
-func (e *Engine) Resolve(a, b *trajectory.Aware, p core.Params) (core.Estimate, bool, error) {
-	batch, err := e.Admit(a, b)
-	if err != nil {
-		return core.Estimate{}, false, err
-	}
-	s := core.NewSearcher(batch.snaps[0], batch.snaps[1], p)
-	defer s.Release()
-	est, ok := s.Resolve(e.run)
-	return est, ok, nil
 }

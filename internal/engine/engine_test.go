@@ -130,10 +130,14 @@ func TestEngineConcurrentAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Every appender has appended once before the batch starts resolving,
+	// so the appends really run beside resolution however the scheduler
+	// orders the goroutines.
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var wg, started sync.WaitGroup
 	for vi := range trajs {
 		wg.Add(1)
+		started.Add(1)
 		go func(a *trajectory.Aware) {
 			defer wg.Done()
 			power := make([]float64, 64)
@@ -147,9 +151,13 @@ func TestEngineConcurrentAppend(t *testing.T) {
 					power[ch] = -80 + float64(i%20)
 				}
 				a.Append(trajectory.GeoMark{T: 2000 + float64(i)}, power)
+				if i == 0 {
+					started.Done()
+				}
 			}
 		}(trajs[vi])
 	}
+	started.Wait()
 	for round := 0; round < 3; round++ {
 		res := batch.ResolveAll(p)
 		if len(res) != 6 {
@@ -205,20 +213,20 @@ func TestEngineDegenerate(t *testing.T) {
 	}
 }
 
-// TestEngineResolveSingle: the one-pair convenience entry matches the
-// oracle too.
+// TestEngineResolveSingle: a one-query Resolve matches the oracle too.
 func TestEngineResolveSingle(t *testing.T) {
 	trajs := syntheticConvoy(5, 2, 300, 25, 1.0)
 	p := convoyParams()
 	e := engine.New(0)
 	defer e.Close()
-	gotEst, gotOK, err := e.Resolve(trajs[0], trajs[1], p)
+	b, err := e.Admit(trajs...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := b.Resolve([]engine.Query{{A: 0, B: 1, Pair: engine.PairID{7, 9}}}, p, 0, core.Staleness{})
 	wantEst, wantOK := core.Resolve(trajs[0], trajs[1], p)
-	if gotOK != wantOK || !reflect.DeepEqual(gotEst, wantEst) {
-		t.Fatalf("single resolve diverged: %+v vs %+v", gotEst, wantEst)
+	if len(got) != 1 || got[0].OK != wantOK || !reflect.DeepEqual(got[0].Est, wantEst) {
+		t.Fatalf("single resolve diverged: %+v vs %+v", got, wantEst)
 	}
 }
 
@@ -245,9 +253,6 @@ func TestEngineAdmitAfterClose(t *testing.T) {
 	}
 	if _, err := e.ResolveAll(trajs, p); err != engine.ErrClosed {
 		t.Fatalf("ResolveAll after Close: err = %v, want ErrClosed", err)
-	}
-	if _, _, err := e.Resolve(trajs[0], trajs[1], p); err != engine.ErrClosed {
-		t.Fatalf("Resolve after Close: err = %v, want ErrClosed", err)
 	}
 
 	res := batch.ResolveAll(p)

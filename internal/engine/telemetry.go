@@ -26,7 +26,7 @@ var engineTel = obs.NewView(func(r *obs.Registry) *engineTelemetry {
 		inline: r.Counter("rups_engine_tasks_inline_total",
 			"tasks run inline on the caller because no worker was idle (help-first fallback)"),
 		batches: r.Counter("rups_engine_batches_total",
-			"pair batches resolved (one per Batch.ResolvePairs call)"),
+			"pair batches resolved (one per Batch.Resolve call)"),
 		depth: r.Gauge("rups_engine_queue_depth",
 			"tasks currently handed to pool workers and not yet finished"),
 		peak: r.Gauge("rups_engine_queue_depth_peak",
@@ -37,7 +37,7 @@ var engineTel = obs.NewView(func(r *obs.Registry) *engineTelemetry {
 			"wall time of one pooled or inline task", -20, 4),
 		// Batches span many pairs: 2^-10 s ≈ 1 ms up to 2^6 = 64 s.
 		batchSec: r.Histogram("rups_engine_batch_seconds",
-			"wall time of one Batch.ResolvePairs call", -10, 6),
+			"wall time of one Batch.Resolve call", -10, 6),
 		// Per-pair resolve latency feeds the resolve-latency SLO; same
 		// span as taskSec (1 µs – 16 s).
 		pairSec: r.Histogram("rups_engine_pair_seconds",

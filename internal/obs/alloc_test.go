@@ -6,8 +6,8 @@ import "testing"
 // hot-path telemetry operation — counter/gauge/histogram updates and span
 // recording into the ring — allocates nothing, enabled or disabled. The
 // searcher-level end-to-end version of this guarantee lives in
-// internal/core's telemetry test and the BenchmarkSearcherInstrumented
-// record in BENCH_4.json.
+// internal/core's telemetry test and BenchmarkSearcherInstrumented (go
+// test -bench at the repo root).
 func TestHotPathZeroAlloc(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("alloc_total", "")

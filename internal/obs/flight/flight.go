@@ -49,8 +49,9 @@ const (
 	// KindWarmDemote is a warm-start hint that failed verification and
 	// fell back to a full scan; V1 is the rejected offset.
 	KindWarmDemote Kind = 3
-	// KindWarmEvict is a pair tracker evicted for idleness; V1 is the
-	// batch generation at eviction.
+	// KindWarmEvict is a pair tracker reset on staleness expiry or swept
+	// with its pair's state for idleness; V1 is the batch generation that
+	// last queried the pair.
 	KindWarmEvict Kind = 4
 	// KindRetransmit is a go-back-N retransmission run: V1 the mark the
 	// sender rolled back to, V2 the cumulative timeout-run count.

@@ -330,8 +330,9 @@ func (s *Server) isDraining() bool {
 }
 
 // resolveBatch answers a batch of queries: snapshot each referenced
-// vehicle once, admit the snapshots, and resolve all pairs through the
-// deadline-aware engine entry point.
+// vehicle once, admit the snapshots, and resolve every pair with its
+// deadline under its vehicle IDs, so a pair's warm-start state follows it
+// from batch to batch whichever slots its vehicles land in.
 func (s *Server) resolveBatch(batch []*query) {
 	tel := stel()
 	now := s.clock.Now()
@@ -354,8 +355,7 @@ func (s *Server) resolveBatch(batch []*query) {
 		return snapIdx[id]
 	}
 	var live []*query
-	var pairs [][2]int
-	var dls []float64
+	var qs []engine.Query
 	for _, q := range batch {
 		ia, ib := snapshotOf(q.a), snapshotOf(q.b)
 		if ia < 0 || ib < 0 {
@@ -363,8 +363,8 @@ func (s *Server) resolveBatch(batch []*query) {
 			continue
 		}
 		live = append(live, q)
-		pairs = append(pairs, [2]int{ia, ib})
-		dls = append(dls, q.deadline)
+		qs = append(qs, engine.Query{A: ia, B: ib,
+			Pair: engine.PairID{q.a, q.b}, Deadline: q.deadline})
 	}
 	if len(live) == 0 {
 		return
@@ -378,7 +378,7 @@ func (s *Server) resolveBatch(batch []*query) {
 		}
 		return
 	}
-	res := b.ResolvePairsDeadlineAt(pairs, dls, s.cfg.Params, now, s.cfg.Staleness)
+	res := b.Resolve(qs, s.cfg.Params, now, s.cfg.Staleness)
 	for i, r := range res {
 		q := live[i]
 		switch {

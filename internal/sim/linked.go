@@ -7,7 +7,6 @@ import (
 	"rups/internal/core"
 	"rups/internal/engine"
 	"rups/internal/link"
-	"rups/internal/obs"
 	"rups/internal/obs/slo"
 	"rups/internal/trajectory"
 	"rups/internal/v2v"
@@ -148,23 +147,22 @@ func (lc *LinkedConvoy) MaxLag() int {
 // a clean link and quiescent sessions they are byte-equivalent.
 func (lc *LinkedConvoy) ResolveAllAt(e *engine.Engine, t float64, p core.Params) ([]engine.Result, error) {
 	trajs := make([]*trajectory.Aware, 0, 2*len(lc.links))
-	pairs := make([][2]int, 0, len(lc.links))
+	qs := make([]engine.Query, 0, len(lc.links))
 	for _, pl := range lc.links {
 		trajs = append(trajs, lc.Run.Vehicles[pl.resolver].Aware.PrefixUntil(t), pl.sess.Copy())
-		pairs = append(pairs, [2]int{len(trajs) - 2, len(trajs) - 1})
+		// Each pair resolves under the trace its last admitted chunk
+		// carried, so the resolve spans stitch onto the peer's
+		// send→reassemble→admit chain: one causal trace per delivered
+		// update, crossing the link.
+		qs = append(qs, engine.Query{A: len(trajs) - 2, B: len(trajs) - 1,
+			Pair: engine.PairID{uint32(pl.resolver), uint32(pl.peer)},
+			Ref:  pl.sess.TraceRef()})
 	}
 	b, err := e.Admit(trajs...)
 	if err != nil {
 		return nil, err
 	}
-	// Each pair resolves under the trace its last admitted chunk carried,
-	// so the resolve spans stitch onto the peer's send→reassemble→admit
-	// chain: one causal trace per delivered update, crossing the link.
-	refs := make([]obs.TraceRef, len(pairs))
-	for k, pl := range lc.links {
-		refs[k] = pl.sess.TraceRef()
-	}
-	res := b.ResolvePairsTracedAt(pairs, refs, p, t, lc.Policy)
+	res := b.Resolve(qs, p, t, lc.Policy)
 	tel := simTel.Get()
 	avail := lc.SLO.Index("pair_availability")
 	fresh := lc.SLO.Index("context_freshness")

@@ -57,6 +57,40 @@ func TestSnapshotIndependence(t *testing.T) {
 	}
 }
 
+// TestSnapshotOfSnapshotIsItself: a snapshot is immutable, so snapshotting
+// it again returns it unchanged — and every write path refuses it before
+// writing anything, which is what makes sharing it safe.
+func TestSnapshotOfSnapshotIsItself(t *testing.T) {
+	a := grown(50, 4)
+	s := a.Snapshot()
+	if s.Snapshot() != s {
+		t.Fatal("snapshot of a snapshot is a new copy")
+	}
+	wire, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := map[string]func(){
+		"Append":          func() { s.Append(trajectory.GeoMark{T: 50}, []float64{-70, -70, -70, -70}) },
+		"SetPower":        func() { s.SetPower(0, 0, -70) },
+		"Interpolate":     func() { s.Interpolate() },
+		"UnmarshalBinary": func() { _ = s.UnmarshalBinary(wire) },
+	}
+	for name, write := range writes {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a snapshot did not panic", name)
+				}
+			}()
+			write()
+		}()
+		if s.Len() != 50 || s.At(0, 0) != a.At(0, 0) {
+			t.Fatalf("%s changed the snapshot", name)
+		}
+	}
+}
+
 // TestAppendExtends: Append grows marks and every power row in lockstep.
 func TestAppendExtends(t *testing.T) {
 	a := grown(10, 3)

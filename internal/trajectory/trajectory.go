@@ -66,6 +66,10 @@ type Sample struct {
 type Aware struct {
 	Geo Geo
 	pw  powStore
+	// snap marks a Snapshot. Its power store is a view, so every write
+	// path panics on it: a snapshot never changes, and is its own
+	// snapshot.
+	snap bool
 }
 
 // NewAware allocates an all-missing power matrix of the standard GSM width
@@ -190,8 +194,8 @@ func (a *Aware) Append(mark GeoMark, power []float64) {
 		panic(fmt.Sprintf("trajectory: Append power width %d, matrix width %d",
 			len(power), a.pw.width))
 	}
+	a.pw.appendCol(power) // first: it panics on views before anything is written
 	a.Geo.Marks = append(a.Geo.Marks, mark)
-	a.pw.appendCol(power)
 }
 
 // AppendColumns bulk-extends the trajectory: rows is channel-major with one
@@ -501,8 +505,12 @@ func (a *Aware) Clone() *Aware {
 // (new columns land above the watermark) and never observe in-place
 // rewrites (those privatize the chunk first). Snapshot itself must run on
 // the goroutine owning the trajectory — the engine admits at a quiescent
-// point; only the *reads* afterwards may be concurrent.
+// point; only the *reads* afterwards may be concurrent. A snapshot of a
+// snapshot is the snapshot itself: nothing can write to either.
 func (a *Aware) Snapshot() *Aware {
+	if a.snap {
+		return a
+	}
 	marks := append([]GeoMark(nil), a.Geo.Marks...)
 	pw, ptrs := a.pw.snapshot()
 	if t := trajTel.Get(); t != nil {
@@ -511,5 +519,5 @@ func (a *Aware) Snapshot() *Aware {
 		t.snapSharedB.Add(uint64(CellBytes * a.pw.width * a.Len()))
 		t.snapCopiedB.Add(uint64(16*len(marks) + 8*ptrs))
 	}
-	return &Aware{Geo: Geo{Marks: marks}, pw: pw}
+	return &Aware{Geo: Geo{Marks: marks}, pw: pw, snap: true}
 }

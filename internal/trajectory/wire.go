@@ -71,8 +71,11 @@ func (a *Aware) MarshalBinary() ([]byte, error) {
 // ErrBadWire reports a malformed or truncated wire encoding.
 var ErrBadWire = errors.New("trajectory: malformed wire encoding")
 
-// UnmarshalBinary decodes a trajectory from the wire format.
+// UnmarshalBinary decodes a trajectory from the wire format into a. Like
+// every other write path it panics when a is a view (Tail, PrefixUntil,
+// Snapshot).
 func (a *Aware) UnmarshalBinary(data []byte) error {
+	a.pw.mutable()
 	if len(data) < headerSize {
 		return fmt.Errorf("%w: short header (%d bytes)", ErrBadWire, len(data))
 	}
