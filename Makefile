@@ -3,7 +3,7 @@
 .PHONY: all build test test-short race lint lint-sarif lint-ignores \
 	lint-prune lint-fix allocreport bench-all eval eval-quick \
 	fuzz fuzz-trajectory fuzz-trace fuzz-v2v fuzz-v2v-frame fuzz-v2v-beacon fuzz-v2v-chunk \
-	fuzz-chanblock arm64-check maps serve soak clean
+	fuzz-v2v-receiver fuzz-chanblock arm64-check maps serve soak clean
 
 all: build test
 
@@ -99,6 +99,7 @@ fuzz:
 	$(MAKE) fuzz-v2v-frame || rc=1; \
 	$(MAKE) fuzz-v2v-beacon || rc=1; \
 	$(MAKE) fuzz-v2v-chunk || rc=1; \
+	$(MAKE) fuzz-v2v-receiver || rc=1; \
 	$(MAKE) fuzz-chanblock || rc=1; \
 	exit $$rc
 
@@ -119,6 +120,9 @@ fuzz-v2v-beacon:
 
 fuzz-v2v-chunk:
 	go test -run '^FuzzDecodeChunk$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime $(FUZZTIME) ./internal/v2v/
+
+fuzz-v2v-receiver:
+	go test -run '^FuzzReceiverOffer$$' -fuzz '^FuzzReceiverOffer$$' -fuzztime $(FUZZTIME) ./internal/v2v/
 
 fuzz-chanblock:
 	go test -run '^FuzzChanBlock$$' -fuzz '^FuzzChanBlock$$' -fuzztime $(FUZZTIME) ./internal/core/

@@ -184,7 +184,7 @@ func TestLoadGeneratorAgainstFaults(t *testing.T) {
 		Params:  testParams(),
 		// Deliberately tight: force refusal paths under the fleet. The
 		// budget holds ~820 of the fleet's width-8 marks, well under the
-		// 40 × 72 it streams, so eviction must engage.
+		// 40 × 96 it streams, so eviction must engage.
 		QueueCap:       16,
 		PerConnQueries: 4,
 		MemBudgetBytes: residentBytes(820, 8),
@@ -201,7 +201,7 @@ func TestLoadGeneratorAgainstFaults(t *testing.T) {
 	stats := RunLoad(context.Background(), LoadConfig{
 		Addr:            s.Addr().String(),
 		Vehicles:        40,
-		Rounds:          12,
+		Rounds:          16,
 		MarksPerRound:   6,
 		Width:           8,
 		QueriesPerRound: 2,

@@ -214,3 +214,88 @@ func TestSnapshotSurvivesLiveRewrites(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestCellAccessorsMatchFloatRows: the byte row read and the byte append
+// are the float64 ones seen through CellByte, across tile seams — a read
+// of any span equals CellByte of RowCopy, and appending the same columns
+// as cells or as dBm rows builds the same trajectory.
+func TestCellAccessorsMatchFloatRows(t *testing.T) {
+	const width = 3
+	a := grown(300, width)
+	a.SetPower(1, 127, stats.Missing)
+	for _, span := range [][2]int{{0, 300}, {120, 136}, {127, 129}, {250, 300}, {5, 5}} {
+		lo, hi := span[0], span[1]
+		for ch := 0; ch < width; ch++ {
+			got := make([]uint8, hi-lo)
+			a.CopyCellsInto(ch, lo, got)
+			for i, v := range a.RowCopy(ch, lo, hi) {
+				if want := trajectory.CellByte(v); got[i] != want {
+					t.Fatalf("cell (%d,%d) read as %#x, want %#x", ch, lo+i, got[i], want)
+				}
+			}
+		}
+	}
+
+	viaCells, viaRows := grown(100, width), grown(100, width)
+	const added = 200        // crosses the 128 and 256 seams
+	const stride = added + 3 // rows need not be packed
+	marks := make([]trajectory.GeoMark, added)
+	cells, rows := make([]uint8, width*stride), make([][]float64, width)
+	for i := range marks {
+		marks[i] = trajectory.GeoMark{Theta: 0.01 * float64(i), T: float64(100 + i)}
+	}
+	for ch := range rows {
+		rows[ch] = make([]float64, added)
+		for i := range rows[ch] {
+			rows[ch][i] = cellVal(ch, 100+i)
+			cells[ch*stride+i] = trajectory.CellByte(rows[ch][i])
+		}
+	}
+	cells[2*stride+50] = trajectory.MissingCell
+	rows[2][50] = stats.Missing
+	viaCells.AppendCellColumns(marks, cells, stride)
+	viaRows.AppendColumns(marks, rows)
+	if !reflect.DeepEqual(viaCells.Geo, viaRows.Geo) {
+		t.Fatal("cell append and row append built different geometry")
+	}
+	for ch := 0; ch < width; ch++ {
+		got := make([]uint8, viaCells.Len())
+		want := make([]uint8, viaRows.Len())
+		viaCells.CopyCellsInto(ch, 0, got)
+		viaRows.CopyCellsInto(ch, 0, want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("channel %d differs between the cell and row appends", ch)
+		}
+	}
+}
+
+// TestAppendCellColumnsRefusesViews: a byte append through a snapshot or a
+// view panics before it writes anything, like every other write path.
+func TestAppendCellColumnsRefusesViews(t *testing.T) {
+	a := grown(200, 2)
+	for name, v := range map[string]*trajectory.Aware{
+		"snapshot": a.Snapshot(),
+		"tail":     a.Tail(100),
+		"prefix":   a.PrefixUntil(150),
+	} {
+		n := v.Len()
+		before := make([]uint8, n)
+		v.CopyCellsInto(1, 0, before)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: AppendCellColumns did not panic", name)
+				}
+			}()
+			v.AppendCellColumns([]trajectory.GeoMark{{T: 1e3}}, []uint8{7, 9}, 1)
+		}()
+		after := make([]uint8, v.Len())
+		v.CopyCellsInto(1, 0, after)
+		if v.Len() != n || !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: the refused append changed the trajectory", name)
+		}
+	}
+	if a.Len() != 200 {
+		t.Fatalf("owner grew to %d marks through a view", a.Len())
+	}
+}

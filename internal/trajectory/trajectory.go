@@ -206,25 +206,47 @@ func (a *Aware) AppendColumns(marks []GeoMark, rows [][]float64) {
 		panic(fmt.Sprintf("trajectory: AppendColumns with %d rows, matrix width %d",
 			len(rows), a.pw.width))
 	}
-	a.pw.mutable()
 	for ch, row := range rows {
 		if len(row) != len(marks) {
 			panic(fmt.Sprintf("trajectory: AppendColumns row %d has %d columns, want %d",
 				ch, len(row), len(marks)))
 		}
-		_ = ch
 	}
+	base := a.growColumns(marks)
+	for ch, row := range rows {
+		a.pw.setRow(ch, base, row)
+	}
+}
+
+// AppendCellColumns is AppendColumns for power cells already in their byte
+// form (CellByte), stored as they are: channel ch's cells for the new marks
+// are cells[ch*stride:][:len(marks)]. It is the reliable-sync receive path,
+// which carries cells as bytes from the sender's tiles to the receiver's.
+func (a *Aware) AppendCellColumns(marks []GeoMark, cells []uint8, stride int) {
+	n := len(marks)
+	if stride < n || (a.pw.width > 0 && len(cells) < (a.pw.width-1)*stride+n) {
+		panic(fmt.Sprintf("trajectory: AppendCellColumns of %d marks from %d cells at stride %d, matrix width %d",
+			n, len(cells), stride, a.pw.width))
+	}
+	base := a.growColumns(marks)
+	for ch := 0; ch < a.pw.width; ch++ {
+		a.pw.setCells(ch, base, cells[ch*stride:][:n])
+	}
+}
+
+// growColumns extends the trajectory by marks with all-missing power
+// columns and returns the first new column. It panics on views before
+// anything is written.
+func (a *Aware) growColumns(marks []GeoMark) int {
+	a.pw.mutable()
 	base := a.pw.n
 	a.Geo.Marks = append(a.Geo.Marks, marks...)
-	// Grow the chunk table first, then blit each row chunk-segment-wise.
 	need := base + len(marks)
 	for (a.pw.off+need+chunkMask)>>chunkShift > len(a.pw.chunks) {
 		a.pw.chunks = append(a.pw.chunks, newPowChunk(a.pw.width))
 	}
 	a.pw.n = need
-	for ch, row := range rows {
-		a.pw.setRow(ch, base, row)
-	}
+	return base
 }
 
 // MissingFrac returns the fraction of matrix entries that are missing —
@@ -340,6 +362,18 @@ func (a *Aware) CopyRowInto(ch int, dst []float64) {
 		panic(fmt.Sprintf("trajectory: channel %d out of range", ch))
 	}
 	a.pw.copyRow(ch, 0, dst[:a.Len()])
+}
+
+// CopyCellsInto copies channel ch's power cells (CellByte form) over metres
+// [lo, lo+len(dst)) into dst — CopyRowInto without the decode to dBm, for
+// codecs that ship cells as bytes.
+func (a *Aware) CopyCellsInto(ch, lo int, dst []uint8) {
+	if ch < 0 || ch >= a.pw.width || lo < 0 || lo+len(dst) > a.Len() {
+		panic(fmt.Sprintf("trajectory: cell copy (%d, [%d,%d)) out of range", ch, lo, lo+len(dst)))
+	}
+	a.pw.rowSegs(ch, lo, lo+len(dst), func(seg []uint8, base int) {
+		copy(dst[base-lo:], seg)
+	})
 }
 
 // RowCopy returns a fresh copy of channel ch's cells over metres [lo, hi).

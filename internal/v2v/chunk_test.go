@@ -2,12 +2,126 @@ package v2v
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
+	"rups/internal/gsm"
+	"rups/internal/noise"
 	"rups/internal/stats"
 	"rups/internal/trajectory"
 )
+
+// encodeChunk and decodeChunk run the chunk codec on Delta's dBm rows, the
+// form the round-trip tests state their expectations in.
+func encodeChunk(d Delta) []byte { return appendChunk(nil, cellChunk(d, 0, len(d.Marks))) }
+
+func decodeChunk(b []byte) (Delta, error) {
+	c, err := parseChunk(b)
+	if err != nil {
+		return Delta{}, err
+	}
+	d := Delta{FromMark: c.from, Marks: c.marks, Power: make([][]float64, c.chans())}
+	for ch := range d.Power {
+		d.Power[ch] = make([]float64, len(c.marks))
+		for i, v := range c.row(ch) {
+			d.Power[ch][i] = trajectory.CellDBm(v)
+		}
+	}
+	return d, nil
+}
+
+// smoothChunk builds an n-mark, chans-channel chunk shaped like an
+// interpolated GSM context: each row a random walk of mostly 0 and ±1 dB
+// steps with the occasional jump, and a few channels missing throughout.
+func smoothChunk(seed uint64, from, n, chans int) chunk {
+	c := chunk{from: from, marks: make([]trajectory.GeoMark, n), cells: make([]uint8, n*chans)}
+	for i := range c.marks {
+		c.marks[i] = trajectory.GeoMark{Theta: noise.Uniform(seed, 1, uint64(i)) * 6, T: float64(from + i + 1)}
+	}
+	for ch := 0; ch < chans; ch++ {
+		row := c.row(ch)
+		if ch%23 == 7 {
+			for i := range row {
+				row[i] = trajectory.MissingCell
+			}
+			continue
+		}
+		v := 10 + int(50*noise.Uniform(seed, 2, uint64(ch)))
+		for i := range row {
+			u := noise.Uniform(seed, 3, uint64(ch), uint64(i))
+			switch {
+			case u < 0.05:
+				v += int(u*400) - 10
+			case u < 0.5:
+				v += int(u*6) - 1
+			}
+			v = min(max(v, 0), 254)
+			row[i] = uint8(v)
+		}
+	}
+	return c
+}
+
+// layoutChunk writes c in the chunk layout with the given per-channel step
+// widths, canonical or not — the reference the decoder's rejections and
+// the encoder's output are checked against. Steps wider than their width
+// are truncated to it.
+func layoutChunk(c chunk, widths []int) []byte {
+	n, chans := len(c.marks), c.chans()
+	b := binary.LittleEndian.AppendUint32(nil, uint32(c.from))
+	b = binary.LittleEndian.AppendUint16(b, uint16(n))
+	b = binary.LittleEndian.AppendUint16(b, uint16(chans))
+	for _, mk := range c.marks {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(mk.Theta))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(mk.T))
+	}
+	for ch := 0; ch < chans; ch++ {
+		b = append(b, c.row(ch)[0])
+	}
+	if n == 1 {
+		return b
+	}
+	nib := make([]byte, (chans+1)/2)
+	for ch, w := range widths {
+		nib[ch/2] |= byte(w) << (4 * (ch % 2))
+	}
+	b = append(b, nib...)
+	var stream []bool
+	for ch, w := range widths {
+		row := c.row(ch)
+		for i := 1; i < n; i++ {
+			z := zigzag(row[i] - row[i-1])
+			for k := 0; k < w; k++ {
+				stream = append(stream, z>>k&1 == 1)
+			}
+		}
+	}
+	for k := 0; k < len(stream); k += 8 {
+		var by byte
+		for j := 0; j < 8 && k+j < len(stream); j++ {
+			if stream[k+j] {
+				by |= 1 << j
+			}
+		}
+		b = append(b, by)
+	}
+	return b
+}
+
+// minimalWidths returns each channel's canonical step width.
+func minimalWidths(c chunk) []int {
+	ws := make([]int, c.chans())
+	for ch := range ws {
+		row := c.row(ch)
+		for i := 1; i < len(row); i++ {
+			ws[ch] = max(ws[ch], bits.Len8(zigzag(row[i]-row[i-1])))
+		}
+	}
+	return ws
+}
 
 // allCellsChunk encodes a 16-mark, 16-channel chunk whose cells take every
 // byte value once, 0xFF (missing) included.
@@ -83,12 +197,149 @@ func TestDecodeChunkRejectsWrongSize(t *testing.T) {
 	}
 }
 
+// TestDecodeChunkRejectsNonCanonical: every way a blob can decode to cells
+// yet differ from the one encoding of them is refused — widths over 8, a
+// width one wider than the steps need, set pad bits or spare nibble, a
+// byte short or long — and so is the fixed one-byte-per-cell layout that
+// preceded delta coding.
+func TestDecodeChunkRejectsNonCanonical(t *testing.T) {
+	const n, chans = 8, 5 // odd: the last width byte has a spare nibble
+	c := smoothChunk(7, 16, n, chans)
+	ws := minimalWidths(c)
+	good := layoutChunk(c, ws)
+	if !bytes.Equal(good, appendChunk(nil, c)) {
+		t.Fatal("appendChunk differs from the reference layout at minimal widths")
+	}
+	if _, err := parseChunk(good); err != nil {
+		t.Fatalf("canonical chunk rejected: %v", err)
+	}
+	widthsAt := chunkHeaderLen + 16*n + chans
+	streamBits := 0
+	for _, w := range ws {
+		streamBits += w * (n - 1)
+	}
+	if streamBits%8 == 0 {
+		t.Fatal("fixture needs a partial last stream byte")
+	}
+	cases := map[string][]byte{}
+	for w := 9; w <= 15; w++ {
+		// The stream is padded to the length the width implies, so only
+		// the width itself is wrong.
+		bad := append([]byte(nil), good...)
+		bad[widthsAt] = bad[widthsAt]&0xF0 | byte(w)
+		nb := streamBits + (w-ws[0])*(n-1)
+		bad = append(bad, make([]byte, widthsAt+(chans+1)/2+(nb+7)/8-len(bad))...)
+		cases[fmt.Sprintf("width %d", w)] = bad
+	}
+	for ch, w := range ws {
+		if w < 8 {
+			wide := append([]int(nil), ws...)
+			wide[ch]++
+			cases["width one too large"] = layoutChunk(c, wide)
+			break
+		}
+	}
+	padded := append([]byte(nil), good...)
+	padded[len(padded)-1] |= 0x80
+	cases["pad bit"] = padded
+	spare := append([]byte(nil), good...)
+	spare[widthsAt+chans/2] |= 0x10
+	cases["spare nibble"] = spare
+	cases["one short"] = good[:len(good)-1]
+	cases["one long"] = append(append([]byte(nil), good...), 0)
+	// The fixed layout: geometry, then every cell raw, channel-major.
+	fixed := append([]byte(nil), good[:widthsAt-chans]...)
+	fixed = append(fixed, c.cells...)
+	cases["fixed layout"] = fixed
+	for name, b := range cases {
+		if _, err := parseChunk(b); err == nil {
+			t.Errorf("%s: parseChunk accepted a %d-byte blob", name, len(b))
+		}
+	}
+}
+
+// TestChunkRoundTripRandom: chunks of random size over rows mixing smooth
+// walks, uniform bytes, missing cells and 0↔254 swings decode to exactly
+// the cells encoded, within maxChunkSize, in the reference layout.
+func TestChunkRoundTripRandom(t *testing.T) {
+	for seed := uint64(0); seed < 300; seed++ {
+		n := 1 + int(noise.Uniform(seed, 10)*maxChunkMarks)
+		chans := 1 + int(noise.Uniform(seed, 11)*40)
+		c := smoothChunk(seed, int(seed)*n, n, chans)
+		for ch := 0; ch < chans; ch++ {
+			row := c.row(ch)
+			switch ch % 4 {
+			case 1:
+				for i := range row {
+					row[i] = uint8(256 * noise.Uniform(seed, 12, uint64(ch), uint64(i)))
+				}
+			case 2:
+				for i := range row {
+					row[i] = uint8(254 * (i % 2))
+				}
+			case 3:
+				for i := range row {
+					if noise.Uniform(seed, 13, uint64(ch), uint64(i)) < 0.3 {
+						row[i] = trajectory.MissingCell
+					}
+				}
+			}
+		}
+		blob := appendChunk(nil, c)
+		if len(blob) > maxChunkSize(n, chans) {
+			t.Fatalf("seed %d: %d bytes over the %d bound", seed, len(blob), maxChunkSize(n, chans))
+		}
+		if !bytes.Equal(blob, layoutChunk(c, minimalWidths(c))) {
+			t.Fatalf("seed %d: encoding differs from the reference layout", seed)
+		}
+		got, err := parseChunk(blob)
+		if err != nil {
+			t.Fatalf("seed %d (%d×%d): %v", seed, n, chans, err)
+		}
+		if got.from != c.from || !bytes.Equal(got.cells, c.cells) {
+			t.Fatalf("seed %d: cells changed in a round trip", seed)
+		}
+		for i := range c.marks {
+			if math.Float64bits(got.marks[i].Theta) != math.Float64bits(c.marks[i].Theta) || got.marks[i].T != c.marks[i].T {
+				t.Fatalf("seed %d: mark %d changed in a round trip", seed, i)
+			}
+		}
+	}
+}
+
+// BenchmarkChunkCodec times encoding and decoding one default-size chunk
+// (8 marks) of a 194-channel GSM context — the per-chunk cost of the
+// reliable sync's cell codec.
+func BenchmarkChunkCodec(b *testing.B) {
+	c := smoothChunk(1, 800, DefaultSyncConfig().ChunkMarks, gsm.NumChannels)
+	blob := appendChunk(nil, c)
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, maxChunkSize(len(c.marks), c.chans()))
+		b.SetBytes(int64(len(c.cells)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = appendChunk(buf[:0], c)
+		}
+		b.ReportMetric(float64(len(blob))/float64(len(c.marks)), "B/mark")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(c.cells)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := parseChunk(blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // FuzzDecodeChunk hammers the chunk decoder, which a socket reaches through
 // rups-serve's DATA reassembly: it must never panic, and everything it
-// accepts must be exactly the size its header claims and re-encode to the
-// same bytes (the codec is lossless).
+// accepts must fit the size bound its header implies and re-encode to the
+// same bytes (the codec is lossless and its layout canonical).
 func FuzzDecodeChunk(f *testing.F) {
 	f.Add(allCellsChunk())
+	f.Add(appendChunk(nil, smoothChunk(3, 640, 8, gsm.NumChannels)))
 	f.Add(encodeChunk(Delta{FromMark: 3,
 		Marks: []trajectory.GeoMark{{Theta: 1.5, T: 12.25}},
 		Power: [][]float64{{-87}, {stats.Missing}}}))
@@ -105,8 +356,8 @@ func FuzzDecodeChunk(f *testing.F) {
 		if len(d.Marks) == 0 || len(d.Power) == 0 {
 			t.Fatalf("accepted an empty chunk: %d marks, %d channels", len(d.Marks), len(d.Power))
 		}
-		if want := chunkSize(len(d.Marks), len(d.Power)); len(data) != want {
-			t.Fatalf("accepted %d bytes for %d marks × %d channels, want %d", len(data), len(d.Marks), len(d.Power), want)
+		if bound := maxChunkSize(len(d.Marks), len(d.Power)); len(data) > bound {
+			t.Fatalf("accepted %d bytes for %d marks × %d channels, over the %d bound", len(data), len(d.Marks), len(d.Power), bound)
 		}
 		for ch, row := range d.Power {
 			if len(row) != len(d.Marks) {

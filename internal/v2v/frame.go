@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 
 	"rups/internal/obs"
 	"rups/internal/trajectory"
@@ -14,20 +15,42 @@ import (
 // The reliable sync protocol's wire formats.
 //
 // A *chunk* is the protocol's sequence-numbered unit: a contiguous run of
-// trajectory marks starting at mark FromMark, encoded *losslessly*: the
-// geometry as raw float64 bits and the power as the trajectory's own
-// one-byte cells (trajectory.CellByte), which every stored cell already
-// is. Unlike the legacy Delta encoding, whose geometry is quantized, a
-// chunk round trip of a trajectory's rows is bit-exact, so a fully synced
-// copy is byte-identical to the sender's prefix — which is what lets the
-// reliable path degrade to the perfect-channel baseline exactly when the
-// link is clean.
+// trajectory marks starting at mark FromMark, encoded *losslessly*. The
+// geometry travels as raw float64 bits; the power travels as the
+// trajectory's own one-byte cells (trajectory.CellByte), delta-coded along
+// each channel. A chunk round trip of a trajectory's rows is bit-exact, so
+// a fully synced copy is byte-identical to the sender's prefix — which is
+// what lets the reliable path degrade to the perfect-channel baseline
+// exactly when the link is clean.
 //
-// One mark spans 16 B of geometry plus 1 B per channel (194 GSM channels
-// ≈ 210 B, the paper's one byte per channel-metre), so a chunk of the
-// default 8 marks exceeds the 1400 B WSM payload and is fragmented into
-// DATA frames; every frame carries a CRC32 so in-flight corruption is
-// detected and the frame dropped rather than applied.
+// Chunk (little endian):
+//
+//	fromMark uint32
+//	nMarks   uint16  n, 1..maxChunkMarks
+//	channels uint16  c
+//	geometry n × { theta float64 bits, t float64 bits }
+//	first    c bytes  the first mark's cell on each channel
+//	widths   ⌈c/2⌉ bytes, only when n > 1: channel ch's delta width
+//	         w_ch ∈ 0..8 in nibble ch, low nibble first
+//	deltas   only when n > 1: an LSB-first bitstream holding, channel by
+//	         channel, the n−1 steps zz(int8(cell[i] − cell[i−1])) of w_ch
+//	         bits each (zz the zigzag map, the subtraction wrapping),
+//	         zero-padded to a whole byte
+//
+// Interpolated GSM rows move a few dB per metre, so most channels need 2–3
+// bits per step instead of 8. The layout is canonical: w_ch is the bit
+// length of the channel's largest zigzag code, and the decoder refuses a
+// wider width, a nonzero spare nibble or pad bit, and any length but the one
+// the widths imply — whatever decodes re-encodes to the same bytes. A
+// chunk never refers to another, so out-of-order chunks and go-back-N
+// regrouping need nothing from the receiver's history. The worst case,
+// every step 8 bits wide, is maxChunkSize: ⌈c/2⌉ bytes over one raw byte
+// per cell.
+//
+// A 194-channel mark costs 16 B of geometry plus ~80 B of cells, so a
+// default 8-mark chunk usually fits one 1400 B WSM payload; larger ones are
+// fragmented into DATA frames. Every frame carries a CRC32 so in-flight
+// corruption is detected and the frame dropped rather than applied.
 //
 // DATA frame (little endian):
 //
@@ -53,8 +76,8 @@ import (
 // span's ID, and the receiver stitches its reassemble/admit spans (and,
 // downstream, the pair's resolve spans) under them. The extension costs 16
 // bytes per frame inside the WSM bound — fragmentation budgets for it —
-// and is only emitted while span tracing is enabled, so the disabled wire
-// format is byte-identical to the PR-5 one. Flags bits other than bit 0
+// and is only emitted while span tracing is enabled, so an untraced frame
+// carries no trace bytes. Flags bits other than bit 0
 // are reserved and ignored on parse (a frame from a newer sender still
 // decodes; its unknown extensions are simply not understood). Trace and
 // parent are opaque u64s: any value parses, so a scrambled trace header
@@ -82,8 +105,8 @@ const (
 	// frame; the receiver discards its prefix and resyncs from mark 0
 	// instead of wedging the go-back-N window by acking marks the new
 	// sender never transmitted, and its ACK beacons echo the epoch so
-	// the sender can discard stale pre-restart acks. Epoch 0 emits the
-	// legacy extension-free wire format, byte-identical to PR-5.
+	// the sender can discard stale pre-restart acks. Epoch 0 emits no
+	// epoch extension.
 	flagEpoch byte = 1 << 1
 
 	dataHeaderLen = 26
@@ -102,77 +125,195 @@ const (
 
 var errBadFrame = errors.New("v2v: malformed frame")
 
-// chunkSize is the encoded length of a chunk of n marks over chans
-// channels: header, 16 B of geometry per mark, one cell per channel-metre.
-func chunkSize(n, chans int) int { return chunkHeaderLen + n*16 + chans*n }
+// maxChunkMarks caps the marks one chunk carries: DataFrames splits longer
+// deltas and parseFrame refuses a frame claiming more, so a reassembly
+// buffer a frame header makes the receiver allocate is bounded by
+// maxChunkSize(maxChunkMarks, width) — 27 KB at 194 channels — rather than
+// by the header's u16 counts. It is sixteen default chunks.
+const maxChunkMarks = 128
 
-// encodeChunk serializes a chunk: header, per-mark geometry (theta, t as
-// float64 bits), then the channel-major power cells. Power values are
-// rounded to their cells, which loses nothing for rows read from a
-// trajectory.
-func encodeChunk(d Delta) []byte {
-	n := len(d.Marks)
-	chans := len(d.Power)
-	buf := make([]byte, 0, chunkSize(n, chans))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.FromMark))
+// chunk is one decoded sync chunk: marks [from, from+len(marks)) with their
+// power cells, channel-major — row ch is cells[ch*len(marks):][:len(marks)].
+type chunk struct {
+	from  int
+	marks []trajectory.GeoMark
+	cells []uint8
+}
+
+// chans returns the chunk's channel count.
+func (c chunk) chans() int { return len(c.cells) / len(c.marks) }
+
+// row returns channel ch's cells.
+func (c chunk) row(ch int) []uint8 {
+	n := len(c.marks)
+	return c.cells[ch*n : (ch+1)*n : (ch+1)*n]
+}
+
+// maxChunkSize is the largest encoding of a chunk of n marks over chans
+// channels: every step at the full 8-bit width.
+func maxChunkSize(n, chans int) int {
+	size := chunkHeaderLen + 16*n + chans
+	if n > 1 {
+		size += (chans+1)/2 + chans*(n-1)
+	}
+	return size
+}
+
+// zigzag maps a wrapping cell step, read as an int8, to an unsigned code
+// whose bit length grows with the step's magnitude: 0, -1, 1, -2 … → 0, 1,
+// 2, 3 ….
+func zigzag(step uint8) uint8 { return step<<1 ^ -(step >> 7) }
+
+// unzigzag inverts zigzag.
+func unzigzag(z uint8) uint8 { return z>>1 ^ -(z & 1) }
+
+// appendChunk appends c's encoding (see the layout above) to buf.
+func appendChunk(buf []byte, c chunk) []byte {
+	n, chans := len(c.marks), c.chans()
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.from))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(n))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(chans))
-	for _, mk := range d.Marks {
+	for _, mk := range c.marks {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(mk.Theta))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(mk.T))
 	}
 	for ch := 0; ch < chans; ch++ {
-		for _, v := range d.Power[ch][:n] {
-			buf = append(buf, trajectory.CellByte(v))
+		buf = append(buf, c.cells[ch*n])
+	}
+	if n == 1 {
+		return buf
+	}
+	widths := len(buf)
+	for k := 0; k < (chans+1)/2; k++ {
+		buf = append(buf, 0)
+	}
+	var acc uint64 // pending stream bits, LSB first
+	nacc := 0
+	var codes [maxChunkMarks - 1]uint8
+	for ch := 0; ch < chans; ch++ {
+		row := c.row(ch)
+		zs := codes[:n-1]
+		var all uint8 // OR of the codes: its bit length is the largest's
+		for i := range zs {
+			zs[i] = zigzag(row[i+1] - row[i])
+			all |= zs[i]
 		}
+		w := bits.Len8(all)
+		buf[widths+ch/2] |= uint8(w) << (4 * (ch & 1))
+		if w == 0 {
+			continue
+		}
+		for _, z := range zs {
+			acc |= uint64(z) << nacc
+			nacc += w
+			if nacc >= 32 {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(acc))
+				acc >>= 32
+				nacc -= 32
+			}
+		}
+	}
+	for ; nacc > 0; nacc -= 8 {
+		buf = append(buf, byte(acc))
+		acc >>= 8
 	}
 	return buf
 }
 
-// decodeChunk inverts encodeChunk, validating the size arithmetic.
-func decodeChunk(b []byte) (Delta, error) {
+// parseChunk inverts appendChunk. It accepts exactly the canonical
+// encodings — the length the header and widths imply, minimal widths, zero
+// spare nibble and pad bits — so an accepted blob re-encodes to itself.
+func parseChunk(b []byte) (chunk, error) {
 	if len(b) < chunkHeaderLen {
-		return Delta{}, errBadFrame
+		return chunk{}, errBadFrame
 	}
 	from := int(binary.LittleEndian.Uint32(b[0:]))
 	n := int(binary.LittleEndian.Uint16(b[4:]))
 	chans := int(binary.LittleEndian.Uint16(b[6:]))
-	if n == 0 || chans == 0 {
-		return Delta{}, errBadFrame
+	if n == 0 || n > maxChunkMarks || chans == 0 {
+		return chunk{}, errBadFrame
 	}
-	if want := chunkSize(n, chans); len(b) != want {
-		return Delta{}, fmt.Errorf("v2v: chunk size %d, want %d", len(b), want)
+	if len(b) > maxChunkSize(n, chans) {
+		return chunk{}, fmt.Errorf("v2v: chunk size %d over the %d bound", len(b), maxChunkSize(n, chans))
 	}
-	d := Delta{FromMark: from, Marks: make([]trajectory.GeoMark, n)}
-	off := chunkHeaderLen
-	for i := 0; i < n; i++ {
-		d.Marks[i] = trajectory.GeoMark{
+	firstAt := chunkHeaderLen + 16*n
+	widthsAt := firstAt + chans
+	streamAt := widthsAt
+	if n > 1 {
+		streamAt += (chans + 1) / 2
+	}
+	if len(b) < streamAt {
+		return chunk{}, fmt.Errorf("v2v: chunk size %d, want at least %d", len(b), streamAt)
+	}
+	width := func(ch int) int { return int(b[widthsAt+ch/2] >> (4 * (ch & 1)) & 0xF) }
+	streamBits := 0
+	if n > 1 {
+		for ch := 0; ch < chans; ch++ {
+			w := width(ch)
+			if w > 8 {
+				return chunk{}, fmt.Errorf("v2v: chunk channel %d step width %d", ch, w)
+			}
+			streamBits += w * (n - 1)
+		}
+		if chans%2 == 1 && b[streamAt-1]>>4 != 0 {
+			return chunk{}, errors.New("v2v: chunk spare width nibble set")
+		}
+	}
+	if want := streamAt + (streamBits+7)/8; len(b) != want {
+		return chunk{}, fmt.Errorf("v2v: chunk size %d, want %d", len(b), want)
+	}
+	c := chunk{from: from, marks: make([]trajectory.GeoMark, n), cells: make([]uint8, n*chans)}
+	for i := range c.marks {
+		off := chunkHeaderLen + 16*i
+		c.marks[i] = trajectory.GeoMark{
 			Theta: math.Float64frombits(binary.LittleEndian.Uint64(b[off:])),
 			T:     math.Float64frombits(binary.LittleEndian.Uint64(b[off+8:])),
 		}
-		off += 16
 	}
-	d.Power = make([][]float64, chans)
-	back := make([]float64, chans*n)
-	for ch := range d.Power {
-		row := back[ch*n : (ch+1)*n : (ch+1)*n]
-		for i, c := range b[off : off+n] {
-			row[i] = trajectory.CellDBm(c)
+	for ch, v := range b[firstAt:widthsAt] {
+		c.cells[ch*n] = v
+	}
+	if n == 1 {
+		return c, nil
+	}
+	pos := streamAt
+	var acc uint64 // loaded, unconsumed stream bits, LSB first
+	nacc := 0
+	for ch := 0; ch < chans; ch++ {
+		row := c.row(ch)
+		w := width(ch)
+		mask := uint64(1)<<w - 1
+		var all uint8
+		for i := 1; i < n; i++ {
+			for nacc < w {
+				acc |= uint64(b[pos]) << nacc
+				pos++
+				nacc += 8
+			}
+			z := uint8(acc & mask)
+			acc >>= w
+			nacc -= w
+			all |= z
+			row[i] = row[i-1] + unzigzag(z)
 		}
-		off += n
-		d.Power[ch] = row
+		if bits.Len8(all) != w {
+			return chunk{}, fmt.Errorf("v2v: chunk channel %d step width %d, steps need %d", ch, w, bits.Len8(all))
+		}
 	}
-	return d, nil
+	if acc != 0 {
+		return chunk{}, errors.New("v2v: chunk pad bits set")
+	}
+	return c, nil
 }
 
 // dataFrames encodes the chunk and fragments it into WSM-bounded DATA
 // frames. A nonzero ref.Trace stamps every fragment with the 16-byte
 // causal-trace extension, and a nonzero epoch with the 4-byte restart
 // epoch (the per-fragment payload budget shrinks to keep the frames
-// inside the WSM bound); zero ref and epoch emit the exact untraced
-// PR-5 wire format.
-func dataFrames(d Delta, ref obs.TraceRef, epoch uint32) [][]byte {
-	blob := encodeChunk(d)
+// inside the WSM bound); zero ref and epoch emit the extension-free
+// wire format.
+func dataFrames(c chunk, ref obs.TraceRef, epoch uint32) [][]byte {
+	blob := appendChunk(make([]byte, 0, maxChunkSize(len(c.marks), c.chans())), c)
 	budget := maxFragPayload
 	var flags byte
 	if ref.Trace != 0 {
@@ -195,9 +336,9 @@ func dataFrames(d Delta, ref obs.TraceRef, epoch uint32) [][]byte {
 		fr := make([]byte, 0, dataHeaderLen+traceExtLen+epochExtLen+len(payload)+frameCRCLen)
 		fr = binary.LittleEndian.AppendUint16(fr, frameMagic)
 		fr = append(fr, frameData, flags)
-		fr = binary.LittleEndian.AppendUint32(fr, uint32(d.FromMark))
-		fr = binary.LittleEndian.AppendUint16(fr, uint16(len(d.Marks)))
-		fr = binary.LittleEndian.AppendUint16(fr, uint16(len(d.Power)))
+		fr = binary.LittleEndian.AppendUint32(fr, uint32(c.from))
+		fr = binary.LittleEndian.AppendUint16(fr, uint16(len(c.marks)))
+		fr = binary.LittleEndian.AppendUint16(fr, uint16(c.chans()))
 		fr = binary.LittleEndian.AppendUint16(fr, uint16(f))
 		fr = binary.LittleEndian.AppendUint16(fr, uint16(nFrags))
 		fr = binary.LittleEndian.AppendUint32(fr, uint32(len(blob)))
@@ -217,11 +358,30 @@ func dataFrames(d Delta, ref obs.TraceRef, epoch uint32) [][]byte {
 	return out
 }
 
-// DataFrames encodes one chunk into WSM-bounded, CRC-framed DATA frames —
-// the exported codec surface for transports beyond the simulated link
-// (the TCP resolution service streams these same bytes). See dataFrames.
+// DataFrames encodes a delta as CRC-framed, WSM-bounded DATA frames — the
+// exported codec surface for transports beyond the simulated link (the TCP
+// resolution service streams these same bytes). Power values are rounded
+// to their cells (trajectory.CellByte), which loses nothing for rows read
+// from a trajectory, and a delta over maxChunkMarks marks is split into
+// consecutive chunks. See dataFrames.
 func DataFrames(d Delta, ref obs.TraceRef, epoch uint32) [][]byte {
-	return dataFrames(d, ref, epoch)
+	var out [][]byte
+	for at := 0; at < len(d.Marks); at += maxChunkMarks {
+		c := cellChunk(d, at, min(maxChunkMarks, len(d.Marks)-at))
+		out = append(out, dataFrames(c, ref, epoch)...)
+	}
+	return out
+}
+
+// cellChunk rounds marks [at, at+n) of d to a chunk of cells.
+func cellChunk(d Delta, at, n int) chunk {
+	c := chunk{from: d.FromMark + at, marks: d.Marks[at : at+n], cells: make([]uint8, len(d.Power)*n)}
+	for ch, row := range d.Power {
+		for i, v := range row[at : at+n] {
+			c.cells[ch*n+i] = trajectory.CellByte(v)
+		}
+	}
+	return c
 }
 
 // ackFrameBytes encodes a cumulative-ack beacon. A nonzero epoch appends
@@ -341,10 +501,14 @@ func parseFrame(b []byte) (frame, error) {
 		if len(b) != payloadStart+plen+frameCRCLen {
 			return frame{}, errBadFrame
 		}
-		if fr.nMarks == 0 || fr.chans == 0 || fr.nFrags == 0 || fr.fragIdx >= fr.nFrags {
+		if fr.nMarks == 0 || fr.nMarks > maxChunkMarks || fr.chans == 0 ||
+			fr.nFrags == 0 || fr.fragIdx >= fr.nFrags {
 			return frame{}, errBadFrame
 		}
-		if fr.total <= 0 || fr.offset < 0 || fr.offset+plen > fr.total {
+		// The claimed blob length sizes the receiver's reassembly buffer:
+		// no conforming chunk of these counts is longer.
+		if fr.total <= 0 || fr.total > maxChunkSize(fr.nMarks, fr.chans) ||
+			fr.offset < 0 || fr.offset+plen > fr.total {
 			return frame{}, errBadFrame
 		}
 		fr.payload = b[payloadStart : payloadStart+plen]

@@ -61,6 +61,17 @@ func NewReceiver(width int) *Receiver {
 	}
 }
 
+// maxPending caps the partial reassemblies and held chunks a receiver
+// buffers: twice the default window, room for a full window in flight plus
+// the regrouped retransmissions of a go-back. A frame starting a new chunk
+// beyond the cap is dropped — the sender retransmits it once the gap
+// before it fills — except the chunk starting at the copy's end, which is
+// always accepted, so a full buffer can delay a sync but never wedge it.
+// With parseFrame's per-frame size bound, a receiver therefore buffers at
+// most (maxPending+1) · maxChunkSize(maxChunkMarks, width) bytes, whatever
+// the frames claim.
+const maxPending = 2 * defaultWindow
+
 // Copy returns the reconstruction: always a contiguous, bit-exact prefix
 // of the sender's trajectory under the current epoch.
 func (r *Receiver) Copy() *trajectory.Aware { return r.copy }
@@ -105,7 +116,7 @@ func (r *Receiver) AckBytes() []byte {
 func (r *Receiver) Offer(raw []byte) bool {
 	tel := syncTel.Get()
 	fr, err := parseFrame(raw)
-	if err != nil || fr.typ != frameData {
+	if err != nil || fr.typ != frameData || fr.chans != r.width {
 		if tel != nil {
 			tel.rejected.Inc()
 		}
@@ -142,6 +153,12 @@ func (r *Receiver) Offer(raw []byte) bool {
 		return true
 	}
 	fb := r.frags[fr.from]
+	if fb == nil && fr.from != r.copy.Len() && len(r.frags)+len(r.held) >= maxPending {
+		if tel != nil {
+			tel.rejected.Inc()
+		}
+		return true
+	}
 	if fb == nil || fb.total != fr.total || fb.nFrags != fr.nFrags ||
 		fb.nMarks != fr.nMarks || fb.chans != fr.chans {
 		// First fragment of this chunk — or a retransmission with a
@@ -179,16 +196,16 @@ func (r *Receiver) Offer(raw []byte) bool {
 	// trace. Inert when untraced or tracing is off.
 	rsp := r.rec.StartChild(fb.ref.Trace, fb.ref.Parent, "reassemble")
 	rsp.Arg = int64(fr.from)
-	d, err := decodeChunk(fb.buf)
+	c, err := parseChunk(fb.buf)
 	rsp.End()
-	if err != nil {
+	if err != nil || c.from != fr.from || len(c.marks) != fb.nMarks || c.chans() != r.width {
 		if tel != nil {
 			tel.rejected.Inc()
 		}
 		return true
 	}
 	before := r.copy.Len()
-	r.admitChunk(d, fb.ref, tel)
+	r.admitChunk(c, fb.ref, tel)
 	if r.copy.Len() > before {
 		// Drop partial reassemblies of chunks another transmission already
 		// completed — they will never finish, their remaining fragments
@@ -217,40 +234,34 @@ func (r *Receiver) reset(tel *syncTelemetry) {
 // admitChunk applies a reassembled chunk if it extends the contiguous
 // prefix, holds it if it is ahead of a gap, and then drains any held
 // chunks the application unblocked.
-func (r *Receiver) admitChunk(d Delta, ref obs.TraceRef, tel *syncTelemetry) {
-	if d.FromMark+len(d.Marks) <= r.copy.Len() {
+func (r *Receiver) admitChunk(c chunk, ref obs.TraceRef, tel *syncTelemetry) {
+	if c.from+len(c.marks) <= r.copy.Len() {
 		if tel != nil {
 			tel.dupSuppressed.Inc()
 		}
 		return
 	}
-	if d.FromMark > r.copy.Len() {
-		r.held[d.FromMark] = heldChunk{d: d, ref: ref}
+	if c.from > r.copy.Len() {
+		r.held[c.from] = heldChunk{c: c, ref: ref}
 		if tel != nil {
 			tel.chunksHeld.Inc()
 		}
 		return
 	}
-	if !r.applyChunk(d, ref, tel) {
-		return
-	}
+	r.applyChunk(c, ref, tel)
 	r.drainHeld(tel)
 }
 
-// applyChunk applies one contiguous chunk to the copy, recording the admit
-// span on the chunk's cross-vehicle trace and advancing lastRef so
-// downstream resolves stitch under this admission. Reports success.
-func (r *Receiver) applyChunk(d Delta, ref obs.TraceRef, tel *syncTelemetry) bool {
+// applyChunk appends the marks of c past the copy's end — c must start at
+// or before the end and reach beyond it — recording the admit span on the
+// chunk's cross-vehicle trace and advancing lastRef so downstream resolves
+// stitch under this admission.
+func (r *Receiver) applyChunk(c chunk, ref obs.TraceRef, tel *syncTelemetry) {
 	asp := r.rec.StartChild(ref.Trace, ref.Parent, "admit_chunk")
-	asp.Arg = int64(d.FromMark)
-	err := d.Apply(r.copy)
+	asp.Arg = int64(c.from)
+	skip := r.copy.Len() - c.from // overlapping marks already present
+	r.copy.AppendCellColumns(c.marks[skip:], c.cells[skip:], len(c.marks))
 	asp.End()
-	if err != nil {
-		if tel != nil {
-			tel.rejected.Inc()
-		}
-		return false
-	}
 	if ref.Trace != 0 {
 		r.lastRef = obs.TraceRef{Trace: ref.Trace, Parent: asp.ID()}
 	}
@@ -258,7 +269,6 @@ func (r *Receiver) applyChunk(d Delta, ref obs.TraceRef, tel *syncTelemetry) boo
 	if tel != nil {
 		tel.chunksApplied.Inc()
 	}
-	return true
 }
 
 // drainHeld applies buffered out-of-order chunks that have become
@@ -274,19 +284,18 @@ func (r *Receiver) drainHeld(tel *syncTelemetry) {
 		progressed := false
 		for _, k := range keys {
 			h := r.held[k]
-			if h.d.FromMark > r.copy.Len() {
+			if h.c.from > r.copy.Len() {
 				continue
 			}
 			delete(r.held, k)
-			if h.d.FromMark+len(h.d.Marks) <= r.copy.Len() {
+			if h.c.from+len(h.c.marks) <= r.copy.Len() {
 				if tel != nil {
 					tel.dupSuppressed.Inc()
 				}
 				continue
 			}
-			if r.applyChunk(h.d, h.ref, tel) {
-				progressed = true
-			}
+			r.applyChunk(h.c, h.ref, tel)
+			progressed = true
 		}
 		if !progressed {
 			return

@@ -90,8 +90,8 @@ func TestReceiverDropsDeadEpochStragglers(t *testing.T) {
 	for ch := range d.Power {
 		d.Power[ch] = src.RowCopy(ch, 0, 8)
 	}
-	oldFrames := dataFrames(d, obs.TraceRef{}, 1)
-	newFrames := dataFrames(d, obs.TraceRef{}, 2)
+	oldFrames := DataFrames(d, obs.TraceRef{}, 1)
+	newFrames := DataFrames(d, obs.TraceRef{}, 2)
 
 	rx := NewReceiver(src.Width())
 	for _, f := range newFrames {

@@ -37,10 +37,11 @@ import (
 
 // SyncConfig tunes the reliable sync protocol. Zero values take defaults.
 type SyncConfig struct {
-	// ChunkMarks is the number of marks per chunk (default 8). A
-	// 194-channel mark is ~210 B on the wire (16 B of geometry and one
-	// byte per cell), so a default chunk spans two WSM fragments; larger
-	// chunks amortize headers, smaller ones localize loss.
+	// ChunkMarks is the number of marks per chunk (default 8, at most
+	// maxChunkMarks). A 194-channel mark is ~95 B on the wire (16 B of
+	// geometry and delta-coded cells of 2–3 bits per step), so a default
+	// chunk usually fits one WSM; larger chunks amortize headers and each
+	// channel's raw first cell, smaller ones localize loss.
 	ChunkMarks int
 	// Window is the maximum number of unacked chunks in flight
 	// (default 8).
@@ -64,13 +65,20 @@ type SyncConfig struct {
 
 // DefaultSyncConfig returns the protocol defaults.
 func DefaultSyncConfig() SyncConfig {
-	return SyncConfig{ChunkMarks: 8, Window: 8, RTORounds: 8, MaxRTORounds: 128}
+	return SyncConfig{ChunkMarks: 8, Window: defaultWindow, RTORounds: 8, MaxRTORounds: 128}
 }
+
+// defaultWindow is the default sender window, in chunks; the receiver sizes
+// its reassembly cap from it (see maxPending).
+const defaultWindow = 8
 
 func (c SyncConfig) withDefaults() SyncConfig {
 	d := DefaultSyncConfig()
 	if c.ChunkMarks <= 0 {
 		c.ChunkMarks = d.ChunkMarks
+	}
+	if c.ChunkMarks > maxChunkMarks {
+		c.ChunkMarks = maxChunkMarks
 	}
 	if c.Window <= 0 {
 		c.Window = d.Window
@@ -109,7 +117,7 @@ type fragBuf struct {
 // heldChunk is an out-of-order chunk buffered until its gap fills,
 // together with the trace ref it arrived under.
 type heldChunk struct {
-	d   Delta
+	c   chunk
 	ref obs.TraceRef
 }
 
@@ -139,6 +147,9 @@ type Session struct {
 	// rx is the receive half — reassembly, ordering, epoch resync — shared
 	// with transports beyond the simulated link (see Receiver).
 	rx *Receiver
+	// cells is fillWindow's chunk cell buffer (ChunkMarks × width), reused:
+	// dataFrames copies what it encodes into fresh frames.
+	cells []uint8
 
 	// Telemetry, cached once at session build per the obs handle
 	// discipline (a Session steps every round; per-round lookups would be
@@ -155,14 +166,16 @@ type Session struct {
 // peer copy starts empty with src's channel width.
 func NewSession(src *trajectory.Aware, data, ack *link.Channel, cfg SyncConfig) *Session {
 	rec := obs.ActiveRecorder()
+	cfg = cfg.withDefaults()
 	return &Session{
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
 		src:      src,
 		data:     data,
 		ack:      ack,
-		rto:      cfg.withDefaults().RTORounds,
+		rto:      cfg.RTORounds,
 		deadline: -1,
 		rx:       NewReceiver(src.Width()),
+		cells:    make([]uint8, cfg.ChunkMarks*src.Width()),
 		rec:      rec,
 		trace:    rec.NewTrace(), // 0 (untraced wire) when tracing is off
 		fl:       flight.Active(),
@@ -319,10 +332,9 @@ func (s *Session) fillWindow(round int, now float64) {
 		if s.next+n > s.visible {
 			n = s.visible - s.next
 		}
-		d := Delta{FromMark: s.next, Marks: s.src.Geo.Marks[s.next : s.next+n]}
-		d.Power = make([][]float64, s.src.Width())
-		for ch := range d.Power {
-			d.Power[ch] = s.src.RowCopy(ch, s.next, s.next+n)
+		c := chunk{from: s.next, marks: s.src.Geo.Marks[s.next : s.next+n], cells: s.cells[:n*s.src.Width()]}
+		for ch := 0; ch < s.src.Width(); ch++ {
+			s.src.CopyCellsInto(ch, s.next, c.row(ch))
 		}
 		resent := s.next < s.highWater
 		// Each transmission gets its own span on the session's trace; its
@@ -336,7 +348,7 @@ func (s *Session) fillWindow(round int, now float64) {
 		}
 		sp := s.rec.Start(s.trace, name)
 		sp.Arg = int64(s.next)
-		for _, f := range dataFrames(d, obs.TraceRef{Trace: s.trace, Parent: sp.ID()}, s.cfg.Epoch) {
+		for _, f := range dataFrames(c, obs.TraceRef{Trace: s.trace, Parent: sp.ID()}, s.cfg.Epoch) {
 			// Send cannot fail: dataFrames fragments to the WSM bound.
 			if err := s.data.Send(round, f); err != nil {
 				panic(err)

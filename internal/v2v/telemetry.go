@@ -34,7 +34,7 @@ var syncTel = obs.NewView(func(r *obs.Registry) *syncTelemetry {
 		dupSuppressed: r.Counter("rups_v2v_duplicates_suppressed_total",
 			"duplicate frames and already-applied chunks discarded"),
 		rejected: r.Counter("rups_v2v_frames_rejected_total",
-			"frames discarded as malformed or CRC-corrupt"),
+			"frames discarded as malformed, CRC-corrupt, or over the reassembly cap"),
 		acksSent: r.Counter("rups_v2v_acks_sent_total",
 			"cumulative-ack beacons transmitted"),
 		timeouts: r.Counter("rups_v2v_retransmit_timeouts_total",

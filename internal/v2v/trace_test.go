@@ -93,7 +93,7 @@ func mkTracedFrame(t testing.TB, ref obs.TraceRef) []byte {
 		Marks:    []trajectory.GeoMark{{Theta: 2.5, T: 10}, {Theta: 2.75, T: 11}},
 		Power:    [][]float64{{-80, -81}, {-90, -91}},
 	}
-	frames := dataFrames(d, ref, 0)
+	frames := DataFrames(d, ref, 0)
 	if len(frames) != 1 {
 		t.Fatalf("expected a single-fragment chunk, got %d frames", len(frames))
 	}
@@ -150,7 +150,7 @@ func FuzzParseFrame(f *testing.F) {
 	d := Delta{FromMark: 5,
 		Marks: []trajectory.GeoMark{{Theta: 2.5, T: 10}},
 		Power: [][]float64{{-80}}}
-	for _, fr := range dataFrames(d, obs.TraceRef{}, 0) {
+	for _, fr := range DataFrames(d, obs.TraceRef{}, 0) {
 		f.Add(fr)
 	}
 	// Scrambled trace extension with a repaired CRC: must still parse.
