@@ -2,48 +2,95 @@ package core
 
 import "sync"
 
-// arena is a bump allocator for the float64 backing arrays a Searcher
-// materializes per query: the selected channel rows and the matrixIndex
-// prefix tables. One resolve grabs a few megabytes in a handful of slices,
-// uses them for exactly the searcher's lifetime, and frees them all at
-// once — the textbook arena shape. Pooling the arena turns the per-resolve
-// allocation firehose into a steady-state zero.
+// arena is a bump allocator for the backing arrays a Searcher materializes
+// per query: the selected channel cells, the matrixIndex prefix tables and
+// column sums, and (for contexts with missing cells) the dBm rows the slow
+// path scores. One resolve grabs a few hundred kilobytes in a handful of
+// slices, uses them for exactly the searcher's lifetime, and frees them all
+// at once — the textbook arena shape. Pooling the arena turns the
+// per-resolve allocation firehose into a steady-state zero.
 //
 // Arena memory is NOT zeroed between cycles. Every consumer must write all
 // cells it will read (the index builders do — the only zero-init they rely
-// on, the prefix-table sentinels, is written explicitly).
+// on, the prefix-table sentinels and the row pads, is written explicitly).
 type arena struct {
-	buf  []float64
-	used int
-	// extra counts cells requested beyond the buffer this cycle, so reset
-	// can grow the buffer to the observed peak and later cycles stay
-	// allocation-free.
-	extra int
+	f  []float64
+	p  []rowPre
+	b  []uint8
+	fb bump
+	pb bump
+	bb bump
 }
 
-// grab returns an n-cell slice of uninitialized memory. A nil arena
-// degrades to plain allocation, so index builders work without a searcher
-// (tests construct them directly).
-func (ar *arena) grab(n int) []float64 {
-	if ar == nil {
-		return make([]float64, n)
+// bump is one buffer's bookkeeping for the current cycle: the cells handed
+// out, and the cells requested beyond the buffer, so the next cycle can
+// start with a buffer grown to the observed peak and stay allocation-free.
+type bump struct{ used, extra int }
+
+// take reserves n cells of a buffer of the given size and returns the
+// first one, or ok false when the buffer has no room left.
+func (b *bump) take(n, size int) (lo int, ok bool) {
+	if b.used+n > size {
+		b.extra += n
+		return 0, false
 	}
-	if ar.used+n > len(ar.buf) {
-		ar.extra += n
-		return make([]float64, n)
-	}
-	s := ar.buf[ar.used : ar.used+n : ar.used+n]
-	ar.used += n
-	return s
+	b.used += n
+	return b.used - n, true
 }
 
-// reset recycles the arena for the next cycle, growing the buffer to this
+// cycle starts the next cycle and returns the size the buffer must grow
+// to, or 0 when this cycle's peak fit.
+func (b *bump) cycle(size int) int {
+	need := b.used + b.extra
+	b.used, b.extra = 0, 0
+	if need > size {
+		return need
+	}
+	return 0
+}
+
+// floats, pres and bytes return n uninitialized cells of their type. A nil
+// arena degrades to plain allocation, so index builders work without a
+// searcher (tests construct them directly).
+func (ar *arena) floats(n int) []float64 {
+	if ar != nil {
+		if lo, ok := ar.fb.take(n, len(ar.f)); ok {
+			return ar.f[lo : lo+n : lo+n]
+		}
+	}
+	return make([]float64, n)
+}
+
+func (ar *arena) pres(n int) []rowPre {
+	if ar != nil {
+		if lo, ok := ar.pb.take(n, len(ar.p)); ok {
+			return ar.p[lo : lo+n : lo+n]
+		}
+	}
+	return make([]rowPre, n)
+}
+
+func (ar *arena) bytes(n int) []uint8 {
+	if ar != nil {
+		if lo, ok := ar.bb.take(n, len(ar.b)); ok {
+			return ar.b[lo : lo+n : lo+n]
+		}
+	}
+	return make([]uint8, n)
+}
+
+// reset recycles the arena for the next cycle, growing each buffer to this
 // cycle's peak demand.
 func (ar *arena) reset() {
-	if need := ar.used + ar.extra; need > len(ar.buf) {
-		ar.buf = make([]float64, need)
+	if n := ar.fb.cycle(len(ar.f)); n > 0 {
+		ar.f = make([]float64, n)
 	}
-	ar.used, ar.extra = 0, 0
+	if n := ar.pb.cycle(len(ar.p)); n > 0 {
+		ar.p = make([]rowPre, n)
+	}
+	if n := ar.bb.cycle(len(ar.b)); n > 0 {
+		ar.b = make([]uint8, n)
+	}
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}

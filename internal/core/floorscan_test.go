@@ -32,10 +32,10 @@ func sweepFrom(s *segScorer, lo, hi, pivot int) (pos int, score float64) {
 	return pos, score
 }
 
-// periodicRows builds k integer-valued rows of length m repeating with the
-// given period. With k and m powers of two every shifted value, prefix sum
-// and column mean is exact, so placements one period apart score the same
-// bits: ties with the incumbent down to the ulp.
+// periodicRows builds k whole-dB rows of length m repeating with the given
+// period. Every moment of the scan is an exact integer, so placements one
+// period apart score the same bits: ties with the incumbent down to the
+// ulp.
 func periodicRows(rng *rand.Rand, k, m, period int) [][]float64 {
 	rows := make([][]float64, k)
 	for i := range rows {

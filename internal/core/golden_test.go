@@ -20,7 +20,10 @@ import (
 // cuts changed — so it must never be regenerated from the code it checks.
 // When power cells became whole-dB bytes the fixtures changed, and the
 // file was re-recorded once by that older scan over fixtures rounded the
-// way trajectory.CellByte rounds them.
+// way trajectory.CellByte rounds them. When the scan moved to exact
+// integer moments the score bits changed (28 of 39 records; no outcome,
+// distance or SYN index moved), and the file was re-recorded once more by
+// an unbounded scan: every placement scored, no floor, bound or abandon.
 var goldenPath = filepath.Join("testdata", "resolve_golden.json")
 
 // goldenSYN and goldenRecord store every float as its IEEE-754 bit pattern

@@ -1,6 +1,6 @@
 package core
 
-// hasAVX2 selects the assembly correlation kernel. It is decided once, from
+// hasAVX2 selects the assembly correlation kernels. It is decided once, from
 // CPUID and XGETBV: the CPU must implement AVX and AVX2, and the operating
 // system must save the YMM state across context switches (OSXSAVE set and
 // XCR0 enabling both the SSE and AVX state components).
@@ -22,6 +22,19 @@ func detectAVX2() bool {
 	_, ebx7, _, _ := cpuid(7, 0)
 	return ebx7&(1<<5) != 0
 }
+
+// corr4I16AVX2 is corr4I16Generic in AVX2 (kernel_amd64.s): per lane and
+// 16-cell step, VPMOVZXBW widens the target bytes to int16, VPMADDWD
+// multiplies them against the int16 reference and adds adjacent pairs into
+// int32, and VPADDD accumulates; VPHADDD and VEXTRACTI128 reduce the four
+// lanes' sums, VCVTDQ2PD converts them, and the Pearson step runs across
+// the lanes. Integer sums are exact (or wrap like dotCells'), so every lane
+// returns corr4I16Generic's bits. The caller must have made every x and y
+// row at least padLen(n) long: the assembly reads that many elements from
+// each without bounds checks.
+//
+//go:noescape
+func corr4I16AVX2(b *chanBlock, n int, wf float64)
 
 // corr4AVX2 is corr4Generic in AVX2 (kernel_amd64.s): one YMM accumulator
 // per lane whose element l is dot's s_l, a 4×4 transpose, the n%4 tail

@@ -1,8 +1,8 @@
 #include "textflag.h"
 
-// corrBlock field offsets (TestCorrBlockLayout pins them): x and y are
-// [4][]float64 (24-byte slice headers, data pointer first), the rest
-// [4]float64.
+// chanBlock and corrBlock field offsets, the same in both blocks
+// (TestCorrBlockLayout pins them): x and y are four 24-byte slice headers
+// each, data pointer first, the rest [4]float64.
 #define BX0 0
 #define BX1 24
 #define BX2 48
@@ -11,13 +11,98 @@
 #define BY1 120
 #define BY2 144
 #define BY3 168
-#define BSLO 192
-#define BSHI 224
-#define BQLO 256
-#define BQHI 288
-#define BSX 320
-#define BIX 352
-#define BR 384
+#define BSY 192
+#define BQY 224
+#define BSX 256
+#define BIX 288
+#define BR 320
+
+// PEARSON4 is pearsonFromSums across the four lanes: Y0 holds each lane's
+// Σxy as float64, DI the block, wf the window length. It stores the
+// clamped r and returns. Every product is its own VMULPD (never FMA) and
+// the operations run in pearsonFromSums' order.
+#define PEARSON4 \
+	VBROADCASTSD wf+16(FP), Y15; \
+	MOVQ         $0x3ff0000000000000, AX; /* 1.0 */ \
+	VMOVQ        AX, X9; \
+	VBROADCASTSD X9, Y9; \
+	MOVQ         $0xbff0000000000000, AX; /* -1.0 */ \
+	VMOVQ        AX, X10; \
+	VBROADCASTSD X10, Y10; \
+	VXORPD       Y11, Y11, Y11; \
+	VMOVUPD      BSY(DI), Y4;             /* sy */ \
+	VMULPD       BQY(DI), Y15, Y5;        /* wf*qy */ \
+	VMULPD       Y4, Y4, Y6;              /* sy*sy */ \
+	VSUBPD       Y6, Y5, Y5;              /* vy = wf*qy - sy*sy */ \
+	VCMPPD       $0x1e, Y11, Y5, Y8;      /* vy > 0 (ordered: false for NaN) */ \
+	VSQRTPD      Y5, Y6; \
+	VDIVPD       Y6, Y9, Y6;              /* 1/√vy */ \
+	VANDPD       Y8, Y6, Y6;              /* iy: +0 where !(vy > 0) */ \
+	VMULPD       Y15, Y0, Y0;             /* wf*sxy */ \
+	VMULPD       BSX(DI), Y4, Y7;         /* sx*sy */ \
+	VSUBPD       Y7, Y0, Y0;              /* wf*sxy - sx*sy */ \
+	VMULPD       BIX(DI), Y0, Y0;         /* · ix */ \
+	VMULPD       Y6, Y0, Y0;              /* · iy */ \
+	VCMPPD       $0x1e, Y9, Y0, Y8;       /* r > 1 (ordered compares leave NaN unchanged) */ \
+	VBLENDVPD    Y8, Y9, Y0, Y0; \
+	VCMPPD       $0x11, Y10, Y0, Y8;      /* r < -1 */ \
+	VBLENDVPD    Y8, Y10, Y0, Y0; \
+	VMOVUPD      Y0, BR(DI); \
+	VZEROUPPER; \
+	RET
+
+// func corr4I16AVX2(b *chanBlock, n int, wf float64)
+//
+// Y0..Y3 accumulate lanes 0..3 as eight int32 each. One step takes 16
+// cells per lane: VPMOVZXBW widens the target bytes to int16, VPMADDWD
+// multiplies them against the reference's int16 cells and adds adjacent
+// products, VPADDD accumulates. A window that is not a multiple of 16
+// reads up to 15 elements past n in both rows; the reference's zero pad
+// cancels them. The reduction adds each lane's eight sums (VPHADDD twice,
+// then the two 128-bit halves), and VCVTDQ2PD converts the four totals.
+TEXT ·corr4I16AVX2(SB), NOSPLIT, $0-24
+	MOVQ  b+0(FP), DI
+	MOVQ  n+8(FP), CX
+	MOVQ  BX0(DI), SI
+	MOVQ  BX1(DI), BX
+	MOVQ  BX2(DI), R8
+	MOVQ  BX3(DI), R9
+	MOVQ  BY0(DI), R10
+	MOVQ  BY1(DI), R11
+	MOVQ  BY2(DI), R12
+	MOVQ  BY3(DI), R13
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	XORQ  AX, AX
+
+loop16:
+	CMPQ      AX, CX
+	JGE       hsum
+	VPMOVZXBW (R10)(AX*1), Y4
+	VPMOVZXBW (R11)(AX*1), Y5
+	VPMOVZXBW (R12)(AX*1), Y6
+	VPMOVZXBW (R13)(AX*1), Y7
+	VPMADDWD  (SI)(AX*2), Y4, Y4
+	VPMADDWD  (BX)(AX*2), Y5, Y5
+	VPMADDWD  (R8)(AX*2), Y6, Y6
+	VPMADDWD  (R9)(AX*2), Y7, Y7
+	VPADDD    Y4, Y0, Y0
+	VPADDD    Y5, Y1, Y1
+	VPADDD    Y6, Y2, Y2
+	VPADDD    Y7, Y3, Y3
+	ADDQ      $16, AX
+	JMP       loop16
+
+hsum:
+	VPHADDD      Y1, Y0, Y0 // [a01 a23 b01 b23 | a45 a67 b45 b67]
+	VPHADDD      Y3, Y2, Y2 // [c01 c23 d01 d23 | c45 c67 d45 d67]
+	VPHADDD      Y2, Y0, Y0 // [a0-3 b0-3 c0-3 d0-3 | a4-7 b4-7 c4-7 d4-7]
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0 // the four lanes' Σxy
+	VCVTDQ2PD    X0, Y0
+	PEARSON4
 
 // func corr4AVX2(b *corrBlock, n int, wf float64)
 //
@@ -95,43 +180,7 @@ reduce:
 	VADDPD Y1, Y0, Y0 // s0 + s1
 	VADDPD Y3, Y2, Y2 // s2 + s3
 	VADDPD Y2, Y0, Y0 // sxy
-
-	// Pearson step, lane-wise, in the generic kernel's operation order.
-	VBROADCASTSD wf+16(FP), Y15
-	MOVQ         $0x3ff0000000000000, AX // 1.0
-	VMOVQ        AX, X9
-	VBROADCASTSD X9, Y9
-	MOVQ         $0xbff0000000000000, AX // -1.0
-	VMOVQ        AX, X10
-	VBROADCASTSD X10, Y10
-	VXORPD       Y11, Y11, Y11
-
-	VMOVUPD BSHI(DI), Y4
-	VSUBPD  BSLO(DI), Y4, Y4  // sy = sHi - sLo
-	VMOVUPD BQHI(DI), Y5
-	VSUBPD  BQLO(DI), Y5, Y5  // qHi - qLo
-	VMULPD  Y4, Y4, Y6       // sy*sy
-	VDIVPD  Y15, Y6, Y6      // sy*sy/wf
-	VSUBPD  Y6, Y5, Y5       // vy
-	VCMPPD  $0x1e, Y11, Y5, Y8 // vy > 0 (ordered: false for NaN)
-	VSQRTPD Y5, Y6
-	VDIVPD  Y6, Y9, Y6       // 1/√vy
-	VANDPD  Y8, Y6, Y6       // iy: +0 where !(vy > 0)
-
-	VMULPD  BSX(DI), Y4, Y7   // sx*sy
-	VDIVPD  Y15, Y7, Y7      // sx*sy/wf
-	VSUBPD  Y7, Y0, Y0       // sxy - sx*sy/wf
-	VMULPD  BIX(DI), Y0, Y0   // · ix
-	VMULPD  Y6, Y0, Y0       // · iy
-
-	// Clamp to [-1, 1]; ordered compares leave NaN unchanged.
-	VCMPPD    $0x1e, Y9, Y0, Y8  // r > 1
-	VBLENDVPD Y8, Y9, Y0, Y0
-	VCMPPD    $0x11, Y10, Y0, Y8 // r < -1
-	VBLENDVPD Y8, Y10, Y0, Y0
-	VMOVUPD   Y0, BR(DI)
-	VZEROUPPER
-	RET
+	PEARSON4
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

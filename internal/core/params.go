@@ -6,7 +6,11 @@
 // perturbations.
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"rups/internal/trajectory"
+)
 
 // AggMode selects how multiple SYN-point distance estimates are combined.
 type AggMode int
@@ -123,4 +127,19 @@ func (p Params) validate() {
 	if p.MaxRelDistM <= 0 {
 		panic(fmt.Sprintf("core: invalid MaxRelDistM %+v", p))
 	}
+	if p.WindowMeters > cellRunMax || p.MaxContextMeters > cellRunMax {
+		panic(fmt.Sprintf("core: window or context longer than %d m overflows the scan's int32 sums %+v", cellRunMax, p))
+	}
 }
+
+// cellRunMax is the longest run of power cells whose integer moments the
+// scan keeps in int32: a run of n cells, each at most 254, has Σy² and
+// Σxy at most n·254², below 2³¹ for n ≤ cellRunMax (33286). The bound
+// covers the row prefix tables (n = the context, at most
+// MaxContextMeters) and the channel kernel's int32 lanes and their total
+// (n = the window, at most WindowMeters). It also keeps every Pearson
+// bracket of the channel term, at most n²·254², exact in float64.
+const cellRunMax = (1<<31 - 1) / (cellMax * cellMax)
+
+// cellMax is the largest value of a present power cell.
+const cellMax = trajectory.MissingCell - 1

@@ -71,7 +71,7 @@ type Searcher struct {
 	p          Params
 	idxA, idxB *matrixIndex
 
-	// ar backs the selected rows and index prefix tables; Release returns
+	// ar backs the selected cells and index tables; Release returns
 	// it to the pool, after which the Searcher must not be used.
 	ar *arena
 	// tk is the optional warm-start tracker (SetTracker); nil scans cold.
@@ -113,24 +113,15 @@ func NewSearcher(a, b *trajectory.Aware, p Params) *Searcher {
 	// WindowChannels audible carriers, and constant rows only dilute the
 	// correlation.
 	channels := s.aCtx.TopAudibleChannels(p.WindowChannels, audibleFloorDBm, minWindowChannels)
-	s.idxA = newMatrixIndexArena(s.selectRows(s.aCtx, channels), s.ar)
-	s.idxB = newMatrixIndexArena(s.selectRows(s.bCtx, channels), s.ar)
-	return s
-}
-
-// selectRows materializes the selected channel rows into arena memory
-// (every cell written by CopyRowInto, satisfying the arena's no-zeroing
-// contract).
-func (s *Searcher) selectRows(a *trajectory.Aware, channels []int) [][]float64 {
-	rows := make([][]float64, len(channels))
-	n := a.Len()
-	back := s.ar.grab(len(channels) * n)
-	for i, ch := range channels {
-		row := back[i*n : (i+1)*n : (i+1)*n]
-		a.CopyRowInto(ch, row)
-		rows[i] = row
+	s.idxA = newTrajectoryIndex(s.aCtx, channels, s.ar)
+	s.idxB = newTrajectoryIndex(s.bCtx, channels, s.ar)
+	if !s.idxA.dense || !s.idxB.dense {
+		// A segment scan falls back to scoreSlow when either side holds a
+		// missing cell, and scoreSlow reads both sides' dBm rows.
+		s.idxA.materialize()
+		s.idxB.materialize()
 	}
-	return rows
+	return s
 }
 
 // SetTracker attaches per-pair warm-start state: FindSYNs will pivot each

@@ -231,6 +231,38 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+// TestParamsValidateIntegerWidths pins the integer-width bound at its
+// boundary: a window or context of cellRunMax metres (n·254² < 2³¹) is
+// accepted, one metre more is rejected, for either length.
+func TestParamsValidateIntegerWidths(t *testing.T) {
+	if cellRunMax*cellMax*cellMax > math.MaxInt32 || (cellRunMax+1)*cellMax*cellMax <= math.MaxInt32 {
+		t.Fatalf("cellRunMax %d is not the longest run with n·254² < 2³¹", cellRunMax)
+	}
+	panics := func(p Params) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		p.validate()
+		return false
+	}
+	for _, c := range []struct {
+		name string
+		set  func(p *Params, n int)
+	}{
+		{"MaxContextMeters", func(p *Params, n int) { p.MaxContextMeters = n }},
+		{"WindowMeters", func(p *Params, n int) { p.WindowMeters, p.MaxContextMeters = n, cellRunMax }},
+	} {
+		p := DefaultParams()
+		c.set(&p, cellRunMax)
+		if panics(p) {
+			t.Errorf("%s = %d rejected", c.name, cellRunMax)
+		}
+		p = DefaultParams()
+		c.set(&p, cellRunMax+1)
+		if !panics(p) {
+			t.Errorf("%s = %d accepted", c.name, cellRunMax+1)
+		}
+	}
+}
+
 func TestAggModeString(t *testing.T) {
 	if SingleSYN.String() == "unknown" || MeanAgg.String() == "unknown" ||
 		SelectiveAgg.String() == "unknown" || AggMode(9).String() != "unknown" {

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
-	"slices"
 	"sync"
 
 	"rups/internal/stats"
@@ -38,33 +39,38 @@ func (s SYNPoint) RelativeDistance(a, b *trajectory.Aware) float64 {
 // paper's §V-A complexity argument is paid once per (pair, snapshot)
 // instead of 2·NumSYN times per query.
 //
-// All dense-path moments are accumulated about a per-row shift (the row's
-// mean over the whole matrix). Pearson's r is invariant under a constant
-// shift of either vector, but the accumulated sums stay at deviation scale:
-// the windowed variance Σy² − (Σy)²/w cannot catastrophically cancel the
-// way raw moments do at RSSI magnitudes (~−100 dBm).
+// The index holds the rows as power cells (trajectory.CellByte: whole dB
+// above the noise floor, 0–254), and every dense-path moment is an exact
+// integer: row prefix sums of the cells and of their squares, and column
+// sums. Pearson's r is invariant under a constant shift and a positive
+// scale of either vector, so correlating cells instead of dBm, and column
+// sums instead of column means (a dense column has all k entries), leaves
+// r unchanged; and exact moments cannot cancel, so nothing is re-centred.
 type matrixIndex struct {
-	rows [][]float64 // k rows × m columns (shares storage with the snapshot)
 	k, m int
-	// dense reports no missing entries anywhere in rows.
+	// cells holds row i's m cells at cells[i·stride:], each row followed
+	// by cellPad zero bytes (grabCells).
+	cells  []uint8
+	stride int
+	// dense reports no MissingCell anywhere in the rows.
 	dense bool
-	// missPre[i][j] counts missing entries in rows[i][0:j); built only when
-	// the matrix is not dense, so segment density checks stay O(k).
+	// missPre[i][j] counts missing cells in row i over [0, j); built only
+	// when the matrix is not dense, so segment density checks stay O(k).
 	missPre [][]int32
 
-	// Dense fast path (nil when !dense).
-	shift   []float64   // per-row shift: the row mean over all m columns
-	shifted [][]float64 // shifted[i][j] = rows[i][j] − shift[i]
-	preSum  [][]float64 // preSum[i][j] = Σ shifted[i][0:j)
-	preSq   [][]float64 // preSq[i][j]  = Σ shifted[i][0:j)²
+	// pre[i·(m+1)+j] holds Σ and Σ² of row i's cells over [0, j). A missing
+	// cell counts 0, so the tables also serve the dense segments of a
+	// sparse index.
+	pre []rowPre
+	// colSum[j] is the sum of column j's present cells (an exact integer
+	// in float64, the column kernel's input); colPre and colPreSq are its
+	// prefix sums and prefix sums of squares.
+	colSum, colPre, colPreSq []float64
 
-	// Column means for Eq. 2's second term (missing-skipping, so valid in
-	// both paths), plus their shifted prefix sums for the dense path.
-	col        []float64
-	colShift   float64
-	colShifted []float64
-	colPre     []float64
-	colPreSq   []float64
+	// Slow path (materialize): the rows as dBm and the missing-skipping
+	// column means that scoreSlow correlates; nil until materialized.
+	rows [][]float64
+	col  []float64
 
 	// wins lists the window lengths the Searcher planned (ensureWindowStats):
 	// written sequentially at planning time, then read by concurrent
@@ -75,6 +81,15 @@ type matrixIndex struct {
 	// constructed indexes, which then fall back to plain allocation).
 	ar *arena
 }
+
+// rowPre is one entry of a row's prefix tables: the sum of the cells
+// before it and the sum of their squares. m·254² < 2³¹ (Params.validate),
+// so both fit int32.
+type rowPre struct{ s, q int32 }
+
+// cellPad is the zero tail after each index row: the channel kernel reads
+// whole 16-cell steps, up to 15 cells past a window's end.
+const cellPad = 16
 
 // ensureWindowStats marks window length w as planned, enabling the bounded
 // scan (canBound) for scorers of that length. It must be called from a
@@ -97,106 +112,180 @@ func (idx *matrixIndex) planned(w int) bool {
 	return false
 }
 
-// newMatrixIndex builds the shared precomputation for one selected power
-// matrix. A zero-row or zero-column matrix yields a valid index with no
-// window positions rather than a panic.
+// newMatrixIndex builds the index of a dBm power matrix, quantizing every
+// entry through trajectory.CellByte the way stored cells are (stats.Missing
+// becomes MissingCell), with the slow path materialized. Tests build
+// indexes this way; the Searcher copies cells straight from the
+// trajectory (newTrajectoryIndex). A zero-row or zero-column matrix yields
+// a valid index with no window positions rather than a panic.
 func newMatrixIndex(rows [][]float64) *matrixIndex {
-	return newMatrixIndexArena(rows, nil)
+	k, m := len(rows), 0
+	if k > 0 {
+		m = len(rows[0])
+	}
+	cells := grabCells(nil, k, m)
+	for i, row := range rows {
+		dst := cells[i*(m+cellPad) : i*(m+cellPad)+m]
+		for j, v := range row {
+			dst[j] = trajectory.CellByte(v)
+		}
+	}
+	idx := newCellIndex(cells, k, m, nil)
+	idx.materialize()
+	return idx
 }
 
-// newMatrixIndexArena is newMatrixIndex with its float64 backing arrays
-// grabbed from a searcher arena (plain allocation when ar is nil). Arena
-// memory is unzeroed, so every cell below is written explicitly — in
-// particular the prefix-table [0] sentinels that a range-over-append loop
-// would otherwise inherit from a previous cycle.
-func newMatrixIndexArena(rows [][]float64, ar *arena) *matrixIndex {
-	idx := &matrixIndex{rows: rows, k: len(rows), dense: true, ar: ar}
-	if idx.k == 0 {
-		idx.col = nil
+// newTrajectoryIndex indexes the given channels of a: their cells are
+// copied as bytes (CopyCellsInto writes every cell, grabCells every pad,
+// satisfying the arena's no-zeroing contract).
+func newTrajectoryIndex(a *trajectory.Aware, channels []int, ar *arena) *matrixIndex {
+	k, m := len(channels), a.Len()
+	cells := grabCells(ar, k, m)
+	for i, ch := range channels {
+		a.CopyCellsInto(ch, 0, cells[i*(m+cellPad):i*(m+cellPad)+m])
+	}
+	return newCellIndex(cells, k, m, ar)
+}
+
+// grabCells returns memory for k rows of m cells in the index layout (row
+// i at [i·(m+cellPad), i·(m+cellPad)+m)) with every row's pad zeroed; the
+// caller writes the cells.
+func grabCells(ar *arena, k, m int) []uint8 {
+	stride := m + cellPad
+	cells := ar.bytes(k * stride)
+	for i := 0; i < k; i++ {
+		clear(cells[i*stride+m : (i+1)*stride])
+	}
+	return cells
+}
+
+// newCellIndex builds the shared precomputation over k rows of m cells
+// laid out by grabCells, with its tables grabbed from ar (plain allocation
+// when ar is nil). Arena memory is unzeroed, so every table cell is
+// written explicitly — in particular the prefix-table [0] sentinels.
+func newCellIndex(cells []uint8, k, m int, ar *arena) *matrixIndex {
+	idx := &matrixIndex{k: k, m: m, cells: cells, stride: m + cellPad, dense: true, ar: ar}
+	if k == 0 {
 		return idx
 	}
-	idx.m = len(rows[0])
-	// Row sums, four rows at a time: the dense path's row shifts, and the
-	// missing-entry check. NaN propagates through addition, so a row whose
-	// sum is not NaN holds no missing entry; only a NaN sum (a missing
-	// entry, or infinities cancelling) needs the row scanned.
-	idx.shift = ar.grab(idx.k)
-	for i := 0; i < idx.k; i += 4 {
-		l := lanes4(i, idx.k)
-		r := pick4(rows, l)
-		for q, sum := range sum4(&r) {
-			idx.shift[l[q]] = sum
+	for i := 0; i < k && idx.dense; i++ {
+		idx.dense = bytes.IndexByte(idx.row(i), trajectory.MissingCell) < 0
+	}
+	// Row prefix tables: integer running sums, exact in any order. A
+	// missing cell counts 0.
+	idx.pre = ar.pres(k * (m + 1))
+	for i := 0; i < k; i++ {
+		row := idx.row(i)
+		p := idx.pre[i*(m+1) : (i+1)*(m+1)]
+		p[0] = rowPre{}
+		p = p[1 : len(row)+1]
+		var s, q int32
+		for j, b := range row {
+			v := int32(b)
+			if b == trajectory.MissingCell {
+				v = 0
+			}
+			s += v
+			q += v * v
+			p[j] = rowPre{s, q}
 		}
 	}
-	for i, sum := range idx.shift {
-		if math.IsNaN(sum) && slices.ContainsFunc(rows[i], stats.IsMissing) {
-			idx.dense = false
-			break
-		}
+	col := ar.floats(m)
+	idx.columnSums(col)
+	idx.colSum = col
+	idx.colPre, idx.colPreSq = ar.floats(m+1), ar.floats(m+1)
+	idx.colPre[0], idx.colPreSq[0] = 0, 0
+	for j, v := range col {
+		idx.colPre[j+1] = idx.colPre[j] + v
+		idx.colPreSq[j+1] = idx.colPreSq[j] + float64(v*v)
 	}
-	idx.col = columnMeansInto(rows, ar.grab(idx.m))
 	if !idx.dense {
-		idx.shift = nil
-		idx.missPre = make([][]int32, idx.k)
-		mpBack := make([]int32, idx.k*(idx.m+1)) // one backing array for all rows
-		for i := 0; i < idx.k; i++ {
-			mp := mpBack[i*(idx.m+1) : (i+1)*(idx.m+1) : (i+1)*(idx.m+1)]
-			for j, v := range rows[i] {
+		idx.missPre = make([][]int32, k)
+		mpBack := make([]int32, k*(m+1)) // one backing array for all rows
+		for i := 0; i < k; i++ {
+			mp := mpBack[i*(m+1) : (i+1)*(m+1) : (i+1)*(m+1)]
+			for j, b := range idx.row(i) {
 				mp[j+1] = mp[j]
-				if stats.IsMissing(v) {
+				if b == trajectory.MissingCell {
 					mp[j+1]++
 				}
 			}
 			idx.missPre[i] = mp
 		}
-		return idx
-	}
-
-	for i, sum := range idx.shift {
-		idx.shift[i] = 0
-		if idx.m > 0 {
-			idx.shift[i] = sum / float64(idx.m) //lint:ignore indexunit m is the sample count of the row mean here, not a metre distance
-		}
-	}
-	idx.shifted = make([][]float64, idx.k)
-	idx.preSum = make([][]float64, idx.k)
-	idx.preSq = make([][]float64, idx.k)
-	// One backing array per matrix, not per row: k rows of identical
-	// length subslice flat buffers, cutting the construction from 3k+4
-	// allocations to 7 — and the arena pools those flat buffers across
-	// resolves, so a steady-state query allocates only the row headers.
-	shBack := ar.grab(idx.k * idx.m)
-	psBack := ar.grab(idx.k * (idx.m + 1))
-	pqBack := ar.grab(idx.k * (idx.m + 1))
-	for i := 0; i < idx.k; i++ {
-		idx.shifted[i] = shBack[i*idx.m : (i+1)*idx.m : (i+1)*idx.m]
-		idx.preSum[i] = psBack[i*(idx.m+1) : (i+1)*(idx.m+1) : (i+1)*(idx.m+1)]
-		idx.preSq[i] = pqBack[i*(idx.m+1) : (i+1)*(idx.m+1) : (i+1)*(idx.m+1)]
-	}
-	for a := 0; a < idx.k; a += 2 {
-		b := min(a+1, idx.k-1)
-		shiftPrefix2(rows[a], rows[b], idx.shift[a], idx.shift[b],
-			idx.shifted[a], idx.shifted[b], idx.preSum[a], idx.preSum[b], idx.preSq[a], idx.preSq[b])
-	}
-
-	var colSum float64
-	for _, v := range idx.col {
-		colSum += v
-	}
-	if idx.m > 0 {
-		idx.colShift = colSum / float64(idx.m) //lint:ignore indexunit m is the sample count of the column-mean shift, not a metre distance
-	}
-	idx.colShifted = ar.grab(idx.m)
-	idx.colPre = ar.grab(idx.m + 1)
-	idx.colPreSq = ar.grab(idx.m + 1)
-	idx.colPre[0], idx.colPreSq[0] = 0, 0
-	for j, v := range idx.col {
-		d := v - idx.colShift
-		idx.colShifted[j] = d
-		idx.colPre[j+1] = idx.colPre[j] + d
-		idx.colPreSq[j+1] = idx.colPreSq[j] + float64(d*d)
 	}
 	return idx
+}
+
+// columnSums writes the sum of each column's present cells into col (m
+// cells). A dense matrix of at most colLaneRows rows sums eight columns
+// per 64-bit word read, the even and the odd bytes in four 16-bit lanes
+// each (k·254 < 2¹⁶, so no lane carries into the next); the last word of
+// a row reads up to 7 bytes into its zero pad. Anything else — a missing
+// cell, or more rows — goes one cell at a time.
+func (idx *matrixIndex) columnSums(col []float64) {
+	k, m := idx.k, idx.m
+	if !idx.dense || k > colLaneRows {
+		clear(col)
+		for i := 0; i < k; i++ {
+			for j, b := range idx.row(i) {
+				if b != trajectory.MissingCell {
+					col[j] += float64(b)
+				}
+			}
+		}
+		return
+	}
+	const bytes16 = 0x00FF00FF00FF00FF
+	for j := 0; j < m; j += 8 {
+		var even, odd uint64
+		for i := 0; i < k; i++ {
+			v := binary.LittleEndian.Uint64(idx.cells[i*idx.stride+j:])
+			even += v & bytes16
+			odd += v >> 8 & bytes16
+		}
+		for u := 0; u < 8 && j+u < m; u++ {
+			lanes := even
+			if u%2 == 1 {
+				lanes = odd
+			}
+			col[j+u] = float64(lanes >> (16 * (u / 2)) & 0xFFFF)
+		}
+	}
+}
+
+// colLaneRows is the most rows whose column sums fit a 16-bit lane.
+const colLaneRows = math.MaxUint16 / cellMax
+
+// row returns row i's m cells.
+func (idx *matrixIndex) row(i int) []uint8 {
+	return idx.cells[i*idx.stride : i*idx.stride+idx.m]
+}
+
+// rowSums returns Σ and Σ² of row i's cells over [lo, lo+w).
+func (idx *matrixIndex) rowSums(i, lo, w int) (s, q int32) {
+	p := idx.pre[i*(idx.m+1):]
+	a, b := p[lo], p[lo+w]
+	return b.s - a.s, b.q - a.q
+}
+
+// materialize decodes the rows to dBm (trajectory.CellDBm) and computes
+// their missing-skipping column means: the slow path's inputs. The
+// Searcher materializes both indexes when either is sparse, before the
+// scans fan out; a dense pair never pays for it.
+func (idx *matrixIndex) materialize() {
+	if idx.k == 0 {
+		return
+	}
+	back := idx.ar.floats(idx.k * idx.m)
+	idx.rows = make([][]float64, idx.k)
+	for i := range idx.rows {
+		row := back[i*idx.m : (i+1)*idx.m : (i+1)*idx.m]
+		for j, b := range idx.row(i) {
+			row[j] = trajectory.CellDBm(b)
+		}
+		idx.rows[i] = row
+	}
+	idx.col = columnMeansInto(idx.rows, idx.ar.floats(idx.m))
 }
 
 // segmentDense reports whether rows[i][lo:lo+w) holds no missing entry for
@@ -255,44 +344,31 @@ func colMean(sum float64, n int) float64 {
 }
 
 // segScratch holds the per-segment scratch buffers a segScorer materializes
-// (reference deviations and their statistics). Pooled: a platoon-scale
-// batch runs 2·NumSYN segment scans per pair, and the engine's workers
-// churn through them concurrently.
+// (the reference rows as int16 and their statistics). Pooled: a
+// platoon-scale batch runs 2·NumSYN segment scans per pair, and the
+// engine's workers churn through them concurrently.
 type segScratch struct {
-	devBack []float64   // backing array for dev rows (k·w)
-	dev     [][]float64 // row headers into devBack
-	colDev  []float64
-	devSum  []float64
-	devVar  []float64
-	invVx   []float64 // 1/√devVar, 0 when the reference row is degenerate
-	colR    []float64 // per-placement column correlations for the pruned scan
+	xs []int16 // reference row i at [i·padLen(w), (i+1)·padLen(w)), zero past w
+	// blocks[g] is the channel kernel's block for channels 4g…4g+3 with
+	// the reference side (x, Σx, 1/√(w·Σx² − (Σx)²)) filled in; chanSum
+	// fills the target side per placement.
+	blocks []chanBlock
+	colR   []float64 // per-placement column correlations for the pruned scan
 }
 
 var segPool = sync.Pool{New: func() any { return new(segScratch) }}
 
-// grow readies the scratch for k rows × w columns.
-func (s *segScratch) grow(k, w int) {
-	if cap(s.devBack) < k*w {
-		s.devBack = make([]float64, k*w)
+// grow readies the scratch for k reference rows padded to pw cells.
+func (s *segScratch) grow(k, pw int) {
+	if cap(s.xs) < k*pw {
+		s.xs = make([]int16, k*pw)
 	}
-	s.devBack = s.devBack[:k*w]
-	if cap(s.dev) < k {
-		s.dev = make([][]float64, k)
+	s.xs = s.xs[:k*pw]
+	nb := (k + abandonEvery - 1) / abandonEvery
+	if cap(s.blocks) < nb {
+		s.blocks = make([]chanBlock, nb)
 	}
-	s.dev = s.dev[:k]
-	for i := 0; i < k; i++ {
-		s.dev[i] = s.devBack[i*w : (i+1)*w]
-	}
-	if cap(s.colDev) < w {
-		s.colDev = make([]float64, w)
-	}
-	s.colDev = s.colDev[:w]
-	for _, p := range []*[]float64{&s.devSum, &s.devVar, &s.invVx} {
-		if cap(*p) < k {
-			*p = make([]float64, k)
-		}
-		*p = (*p)[:k]
-	}
+	s.blocks = s.blocks[:nb]
 }
 
 // growColR readies the column-correlation buffer for n placements.
@@ -305,8 +381,8 @@ func (s *segScratch) growColR(n int) []float64 {
 }
 
 // segScorer scores the trajectory correlation between one fixed reference
-// segment — src.rows[i][lo:lo+w) — and every same-length window of the
-// target matrix, in O(k·w) per position after the shared O(k·m)
+// segment — src's rows over [lo, lo+w) — and every same-length window of
+// the target matrix, in O(k·w) per position after the shared O(k·m)
 // preprocessing held by the two indexes.
 type segScorer struct {
 	src, tgt *matrixIndex
@@ -314,19 +390,19 @@ type segScorer struct {
 	dense    bool // fast path valid: ref segment and whole target dense
 	noCol    bool // ablation: drop Eq. 2's column-mean term
 
-	// Dense path, per reference row: deviations from the row's exact
-	// segment mean (two-pass, matching stats.Pearson's accumulation), the
-	// (tiny) deviation sum, and the deviation sum of squares.
+	// Dense path: the reference rows widened to int16 with their Σx and
+	// 1/√(w·Σx² − (Σx)²), both from the source's prefix tables.
 	scratch *segScratch
-	// Column term: deviations of the reference column means.
-	refColDevSum, refColVar float64
-	colInvVx                float64 // 1/√refColVar, 0 when degenerate
+	// Column term: the reference's column sums (a slice of the source's),
+	// their sum, and their 1/√(w·Σx² − (Σx)²) (0 when degenerate).
+	refCol    []float64
+	refColSum float64
+	colInvVx  float64
 
 	// planned reports that the Searcher planned this window length on the
-	// target (ensureWindowStats). Planned scorers score through the
-	// correlation kernel and may run the bounded scan; unplanned ones —
-	// e.g. directly constructed scorers in tests — fall back to
-	// pearsonFromSums with per-position variance differences.
+	// target (ensureWindowStats): only planned scorers run the bounded
+	// scan. Unplanned ones — e.g. directly constructed scorers in tests —
+	// score every placement in order.
 	planned bool
 
 	// floor is the segment's coherency threshold: a placement scoring below
@@ -358,52 +434,33 @@ func newSegScorer(src, tgt *matrixIndex, lo, w int, noCol bool) *segScorer {
 	}
 	s.planned = tgt.planned(w)
 	sc := segPool.Get().(*segScratch)
-	sc.grow(src.k, w)
+	pw := padLen(w)
+	sc.grow(src.k, pw)
 	s.scratch = sc
-	// Segment means (devSum holds them until the deviation pass), then the
-	// deviations and their moments.
-	for i := 0; i < src.k; i += 4 {
-		l := lanes4(i, src.k)
-		r := pick4(src.rows, l)
-		for q := range r {
-			r[q] = r[q][lo : lo+w]
+	// The reference statistics are two prefix lookups per row; only the
+	// widening to int16 touches the segment's cells.
+	wf := float64(w)
+	for i := 0; i < src.k; i++ {
+		x := sc.xs[i*pw : (i+1)*pw]
+		for u, b := range src.row(i)[lo : lo+w] {
+			x[u] = int16(b)
 		}
-		for q, sum := range sum4(&r) {
-			sc.devSum[l[q]] = sum / float64(w)
-		}
+		clear(x[w:])
 	}
-	for a := 0; a < src.k; a += 2 {
-		b := min(a+1, src.k-1)
-		sa, qa, sb, qb := deviations2(src.rows[a][lo:lo+w], src.rows[b][lo:lo+w], sc.devSum[a], sc.devSum[b], sc.dev[a], sc.dev[b])
-		sc.devSum[a], sc.devVar[a], sc.devSum[b], sc.devVar[b] = sa, qa, sb, qb
-	}
-	for i, dvar := range sc.devVar {
-		sc.invVx[i] = 0
-		if dvar > 0 {
-			sc.invVx[i] = 1 / math.Sqrt(dvar)
+	for g := range sc.blocks {
+		b := &sc.blocks[g]
+		for c, ch := range lanes4(g*abandonEvery, src.k) {
+			sx, qx := src.rowSums(ch, lo, w)
+			b.x[c] = sc.xs[ch*pw : (ch+1)*pw]
+			b.sx[c], b.ix[c] = float64(sx), invNorm(wf, float64(sx), float64(qx))
 		}
 	}
 	if !noCol {
-		// Reference column means are a slice of the source's column means
-		// (the segment's columns are the source's columns).
-		refCol := src.col[lo : lo+w]
-		var sum float64
-		for _, v := range refCol {
-			sum += v
-		}
-		mean := sum / float64(w)
-		var dsum, dvar float64
-		for u, v := range refCol {
-			d := v - mean
-			sc.colDev[u] = d
-			dsum += d
-			dvar += float64(d * d)
-		}
-		s.refColDevSum = dsum
-		s.refColVar = dvar
-		if dvar > 0 {
-			s.colInvVx = 1 / math.Sqrt(dvar)
-		}
+		// The segment's columns are the source's columns: a dense segment's
+		// columns hold all k cells, so their sums are the source's.
+		s.refCol = src.colSum[lo : lo+w]
+		s.refColSum = src.colPre[lo+w] - src.colPre[lo]
+		s.colInvVx = invNorm(wf, s.refColSum, src.colPreSq[lo+w]-src.colPreSq[lo])
 	}
 	return s
 }
@@ -444,31 +501,16 @@ func (s *segScorer) scoreAt(j int) float64 {
 }
 
 // chanTerm is Eq. 2's first term: the mean per-channel Pearson correlation
-// of the reference segment against the target window at j (dense path).
-// Planned scorers sum through chanSum, so a bounded scan's score is the
-// same bits as scoreAt's; otherwise the full variance difference is formed
-// per position.
+// of the reference segment against the target window at j (dense path),
+// summed through chanSum, so a bounded scan's score is the same bits as
+// scoreAt's.
 func (s *segScorer) chanTerm(j int) float64 {
-	if s.planned {
-		sum, _ := s.chanSum(j, 0, nil)
-		return sum / float64(s.src.k)
-	}
-	wf := float64(s.w)
-	sc := s.scratch
-	var chanSum float64
-	for i := 0; i < s.src.k; i++ {
-		ps := s.tgt.preSum[i]
-		pq := s.tgt.preSq[i]
-		sy := ps[j+s.w] - ps[j]
-		sqy := pq[j+s.w] - pq[j]
-		sxy := dot(sc.dev[i], s.tgt.shifted[i][j:j+s.w])
-		chanSum += pearsonFromSums(wf, sc.devSum[i], sc.devVar[i], sy, sqy, sxy)
-	}
-	return chanSum / float64(s.src.k)
+	sum, _ := s.chanSum(j, 0, nil)
+	return sum / float64(s.src.k)
 }
 
 // abandonEvery is how many channels chanSum accumulates between checks of
-// its early-abandon bound: one correlation-kernel call (corr4 has four
+// its early-abandon bound: one channel-kernel call (corr4I16 has four
 // lanes, and chanSum fills them with lanes4).
 const abandonEvery = 4
 
@@ -479,10 +521,10 @@ const abandonEvery = 4
 const abandonSlack = 1e-9
 
 // chanSum sums the per-channel correlations of the placement at j on the
-// planned dense path: channels go through the correlation kernel
-// abandonEvery at a time (corr4: per channel one dot product, the target
-// window's 1/√variance from the prefix tables, two multiplies and the
-// clamp), and their r are added in channel order. When k is not a multiple
+// dense path: channels go through the channel kernel abandonEvery at a
+// time (corr4I16: per channel an integer dot product of the cells, the
+// target window's Σy and Σy² from the prefix tables, and the Pearson
+// step), and their r are added in channel order. When k is not a multiple
 // of four the last block's spare lanes repeat channel k−1 and are not
 // added.
 //
@@ -506,20 +548,20 @@ const abandonSlack = 1e-9
 func (s *segScorer) chanSum(j int, cr float64, cut *scanCut) (sum float64, ok bool) {
 	k := s.src.k
 	kf := float64(k)
-	w := s.w
-	sc := s.scratch
+	w, pw := s.w, padLen(s.w)
+	wf := float64(w)
 	tgt := s.tgt
-	var b corrBlock
 	for i := 0; i < k; i += abandonEvery {
+		b := &s.scratch.blocks[i/abandonEvery]
 		for c, ch := range lanes4(i, k) {
-			b.x[c] = sc.dev[ch][:w]
-			b.y[c] = tgt.shifted[ch][j : j+w]
-			ps, pq := tgt.preSum[ch], tgt.preSq[ch]
-			b.sLo[c], b.sHi[c] = ps[j], ps[j+w]
-			b.qLo[c], b.qHi[c] = pq[j], pq[j+w]
-			b.sx[c], b.ix[c] = sc.devSum[ch], sc.invVx[ch]
+			// The window plus up to 15 cells of lookahead: the row's next
+			// cells or its zero pad (j+pw ≤ m+15 < stride).
+			at := ch*tgt.stride + j
+			b.y[c] = tgt.cells[at : at+pw]
+			sy, qy := tgt.rowSums(ch, j, w)
+			b.sy[c], b.qy[c] = float64(sy), float64(qy)
 		}
-		corr4(&b, w, float64(w))
+		corr4I16(b, w, wf)
 		for _, r := range b.r[:min(abandonEvery, k-i)] {
 			sum += r
 		}
@@ -530,49 +572,43 @@ func (s *segScorer) chanSum(j int, cr float64, cut *scanCut) (sum float64, ok bo
 	return sum, true
 }
 
-// colTerm is Eq. 2's second term: the correlation of the column means
+// colTerm is Eq. 2's second term: the correlation of the column sums
 // (dense path).
 func (s *segScorer) colTerm(j int) float64 {
-	if s.planned {
-		var r [1]float64
-		s.colTerms(j, r[:])
-		return r[0]
-	}
-	wf := float64(s.w)
-	sy := s.tgt.colPre[j+s.w] - s.tgt.colPre[j]
-	sxy := dot(s.scratch.colDev[:s.w], s.tgt.colShifted[j:j+s.w])
-	sqy := s.tgt.colPreSq[j+s.w] - s.tgt.colPreSq[j]
-	return pearsonFromSums(wf, s.refColDevSum, s.refColVar, sy, sqy, sxy)
+	var r [1]float64
+	s.colTerms(j, r[:])
+	return r[0]
 }
 
 // colTerms fills out[q] with the column term of placement lo+q on the
-// planned dense path, four placements per kernel call: the lanes share the
-// reference column deviations and slide the target window (spare lanes of
-// the last call repeat its last placement).
+// dense path, four placements per kernel call: the lanes share the
+// reference column sums and slide the target window (spare lanes of the
+// last call repeat its last placement).
 func (s *segScorer) colTerms(lo int, out []float64) {
 	w := s.w
 	tgt := s.tgt
 	var b corrBlock
 	for c := range b.x {
-		b.x[c] = s.scratch.colDev[:w]
-		b.sx[c], b.ix[c] = s.refColDevSum, s.colInvVx
+		b.x[c] = s.refCol
+		b.sx[c], b.ix[c] = s.refColSum, s.colInvVx
 	}
 	for q := 0; q < len(out); q += 4 {
 		for c, p := range lanes4(q, len(out)) {
 			j := lo + p
-			b.y[c] = tgt.colShifted[j : j+w]
-			b.sLo[c], b.sHi[c] = tgt.colPre[j], tgt.colPre[j+w]
-			b.qLo[c], b.qHi[c] = tgt.colPreSq[j], tgt.colPreSq[j+w]
+			b.y[c] = tgt.colSum[j : j+w]
+			b.sy[c] = tgt.colPre[j+w] - tgt.colPre[j]
+			b.qy[c] = tgt.colPreSq[j+w] - tgt.colPreSq[j]
 		}
 		corr4(&b, w, float64(w))
 		copy(out[q:], b.r[:])
 	}
 }
 
-// scoreSlow is the missing-tolerant fallback. Pearson documents a 0 return
-// for degenerate windows, but a NaN slipping through here would poison the
-// best-window scan (NaN compares false with every score), so each term is
-// guarded before it joins the sum.
+// scoreSlow is the missing-tolerant fallback over the materialized dBm
+// rows. Pearson documents a 0 return for degenerate windows, but a NaN
+// slipping through here would poison the best-window scan (NaN compares
+// false with every score), so each term is guarded before it joins the
+// sum.
 func (s *segScorer) scoreSlow(j int) float64 {
 	var chanSum float64
 	for i := 0; i < s.src.k; i++ {
@@ -591,33 +627,6 @@ func (s *segScorer) scoreSlow(j int) float64 {
 		colR = 0
 	}
 	return chanSum + colR
-}
-
-// pearsonFromSums computes Pearson's r from moment sums, matching
-// stats.Pearson's conventions (0 for degenerate inputs, clamped to [-1,1]).
-//
-// Numerical contract: callers accumulate the sums about a per-vector shift
-// (the fast path shifts x by the exact segment mean and y by the target
-// row's matrix-wide mean), so sx, sqx, sy, sqy arrive at deviation scale
-// and the variance differences below cannot catastrophically cancel. With
-// raw −100 dBm moments the old sqy − sy²/n form lost up to eight digits on
-// low-variance rows and could diverge from the two-pass stats.Pearson.
-// Pearson's r is invariant under constant shifts, so the formula is
-// unchanged — only its inputs are pre-centred.
-func pearsonFromSums(n, sx, sqx, sy, sqy, sxy float64) float64 {
-	vx := sqx - sx*sx/n
-	vy := sqy - sy*sy/n
-	if vx <= 0 || vy <= 0 {
-		return 0
-	}
-	r := (sxy - sx*sy/n) / math.Sqrt(vx*vy)
-	if r > 1 {
-		return 1
-	}
-	if r < -1 {
-		return -1
-	}
-	return r
 }
 
 // bestWindowIn scans the window placements j ∈ [lo, hi] (clamped to the

@@ -5,18 +5,70 @@ import (
 	"math/rand"
 	"testing"
 
+	"rups/internal/gsm"
 	"rups/internal/stats"
+	"rups/internal/trajectory"
 )
 
+// randRows draws k rows of m whole-dB readings in [−90, −50] dBm: values
+// a power cell holds exactly, so the index scores the very matrix that
+// float references (stats.TrajCorr, stats.Pearson) are handed.
 func randRows(rng *rand.Rand, k, m int) [][]float64 {
 	a := make([][]float64, k)
 	for i := range a {
 		a[i] = make([]float64, m)
 		for j := range a[i] {
-			a[i][j] = -90 + 40*rng.Float64()
+			a[i][j] = math.Round(-90 + 40*rng.Float64())
 		}
 	}
 	return a
+}
+
+// cellRows draws k rows of m whole-dB readings spanning every present
+// cell value (0–254 above the noise floor): mostly uniform rows, some
+// holding only the two extreme cells, and some constant (degenerate).
+func cellRows(rng *rand.Rand, k, m int) [][]float64 {
+	floor := gsm.NoiseFloorDBm
+	a := make([][]float64, k)
+	for i := range a {
+		a[i] = make([]float64, m)
+		kind, c := rng.Intn(8), float64(rng.Intn(255))
+		for j := range a[i] {
+			switch kind {
+			case 0:
+				a[i][j] = floor + c
+			case 1:
+				a[i][j] = floor + float64(254*rng.Intn(2))
+			default:
+				a[i][j] = floor + float64(rng.Intn(255))
+			}
+		}
+	}
+	return a
+}
+
+// cellsOf returns the power cells of dBm rows (trajectory.CellByte) as
+// int64, MissingCell included.
+func cellsOf(rows [][]float64) [][]int64 {
+	out := make([][]int64, len(rows))
+	for i, row := range rows {
+		out[i] = make([]int64, len(row))
+		for j, v := range row {
+			out[i][j] = int64(trajectory.CellByte(v))
+		}
+	}
+	return out
+}
+
+// colSumsOf returns the column sums of dense cell rows.
+func colSumsOf(cells [][]int64) []int64 {
+	out := make([]int64, len(cells[0]))
+	for _, row := range cells {
+		for j, v := range row {
+			out[j] += v
+		}
+	}
+	return out
 }
 
 // scorerOver builds a segment scorer whose reference is the whole ref
@@ -119,60 +171,66 @@ func TestScorerFindsPlantedAlignment(t *testing.T) {
 	}
 }
 
-// TestScorerDenseMatchesSlowShifted is the numerical-stability property
-// test for the mean-shifted fast path: across randomized dense
-// trajectories — including ones offset to RSSI magnitudes (−100 dBm) with
-// nearly-constant rows, where the old raw-moment formula sqy − sy²/n
-// catastrophically cancelled — the dense scoreAt must agree with the
-// two-pass scoreSlow (stats.Pearson) to 1e-9.
-func TestScorerDenseMatchesSlowShifted(t *testing.T) {
+// TestDenseMomentsExact pins the dense path to exact integer moments:
+// across random dense matrices (random and extreme cells, constant rows,
+// channel counts that pad the last kernel block, windows on and off the
+// 16-cell step) every placement's scoreAt must equal, bit for bit, Eq. 2
+// computed from int64 moments — each channel's exact r added in channel
+// order and divided by k, plus the exact r of the column sums — with and
+// without the column term, and from a dense segment of a sparse source.
+func TestDenseMomentsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 20; trial++ {
-		k := 3 + rng.Intn(8)
-		w := 10 + rng.Intn(40)
-		m := w + 20 + rng.Intn(200)
-		offset := 0.0
-		sigma := 1.0
-		switch trial % 4 {
-		case 1:
-			offset = -100 // the paper's RSSI regime
-		case 2:
-			offset, sigma = -100, 0.01 // low-variance rows at −100 dBm
-		case 3:
-			offset, sigma = -100, 1e-4 // nearly constant rows
+	for trial := 0; trial < 24; trial++ {
+		k := 1 + rng.Intn(13)
+		w := 2 + rng.Intn(40)
+		m := w + 1 + rng.Intn(120)
+		lo := rng.Intn(8)
+		src, tgt := cellRows(rng, k, lo+w+5), cellRows(rng, k, m)
+		if trial%3 == 2 {
+			src[rng.Intn(k)][lo+w+rng.Intn(5)] = stats.Missing // past the segment
 		}
-		ref := make([][]float64, k)
-		tgt := make([][]float64, k)
-		for i := 0; i < k; i++ {
-			ref[i] = make([]float64, w)
-			tgt[i] = make([]float64, m)
-			for u := range ref[i] {
-				ref[i][u] = offset + sigma*rng.NormFloat64()
+		refC, tgtC := cellsOf(src), cellsOf(tgt)
+		for i := range refC {
+			refC[i] = refC[i][lo : lo+w]
+		}
+		refCol, tgtCol := colSumsOf(refC), colSumsOf(tgtC)
+		idxS, idxT := newMatrixIndex(src), newMatrixIndex(tgt)
+		for _, noCol := range []bool{false, true} {
+			s := newSegScorer(idxS, idxT, lo, w, noCol)
+			if !s.dense {
+				t.Fatalf("trial %d: expected the dense path", trial)
 			}
-			for u := range tgt[i] {
-				tgt[i][u] = offset + sigma*rng.NormFloat64()
+			for j := 0; j < s.positions(); j++ {
+				var chanSum float64
+				for i := 0; i < k; i++ {
+					chanSum += exactR(refC[i], tgtC[i][j:j+w])
+				}
+				want := chanSum / float64(k)
+				if !noCol {
+					want += exactR(refCol, tgtCol[j:j+w])
+				}
+				if got := s.scoreAt(j); !sameBits(got, want) {
+					t.Fatalf("trial %d (k %d, w %d, noCol %v): scoreAt(%d) = %v, int64 moments %v",
+						trial, k, w, noCol, j, got, want)
+				}
 			}
+			s.release()
 		}
-		s := scorerOver(ref, tgt)
-		if !s.dense {
-			t.Fatalf("trial %d: expected dense path", trial)
-		}
-		for j := 0; j < s.positions(); j++ {
-			fast := s.scoreAt(j)
-			slow := s.scoreSlow(j)
-			if math.Abs(fast-slow) > 1e-9 {
-				t.Fatalf("trial %d (offset %v, sigma %v): scoreAt(%d) = %.15g, scoreSlow = %.15g, diff %g",
-					trial, offset, sigma, j, fast, slow, fast-slow)
-			}
-		}
-		s.release()
 	}
 }
 
+// TestPearsonFromSumsDegenerate: a constant target window or a degenerate
+// reference (ix = 0) scores 0, matching stats.Pearson.
 func TestPearsonFromSumsDegenerate(t *testing.T) {
-	// Constant rows have zero variance → 0, matching stats.Pearson.
-	if got := pearsonFromSums(5, 10, 20, 7, 9.8, 14); got != 0 {
-		t.Errorf("degenerate = %v, want 0", got)
+	// Five cells of 2: w·Σy² − (Σy)² = 5·20 − 10² = 0.
+	if got := pearsonFromSums(5, 14, 10, 20, 7, 0.1); got != 0 {
+		t.Errorf("constant target = %v, want 0", got)
+	}
+	if got := pearsonFromSums(5, 14, 9, 21, 7, 0); got != 0 {
+		t.Errorf("degenerate reference = %v, want 0", got)
+	}
+	if got := invNorm(5, 10, 20); got != 0 {
+		t.Errorf("invNorm of a constant vector = %v, want 0", got)
 	}
 }
 

@@ -353,10 +353,8 @@ func (a *Aware) Window(start, length int) [][]float64 {
 	return w
 }
 
-// CopyRowInto copies channel ch's full row (metres [0, Len)) into dst,
-// which must be at least Len long. The hot-path row materializer: the
-// searcher gathers its checking-window rows through this into pooled
-// arenas.
+// CopyRowInto copies channel ch's full row (metres [0, Len)), decoded to
+// dBm, into dst, which must be at least Len long.
 func (a *Aware) CopyRowInto(ch int, dst []float64) {
 	if ch < 0 || ch >= a.pw.width {
 		panic(fmt.Sprintf("trajectory: channel %d out of range", ch))
@@ -366,7 +364,8 @@ func (a *Aware) CopyRowInto(ch int, dst []float64) {
 
 // CopyCellsInto copies channel ch's power cells (CellByte form) over metres
 // [lo, lo+len(dst)) into dst — CopyRowInto without the decode to dBm, for
-// codecs that ship cells as bytes.
+// the codecs that ship cells as bytes and the SYN scan's index, which
+// correlates them as integers.
 func (a *Aware) CopyCellsInto(ch, lo int, dst []uint8) {
 	if ch < 0 || ch >= a.pw.width || lo < 0 || lo+len(dst) > a.Len() {
 		panic(fmt.Sprintf("trajectory: cell copy (%d, [%d,%d)) out of range", ch, lo, lo+len(dst)))
