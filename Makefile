@@ -2,7 +2,7 @@
 
 .PHONY: all build test test-short race lint lint-sarif lint-ignores \
 	lint-prune lint-fix allocreport bench-all eval eval-quick \
-	fuzz fuzz-trajectory fuzz-trace fuzz-v2v fuzz-v2v-frame fuzz-v2v-beacon fuzz-v2v-chunk \
+	fuzz fuzz-trace fuzz-v2v-frame fuzz-v2v-chunk \
 	fuzz-v2v-receiver fuzz-chanblock arm64-check maps serve soak clean
 
 all: build test
@@ -93,33 +93,21 @@ FUZZTIME ?= 30s
 
 fuzz:
 	@rc=0; \
-	$(MAKE) fuzz-trajectory || rc=1; \
 	$(MAKE) fuzz-trace || rc=1; \
-	$(MAKE) fuzz-v2v || rc=1; \
 	$(MAKE) fuzz-v2v-frame || rc=1; \
-	$(MAKE) fuzz-v2v-beacon || rc=1; \
 	$(MAKE) fuzz-v2v-chunk || rc=1; \
 	$(MAKE) fuzz-v2v-receiver || rc=1; \
 	$(MAKE) fuzz-chanblock || rc=1; \
 	exit $$rc
 
-fuzz-trajectory:
-	go test -run '^FuzzUnmarshalBinary$$' -fuzz '^FuzzUnmarshalBinary$$' -fuzztime $(FUZZTIME) ./internal/trajectory/
-
 fuzz-trace:
 	go test -run '^FuzzReadFrom$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZTIME) ./internal/trace/
-
-fuzz-v2v:
-	go test -run '^FuzzV2VDecode$$' -fuzz '^FuzzV2VDecode$$' -fuzztime $(FUZZTIME) ./internal/v2v/
 
 fuzz-v2v-frame:
 	go test -run '^FuzzParseFrame$$' -fuzz '^FuzzParseFrame$$' -fuzztime $(FUZZTIME) ./internal/v2v/
 
-fuzz-v2v-beacon:
-	go test -run '^FuzzParseBeacon$$' -fuzz '^FuzzParseBeacon$$' -fuzztime $(FUZZTIME) ./internal/v2v/
-
 fuzz-v2v-chunk:
-	go test -run '^FuzzDecodeChunk$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime $(FUZZTIME) ./internal/v2v/
+	go test -run '^FuzzDecodeChunk$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime $(FUZZTIME) ./internal/trajectory/
 
 fuzz-v2v-receiver:
 	go test -run '^FuzzReceiverOffer$$' -fuzz '^FuzzReceiverOffer$$' -fuzztime $(FUZZTIME) ./internal/v2v/

@@ -17,7 +17,7 @@ import (
 	"rups/internal/eval"
 	"rups/internal/geo"
 	"rups/internal/gsm"
-	"rups/internal/node"
+	"rups/internal/link"
 	"rups/internal/obs"
 	"rups/internal/sim"
 	"rups/internal/stats"
@@ -472,20 +472,20 @@ func BenchmarkTrajCorr(b *testing.B) {
 	}
 }
 
-// BenchmarkV2VExchange is the §V-B claim: serializing and shipping a 1 km
-// journey context over 802.11p WSMs (paper: ~182 KB, ~130 packets,
-// ~0.52 s of simulated air time).
+// BenchmarkV2VExchange is the §V-B claim: shipping a 1 km journey context
+// over 802.11p WSMs through the reliable sync — chunked, framed, acked —
+// on a clean link (paper: ~182 KB, ~130 packets, ~0.52 s).
 func BenchmarkV2VExchange(b *testing.B) {
 	a, _ := getPair()
-	link := &v2v.Link{Seed: 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, cost, err := v2v.ExchangeTrajectory(link, a)
-		if err != nil {
-			b.Fatal(err)
+		data, ack := link.New(link.Params{Seed: 3}, 0), link.New(link.Params{Seed: 3}, 1)
+		s := v2v.NewSession(a, data, ack, v2v.SyncConfig{})
+		for round := 1; round == 1 || !s.Quiescent(); round++ {
+			s.Step(round, math.Inf(1))
 		}
-		if cost.Elapsed < 0.3 || cost.Elapsed > 0.8 {
-			b.Fatalf("exchange time %v s off the paper's ~0.52 s", cost.Elapsed)
+		if s.Copy().Len() != a.Len() || data.Usage().Bytes > 182*1024 {
+			b.Fatalf("exchange delivered %d/%d marks in %d bytes", s.Copy().Len(), a.Len(), data.Usage().Bytes)
 		}
 	}
 }
@@ -494,27 +494,29 @@ func BenchmarkV2VExchange(b *testing.B) {
 // tracking delta (a few new metres) instead of a full context transfer.
 func BenchmarkIncrementalTracking(b *testing.B) {
 	a, _ := getPair()
-	link := &v2v.Link{Seed: 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d, err := v2v.MakeDelta(a, a.Len()-2)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cost := v2v.SendDelta(link, d)
-		if cost.Packets > 2 {
-			b.Fatalf("delta needed %d packets", cost.Packets)
+		if frames := v2v.DataFrames(d, obs.TraceRef{}, 0); len(frames) > 1 {
+			b.Fatalf("delta needed %d frames", len(frames))
 		}
 	}
 }
 
-// BenchmarkWireMarshal measures trajectory serialization alone.
+// BenchmarkWireMarshal measures encoding a trajectory in the codec alone,
+// as consecutive maximal chunks.
 func BenchmarkWireMarshal(b *testing.B) {
 	a, _ := getPair()
+	cells := make([]uint8, trajectory.MaxChunkMarks*a.Width())
+	var buf []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.MarshalBinary(); err != nil {
-			b.Fatal(err)
+		buf = buf[:0]
+		for at := 0; at < a.Len(); at += trajectory.MaxChunkMarks {
+			buf = trajectory.AppendChunk(buf, a.CopyChunk(at, min(trajectory.MaxChunkMarks, a.Len()-at), cells))
 		}
 	}
 }
@@ -531,21 +533,32 @@ func BenchmarkFieldSampleVector(b *testing.B) {
 }
 
 // BenchmarkPlatoonStep measures the distributed protocol: one full
-// 2-vehicle platoon run (beacons, full exchange, 10 Hz deltas, 2 Hz
-// tracked queries) over a short drive, with the expensive per-vehicle
-// pipelines built once outside the loop.
+// 2-vehicle linked-convoy run (10 Hz sync over a clean link, 2 Hz pair
+// queries) over a short drive, with the expensive per-vehicle pipelines
+// built once outside the loop.
 func BenchmarkPlatoonStep(b *testing.B) {
-	cfg := node.DefaultPlatoonConfig(9999, 2)
-	cfg.DistanceM = 400
-	_, built, t0, t1 := node.Platoon(cfg)
+	sc := sim.DefaultScenario(9999, city.EightLaneUrban)
+	sc.DistanceM = 400
+	run := sim.ExecuteConvoy(sc, 2)
+	t0, t1 := run.TimeSpan()
+	e := engine.New(0)
+	defer e.Close()
+	p := core.DefaultParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		front := node.NewNode(0, built[0].Vehicle)
-		rear := node.NewNode(1, built[1].Vehicle)
-		rear.Track(front)
-		nw := node.NewNetwork(node.NewMedium(), node.DefaultConfig(), front, rear)
-		nw.Run(t0, t1)
-		if len(nw.Queries) == 0 {
+		lc := sim.NewLinkedConvoy(run, link.Params{Seed: 9999}, v2v.SyncConfig{}, core.Staleness{})
+		queries := 0
+		for k := 1; t0+float64(k)*0.1 <= t1; k++ {
+			lc.Advance(t0 + float64(k)*0.1)
+			if k%5 == 0 {
+				res, err := lc.ResolveAllAt(e, t0+float64(k)*0.1, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				queries += len(res)
+			}
+		}
+		if queries == 0 {
 			b.Fatal("protocol produced no queries")
 		}
 	}

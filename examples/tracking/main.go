@@ -1,9 +1,10 @@
-// Tracking: the §V-B scalability design as a running application. A rear
-// vehicle continuously tracks the vehicle ahead at 2 Hz. Shipping the full
-// journey context for every query would take ~0.5 s of air time each — so
-// after the first full exchange the front vehicle only streams incremental
-// deltas, and the rear vehicle re-resolves on its locally reassembled copy,
-// falling back to a full exchange when the estimate drifts.
+// Tracking: the §V-B scalability design as a running application. A
+// vehicle continuously tracks the vehicle behind it at 2 Hz over a DSRC
+// link that drops 2 % of its frames. Shipping the full journey context for
+// every query would take a quarter second of air time each, so the rear
+// vehicle streams only its newest marks over the reliable sync
+// (sim.LinkedConvoy), and the front vehicle re-resolves on its
+// link-delivered copy — lossless, so it never drifts from the original.
 package main
 
 import (
@@ -12,7 +13,8 @@ import (
 
 	"rups/internal/city"
 	"rups/internal/core"
-	"rups/internal/mobility"
+	"rups/internal/engine"
+	"rups/internal/link"
 	"rups/internal/sim"
 	"rups/internal/v2v"
 )
@@ -20,95 +22,46 @@ import (
 func main() {
 	scenario := sim.DefaultScenario(77, city.FourLaneUrban)
 	scenario.DistanceM = 1400
-	run := sim.Execute(scenario)
-	front := run.Leader
-	rear := run.Follower
-
-	link := &v2v.Link{Seed: 99, LossProb: 0.02}
+	run := sim.ExecuteConvoy(scenario, 2)
+	lc := sim.NewLinkedConvoy(run, link.Params{Seed: 99, Loss: 0.02}, v2v.SyncConfig{Seed: 99}, core.Staleness{})
+	e := engine.New(0)
+	defer e.Close()
 	params := core.DefaultParams()
 
-	t0 := front.Truth.States[0].T
-	end := t0 + math.Min(front.Truth.Duration(), rear.Truth.Duration())
-
-	// Initial full exchange of the front vehicle's context at t0+60.
+	t0, end := run.TimeSpan()
 	start := t0 + 60
-	frontAtStart := front.Aware.PrefixUntil(start)
-	copyOfFront := frontAtStart.Clone()
-	full, _, err := v2v.ExchangeTrajectory(link, frontAtStart)
-	if err != nil {
-		panic(err)
-	}
-	_ = full                                  // the clone stands in for the decoded copy (same content, lossless truth)
-	fullCost := link.Transfer(v2v.BeaconSize) // beacon that solicited it
-	initCost := link.Transfer(len(mustMarshal(frontAtStart)))
+	lc.Advance(start)
+	initial := lc.Usage()
+	fmt.Printf("initial exchange: %d frames, %d bytes, %.2f s air time\n\n",
+		initial.Frames, initial.Bytes, initial.Airtime())
 
-	fmt.Printf("initial exchange: %d marks, %d packets, %.2f s air time\n\n",
-		copyOfFront.Len(), initCost.Packets, initCost.Elapsed)
-
-	var totalDeltaBytes, totalDeltaPackets, fullResyncs int
-	var totalAir float64
 	queries, resolved := 0, 0
-
 	fmt.Printf("%8s %9s %9s %8s %10s\n", "t (s)", "truth", "est", "err", "delta B")
 	const tick = 0.5
 	lastPrinted := -100.0
 	for t := start + tick; t <= end; t += tick {
-		// Front vehicle streams the marks recorded since the copy.
-		nowFront := front.Aware.PrefixUntil(t)
-		if nowFront.Len() > copyOfFront.Len() {
-			d, err := v2v.MakeDelta(nowFront, copyOfFront.Len())
-			if err == nil {
-				// Real wire round trip, split to the WSM payload bound: what
-				// the rear car applies is the quantized delta it received,
-				// not the sender's floats.
-				for _, c := range v2v.ChunkDelta(d) {
-					wire := mustMarshal(c)
-					cost := link.Transfer(len(wire))
-					totalDeltaBytes += cost.Bytes
-					totalDeltaPackets += cost.Packets
-					totalAir += cost.Elapsed
-					var rx v2v.Delta
-					if err := rx.UnmarshalBinary(wire); err != nil {
-						panic(err)
-					}
-					if err := rx.Apply(copyOfFront); err != nil {
-						// Gap (shouldn't happen with a reliable link): resync.
-						copyOfFront = nowFront.Clone()
-						c := link.Transfer(len(mustMarshal(nowFront)))
-						totalAir += c.Elapsed
-						fullResyncs++
-						break
-					}
-				}
-			}
+		lc.Advance(t)
+		res, err := lc.ResolveAllAt(e, t, params)
+		if err != nil {
+			panic(err)
 		}
-
-		// Rear vehicle resolves against its local copy.
 		queries++
-		est, ok := core.Resolve(rear.Aware.PrefixUntil(t), copyOfFront, params)
-		truth := mobility.TrueGap(front.Truth, rear.Truth, t)
-		if ok {
-			resolved++
-			if t-lastPrinted >= 10 {
-				fmt.Printf("%8.1f %8.1fm %8.1fm %7.1fm %10d\n",
-					t-t0, truth, est.Distance, math.Abs(est.Distance-truth), totalDeltaBytes)
-				lastPrinted = t
-			}
+		r := res[0]
+		if !r.OK {
+			continue
+		}
+		resolved++
+		if t-lastPrinted >= 10 {
+			truth := run.TruthGapAt(r.A, r.B, t)
+			fmt.Printf("%8.1f %8.1fm %8.1fm %7.1fm %10d\n",
+				t-t0, truth, r.Est.Distance, math.Abs(r.Est.Distance-truth), lc.Usage().Bytes-initial.Bytes)
+			lastPrinted = t
 		}
 	}
 
+	u := lc.Usage()
 	fmt.Printf("\ntracked for %.0f s: %d/%d queries resolved\n", end-start, resolved, queries)
-	fmt.Printf("delta traffic: %d bytes in %d packets (%.2f s air), %d full resyncs\n",
-		totalDeltaBytes, totalDeltaPackets, totalAir, fullResyncs)
-	fmt.Printf("full-context traffic would have been: %d bytes per query\n",
-		initCost.Bytes)
-	_ = fullCost
-}
-
-func mustMarshal(a interface{ MarshalBinary() ([]byte, error) }) []byte {
-	b, err := a.MarshalBinary()
-	if err != nil {
-		panic(err)
-	}
-	return b
+	fmt.Printf("delta traffic: %d bytes in %d frames (%.2f s air), data and acks\n",
+		u.Bytes-initial.Bytes, u.Frames-initial.Frames, u.Airtime()-initial.Airtime())
+	fmt.Printf("full-context traffic would have been: at least %d bytes per query\n", initial.Bytes)
 }

@@ -6,11 +6,13 @@ package rups_test
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"rups/internal/city"
 	"rups/internal/core"
-	"rups/internal/mobility"
+	"rups/internal/engine"
+	"rups/internal/link"
 	"rups/internal/sim"
 	"rups/internal/trace"
 	"rups/internal/trajectory"
@@ -18,33 +20,48 @@ import (
 )
 
 // TestEndToEndOverTheWire runs the complete pipeline including the V2V
-// serialization: the follower resolves against the leader's trajectory as
-// received over the (quantizing) wire format, not the in-memory original.
+// exchange: a two-vehicle convoy syncs over a DSRC link that drops 3 % of
+// its frames, and the pair resolves from the link-delivered copy, not the
+// in-memory original. The sync is lossless, so once it settles the answer
+// is exactly the one the originals give.
 func TestEndToEndOverTheWire(t *testing.T) {
 	sc := sim.DefaultScenario(62, city.FourLaneUrban)
 	sc.DistanceM = 900
-	r := sim.Execute(sc)
+	r := sim.ExecuteConvoy(sc, 2)
 
-	tm := r.Follower.Truth.States[0].T + 55
-	pf := r.Follower.Aware.PrefixUntil(tm)
-	pl := r.Leader.Aware.PrefixUntil(tm)
+	t0, _ := r.TimeSpan()
+	tm := t0 + 65
+	lc := sim.NewLinkedConvoy(r, link.Params{Seed: 9, Loss: 0.03}, v2v.SyncConfig{Seed: 9}, core.Staleness{})
+	for ts := t0 + 0.1; ts < tm; ts += 0.1 {
+		lc.Advance(ts)
+	}
+	for i := 0; i < 1000 && !lc.Quiescent(); i++ {
+		lc.Advance(tm)
+	}
+	if !lc.Quiescent() {
+		t.Fatalf("sync not settled at t=%.1f (lag %d marks)", tm, lc.MaxLag())
+	}
+	if u := lc.Usage(); u.Frames == 0 || u.Airtime() <= 0 {
+		t.Fatalf("exchange cost implausible: %+v", u)
+	}
 
-	link := &v2v.Link{Seed: 9, LossProb: 0.03}
-	received, cost, err := v2v.ExchangeTrajectory(link, pl)
+	e := engine.New(0)
+	defer e.Close()
+	p := core.DefaultParams()
+	res, err := lc.ResolveAllAt(e, tm, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost.Elapsed <= 0 || cost.Packets == 0 {
-		t.Fatalf("exchange cost implausible: %+v", cost)
+	if len(res) != 1 || !res[0].OK {
+		t.Fatalf("no estimate over the wire: %+v", res)
 	}
-
-	est, ok := core.Resolve(pf, received, core.DefaultParams())
-	if !ok {
-		t.Fatal("no estimate over the wire")
+	want, ok := core.Resolve(r.Vehicles[0].Aware.PrefixUntil(tm), r.Vehicles[1].Aware.PrefixUntil(tm), p)
+	if !ok || !reflect.DeepEqual(res[0].Est, want) {
+		t.Fatalf("over-the-wire estimate %+v differs from the originals' %+v", res[0].Est, want)
 	}
-	truth := mobility.TrueGap(r.Leader.Truth, r.Follower.Truth, tm)
-	if rde := math.Abs(est.Distance - truth); rde > 10 {
-		t.Errorf("over-the-wire RDE %v m (truth %v, est %v)", rde, truth, est.Distance)
+	truth := r.TruthGapAt(0, 1, tm)
+	if rde := math.Abs(res[0].Est.Distance - truth); rde > 10 {
+		t.Errorf("over-the-wire RDE %v m (truth %v, est %v)", rde, truth, res[0].Est.Distance)
 	}
 }
 
@@ -85,15 +102,14 @@ func TestEndToEndMultiband(t *testing.T) {
 	if w := r.Follower.Aware.Width(); w <= 194 {
 		t.Fatalf("multiband width %d, want > 194", w)
 	}
-	data, err := r.Follower.Aware.MarshalBinary()
+	a := r.Follower.Aware
+	n := min(trajectory.MaxChunkMarks, a.Len())
+	blob := trajectory.AppendChunk(nil, a.CopyChunk(0, n, make([]uint8, n*a.Width())))
+	back, err := trajectory.ParseChunk(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back trajectory.Aware
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if back.Width() != r.Follower.Aware.Width() {
+	if back.Chans() != a.Width() {
 		t.Fatal("multiband width lost on the wire")
 	}
 

@@ -529,13 +529,46 @@ func elemBytes(t types.Type) int64 {
 	}
 	switch u := t.Underlying().(type) {
 	case *types.Slice:
-		return sizes.Sizeof(u.Elem())
+		return sizeof(sizes, u.Elem())
 	case *types.Map:
-		return sizes.Sizeof(u.Key()) + sizes.Sizeof(u.Elem())
+		return sizeof(sizes, u.Key()) + sizeof(sizes, u.Elem())
 	case *types.Chan:
-		return sizes.Sizeof(u.Elem())
+		return sizeof(sizes, u.Elem())
 	}
 	return 8
+}
+
+// sizeof is sizes.Sizeof, except that a type whose size depends on a type
+// parameter counts as one word: its size is the instantiation's, and
+// go/types asserts rather than size it.
+func sizeof(sizes types.Sizes, t types.Type) int64 {
+	if sizedByTypeParam(t) {
+		return 8
+	}
+	return sizes.Sizeof(t)
+}
+
+// sizedByTypeParam reports whether t's size depends on a type parameter:
+// t is one, or an array or struct (named or not) holding one by value.
+// Pointers, slices, maps, chans, funcs and interfaces have a fixed size
+// whatever they refer to, so they are not entered — which also keeps
+// recursive types from recursing here.
+func sizedByTypeParam(t types.Type) bool {
+	switch u := types.Unalias(t).(type) {
+	case *types.TypeParam:
+		return true
+	case *types.Named:
+		return sizedByTypeParam(u.Underlying())
+	case *types.Array:
+		return sizedByTypeParam(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if sizedByTypeParam(u.Field(i).Type()) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // FormatReport renders the top n sites as the driver's -allocreport text.

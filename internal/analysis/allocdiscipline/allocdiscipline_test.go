@@ -78,6 +78,28 @@ func TestReportRanksDepth(t *testing.T) {
 	}
 }
 
+// TestReportSizesTypeParams: an allocation whose element size depends on a
+// type parameter — a T, or a struct holding one — is reported at one word
+// instead of asking go/types for a size it asserts it cannot give.
+func TestReportSizesTypeParams(t *testing.T) {
+	want := map[string]bool{"cappedGeneric": false, "genericPairs": false}
+	for _, s := range allocdiscipline.Report(loadGolden(t)) {
+		for fn := range want {
+			if strings.HasSuffix(s.Fn, fn) && s.Kind == "make" {
+				want[fn] = true
+				if s.ElemBytes != 8 {
+					t.Errorf("%s: element sized %d bytes, want one word", fn, s.ElemBytes)
+				}
+			}
+		}
+	}
+	for fn, seen := range want {
+		if !seen {
+			t.Errorf("no make site reported in %s", fn)
+		}
+	}
+}
+
 // TestReportAdmitSnapshotNoLongerTops pins the post-interning acceptance
 // contract on the real module: snapshot interning removed the engine.Admit
 // deep copy (Snapshot used to reach trajectory.Clone, the #1 site of the

@@ -59,3 +59,18 @@ func appendOutsideLoop() []int {
 	out = append(out, 1)
 	return out
 }
+
+// cappedGeneric is alreadyCapped over a type parameter: the report still
+// sizes its element, and a T has no size until it is instantiated.
+func cappedGeneric[T any](x T) []T {
+	out := make([]T, 0, len(modes)) // has a capacity: silent
+	for range modes {
+		out = append(out, x)
+	}
+	return out
+}
+
+// pairOf holds a T by value, so its size is the instantiation's too.
+type pairOf[T any] struct{ a, b T }
+
+func genericPairs[T any](n int) []pairOf[T] { return make([]pairOf[T], n) }

@@ -14,7 +14,9 @@
 //
 // The channel moves opaque frames of at most MTU bytes — the WSM payload
 // bound is enforced here, fragmentation is the sender's job (the reliable
-// sync protocol in internal/v2v fragments its chunks to fit).
+// sync protocol in internal/v2v fragments its chunks to fit). It also
+// counts what it carried and the airtime that took (Usage), which is how
+// the evaluation measures channel load on the link the exchange runs over.
 package link
 
 import (
@@ -87,6 +89,37 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
+// The airtime model: 6 Mbit/s DSRC moves about 600 kB/s of payload once
+// protocol overhead is paid, and every frame also costs a fixed 0.8 ms of
+// preamble, inter-frame space and link-layer acknowledgement.
+const (
+	// RateBytesPerSec is the channel's effective payload throughput.
+	RateBytesPerSec = 600_000
+	// FrameOverheadSec is the fixed airtime of one frame.
+	FrameOverheadSec = 0.0008
+)
+
+// Airtime returns the seconds one frame of n bytes occupies the channel.
+func Airtime(n int) float64 { return float64(n)/RateBytesPerSec + FrameOverheadSec }
+
+// Usage is what a channel carried: every frame offered within the MTU,
+// dropped ones included — a lost frame still occupied the air.
+type Usage struct {
+	Frames int
+	Bytes  int
+}
+
+// Plus returns the combined usage of u and v.
+func (u Usage) Plus(v Usage) Usage {
+	return Usage{Frames: u.Frames + v.Frames, Bytes: u.Bytes + v.Bytes}
+}
+
+// Airtime returns the seconds the frames occupied the channel, back to
+// back: the sum of Airtime over them.
+func (u Usage) Airtime() float64 {
+	return float64(u.Bytes)/RateBytesPerSec + float64(u.Frames)*FrameOverheadSec
+}
+
 // decision salts: each stochastic choice draws from its own stream so the
 // fault processes are independent.
 const (
@@ -107,6 +140,7 @@ type Channel struct {
 	salt uint64 // distinguishes channels sharing one seed
 	bad  bool   // Gilbert–Elliott state
 	seq  uint64 // frames offered so far, the decision address
+	used Usage
 
 	inflight []delivery
 }
@@ -128,6 +162,9 @@ func New(p Params, salt uint64) *Channel {
 // degradation) knob chaos scenarios flip mid-run. In-flight frames and the
 // burst state are kept.
 func (c *Channel) SetParams(p Params) { c.p = p.withDefaults() }
+
+// Usage reports what the channel has carried so far.
+func (c *Channel) Usage() Usage { return c.used }
 
 // Pending reports frames in flight (scheduled but not yet received).
 func (c *Channel) Pending() int { return len(c.inflight) }
@@ -151,6 +188,8 @@ func (c *Channel) Send(round int, frame []byte) error {
 		return fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, len(frame), c.p.MTU)
 	}
 	c.seq++
+	c.used.Frames++
+	c.used.Bytes += len(frame)
 	tel := linkTel.Get()
 	if tel != nil {
 		tel.sent.Inc()

@@ -214,3 +214,40 @@ func TestSetParamsHeals(t *testing.T) {
 		t.Fatalf("healed channel delivered %d/20", len(got))
 	}
 }
+
+// TestAirtimeAccounting: a channel bills every frame offered within the
+// MTU — dropped ones too — at bytes / 600 kB/s plus 0.8 ms, so serial
+// frames sum and each carries the fixed per-frame overhead once.
+func TestAirtimeAccounting(t *testing.T) {
+	if got := Airtime(60000); got < 0.1008-1e-12 || got > 0.1008+1e-12 {
+		t.Fatalf("60 kB frame airtime %v, want 0.1008 s", got)
+	}
+	if got := Airtime(0); got != FrameOverheadSec {
+		t.Fatalf("empty frame airtime %v, want the %v s overhead", got, FrameOverheadSec)
+	}
+	c := New(Params{Seed: 5, Loss: 0.5}, 0)
+	var want float64
+	for i, size := range []int{1400, 1, 700, 1400, 0, 333} {
+		if err := c.Send(i, make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		want += Airtime(size)
+	}
+	if err := c.Send(9, make([]byte, DefaultMTU+1)); err == nil {
+		t.Fatal("oversized frame accepted")
+	}
+	u := c.Usage()
+	if u.Frames != 6 || u.Bytes != 1400+1+700+1400+333 {
+		t.Fatalf("usage %+v, want 6 frames of 3834 bytes (the oversized send is not billed)", u)
+	}
+	if d := u.Airtime() - want; d < -1e-12 || d > 1e-12 {
+		t.Fatalf("airtime %v, want the serial sum %v", u.Airtime(), want)
+	}
+	// Six frames pay the fixed overhead six times.
+	if d := u.Airtime() - float64(u.Bytes)/RateBytesPerSec - 6*FrameOverheadSec; d < -1e-12 || d > 1e-12 {
+		t.Fatalf("airtime %v does not carry one overhead per frame", u.Airtime())
+	}
+	if got := u.Plus(u); got != (Usage{Frames: 12, Bytes: 2 * u.Bytes}) {
+		t.Fatalf("Plus gave %+v", got)
+	}
+}

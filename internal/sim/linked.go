@@ -138,6 +138,17 @@ func (lc *LinkedConvoy) MaxLag() int {
 	return worst
 }
 
+// Usage returns what every channel of the mesh has carried so far, data
+// and ack directions together: the convoy's load on its one shared DSRC
+// channel (see link.Usage.Airtime).
+func (lc *LinkedConvoy) Usage() link.Usage {
+	var u link.Usage
+	for _, pl := range lc.links {
+		u = u.Plus(pl.data.Usage()).Plus(pl.ack.Usage())
+	}
+	return u
+}
+
 // ResolveAllAt answers every pairwise query at time t from link-delivered
 // context: for each pair (i, j), vehicle i's own prefix and its synced
 // copy of j are admitted, and the pair resolves under the convoy's

@@ -164,3 +164,28 @@ func TestLinkedOutageDegradesGracefully(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkedUsageCountsEveryChannel: the mesh's usage is every data and ack
+// channel's together, and the data it carried covers at least the 16 B of
+// geometry of every mark the copies hold.
+func TestLinkedUsageCountsEveryChannel(t *testing.T) {
+	r := getConvoy(t)
+	t0, _ := r.TimeSpan()
+	lc := NewLinkedConvoy(r, link.Params{Seed: 4}, v2v.SyncConfig{}, core.Staleness{})
+	for ts := t0 + 0.5; ts <= t0+20; ts += 0.5 {
+		lc.Advance(ts)
+	}
+	var want link.Usage
+	marks := 0
+	for _, pl := range lc.links {
+		want = want.Plus(pl.data.Usage()).Plus(pl.ack.Usage())
+		marks += pl.sess.Copy().Len()
+	}
+	got := lc.Usage()
+	if got != want || got.Frames == 0 {
+		t.Fatalf("mesh usage %+v, channels sum to %+v", got, want)
+	}
+	if marks == 0 || got.Bytes < 16*marks {
+		t.Fatalf("%d bytes carried for %d delivered marks", got.Bytes, marks)
+	}
+}

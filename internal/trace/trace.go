@@ -22,7 +22,7 @@ import (
 
 const (
 	magic   = 0x52555054 // "RUPT"
-	version = 1
+	version = 2
 )
 
 // SampleHz is the rate at which truth and GPS series are stored.
@@ -182,14 +182,27 @@ func (rec *Record) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
+// encodeVehicle writes one vehicle body: the trajectory as its width and
+// mark count followed by consecutive chunks of the trajectory codec (each
+// length-prefixed, at most trajectory.MaxChunkMarks marks), then the
+// per-mark true positions and the truth series, all float64, so a capture
+// replays exactly what the run answered.
 func encodeVehicle(v *VehicleRecord) ([]byte, error) {
-	aw, err := v.Aware.MarshalBinary()
-	if err != nil {
-		return nil, err
+	a := v.Aware
+	if a.Width() == 0 || a.Width() > 0xFFFF {
+		return nil, fmt.Errorf("trace: %d power rows not encodable", a.Width())
 	}
 	var b []byte
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(aw)))
-	b = append(b, aw...)
+	b = binary.LittleEndian.AppendUint16(b, uint16(a.Width()))
+	b = binary.LittleEndian.AppendUint32(b, uint32(a.Len()))
+	cells := make([]uint8, trajectory.MaxChunkMarks*a.Width())
+	for at := 0; at < a.Len(); at += trajectory.MaxChunkMarks {
+		n := min(trajectory.MaxChunkMarks, a.Len()-at)
+		lenAt := len(b)
+		b = binary.LittleEndian.AppendUint32(b, 0)
+		b = trajectory.AppendChunk(b, a.CopyChunk(at, n, cells))
+		binary.LittleEndian.PutUint32(b[lenAt:], uint32(len(b)-lenAt-4))
+	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(v.MarkTruePos)))
 	for _, p := range v.MarkTruePos {
 		b = appendVec(b, p)
@@ -197,7 +210,7 @@ func encodeVehicle(v *VehicleRecord) ([]byte, error) {
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.T0))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(v.S)))
 	for i := range v.S {
-		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(v.S[i])))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.S[i]))
 		b = appendVec(b, v.Pos[i])
 		b = appendVec(b, v.GPSFix[i])
 		if v.GPSOK[i] {
@@ -210,8 +223,8 @@ func encodeVehicle(v *VehicleRecord) ([]byte, error) {
 }
 
 func appendVec(b []byte, p geo.Vec2) []byte {
-	b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(p.X)))
-	return binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(p.Y)))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.X))
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Y))
 }
 
 // ReadFrom deserializes a record written by WriteTo.
@@ -246,17 +259,30 @@ func (rec *Record) ReadFrom(r io.Reader) (int64, error) {
 
 func decodeVehicle(v *VehicleRecord, b []byte) error {
 	d := &decoder{data: b}
-	aw := d.bytes(int(d.u32()))
+	width := int(d.u16())
+	m := int(d.u32())
 	if d.err {
 		return fmt.Errorf("%w: vehicle header", ErrBadTrace)
-	}
-	v.Aware = &trajectory.Aware{}
-	if err := v.Aware.UnmarshalBinary(aw); err != nil {
-		return err
 	}
 	// Counts come off the wire; bound them by the bytes actually present
 	// before allocating, or a corrupt count means gigabytes of allocation
 	// and billions of loop iterations on a few hundred KB of input.
+	if width == 0 || m > d.remaining()/markWireSize {
+		return fmt.Errorf("%w: %d marks × %d channels exceed payload", ErrBadTrace, m, width)
+	}
+	v.Aware = trajectory.NewAwareWidth(trajectory.Geo{Marks: make([]trajectory.GeoMark, 0, m)}, width)
+	for v.Aware.Len() < m {
+		c, err := trajectory.ParseChunk(d.bytes(int(d.u32())))
+		if d.err || err != nil {
+			return fmt.Errorf("%w: trajectory chunk at mark %d: %v", ErrBadTrace, v.Aware.Len(), err)
+		}
+		if c.From != v.Aware.Len() || c.Chans() != width ||
+			len(c.Marks) != min(trajectory.MaxChunkMarks, m-c.From) {
+			return fmt.Errorf("%w: chunk of %d marks × %d channels at mark %d, want mark %d of %d × %d",
+				ErrBadTrace, len(c.Marks), c.Chans(), c.From, v.Aware.Len(), m, width)
+		}
+		v.Aware.AppendCellColumns(c.Marks, c.Cells, len(c.Marks))
+	}
 	nPos := int(d.u32())
 	if nPos < 0 || nPos > d.remaining()/vecWireSize {
 		return fmt.Errorf("%w: mark count %d exceeds payload", ErrBadTrace, nPos)
@@ -275,7 +301,7 @@ func decodeVehicle(v *VehicleRecord, b []byte) error {
 	v.GPSFix = make([]geo.Vec2, n)
 	v.GPSOK = make([]bool, n)
 	for i := 0; i < n; i++ {
-		v.S[i] = float64(math.Float32frombits(d.u32()))
+		v.S[i] = math.Float64frombits(d.u64())
 		v.Pos[i] = d.vec()
 		v.GPSFix[i] = d.vec()
 		v.GPSOK[i] = d.byte() == 1
@@ -287,11 +313,13 @@ func decodeVehicle(v *VehicleRecord, b []byte) error {
 }
 
 // Wire sizes of the repeated elements in a vehicle body, used to bound
-// decoded counts: a Vec2 is two float32s; a truth sample is one float32 S,
-// two Vec2s, and one GPSOK byte.
+// decoded counts: a mark is at least its 16 bytes of chunk geometry; a Vec2
+// is two float64s; a truth sample is one float64 S, two Vec2s, and one
+// GPSOK byte.
 const (
-	vecWireSize    = 8
-	sampleWireSize = 4 + 2*vecWireSize + 1
+	markWireSize   = 16
+	vecWireSize    = 16
+	sampleWireSize = 8 + 2*vecWireSize + 1
 )
 
 // decoder is a bounds-checked little-endian reader.
@@ -347,7 +375,7 @@ func (d *decoder) u64() uint64 {
 
 func (d *decoder) vec() geo.Vec2 {
 	return geo.Vec2{
-		X: float64(math.Float32frombits(d.u32())),
-		Y: float64(math.Float32frombits(d.u32())),
+		X: math.Float64frombits(d.u64()),
+		Y: math.Float64frombits(d.u64()),
 	}
 }

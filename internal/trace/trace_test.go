@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"rups/internal/city"
@@ -44,6 +45,9 @@ func TestRecordQueryMatchesTruth(t *testing.T) {
 	}
 }
 
+// TestRoundTripPreservesQueries: a capture is lossless — the trajectories
+// come back byte-identical (float64 geometry, the same cells) and every
+// replayed query equals the original record's.
 func TestRoundTripPreservesQueries(t *testing.T) {
 	rec := getRecord(t)
 	var buf bytes.Buffer
@@ -57,25 +61,25 @@ func TestRoundTripPreservesQueries(t *testing.T) {
 	if back.Label != rec.Label || back.Seed != rec.Seed {
 		t.Error("metadata lost")
 	}
-	if back.Leader.Aware.Len() != rec.Leader.Aware.Len() {
-		t.Fatal("trajectory length changed")
+	for _, pair := range [][2]*VehicleRecord{{&rec.Leader, &back.Leader}, {&rec.Follower, &back.Follower}} {
+		a, b := pair[0].Aware, pair[1].Aware
+		if !reflect.DeepEqual(a.Geo, b.Geo) || a.Width() != b.Width() {
+			t.Fatalf("trajectory geometry changed: %d×%d marks vs %d×%d", a.Len(), a.Width(), b.Len(), b.Width())
+		}
+		ra, rb := make([]uint8, a.Len()), make([]uint8, b.Len())
+		for ch := 0; ch < a.Width(); ch++ {
+			a.CopyCellsInto(ch, 0, ra)
+			b.CopyCellsInto(ch, 0, rb)
+			if !bytes.Equal(ra, rb) {
+				t.Fatalf("channel %d cells changed in the round trip", ch)
+			}
+		}
 	}
 	p := core.DefaultParams()
 	for i := 0; i < 6; i++ {
 		tm := rec.Follower.T0 + 50 + float64(i)*4
-		q1 := rec.Query(tm, p)
-		q2 := back.Query(tm, p)
-		if q1.OK != q2.OK {
-			t.Fatalf("query %d resolution differs across round trip", i)
-		}
-		if q1.OK && math.Abs(q1.Est.Distance-q2.Est.Distance) > 8 {
-			// Wire quantization (1 dB) can flip which SYN segments win and
-			// move the aggregate by a few metres; larger shifts indicate
-			// corruption.
-			t.Fatalf("query %d distance %v vs %v", i, q1.Est.Distance, q2.Est.Distance)
-		}
-		if math.Abs(q1.TruthGap-q2.TruthGap) > 0.01 {
-			t.Fatalf("truth gap changed: %v vs %v", q1.TruthGap, q2.TruthGap)
+		if q1, q2 := rec.Query(tm, p), back.Query(tm, p); !reflect.DeepEqual(q1, q2) {
+			t.Fatalf("query %d changed in the round trip:\n%+v\nvs\n%+v", i, q1, q2)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rups/internal/gsm"
 	"rups/internal/stats"
 )
 
@@ -101,5 +102,33 @@ func BenchmarkTopChannels(b *testing.B) {
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
 		a.TopChannels(45)
+	}
+}
+
+// TestRSSIQuantization pins CellByte and CellDBm: missing maps to
+// MissingCell, readings clamp to [0, 254] dB above the floor, and every
+// cell reads back as a value that rounds to itself.
+func TestRSSIQuantization(t *testing.T) {
+	if CellByte(stats.Missing) != MissingCell {
+		t.Error("missing not encoded as 0xFF")
+	}
+	if got := CellDBm(0); got != gsm.NoiseFloorDBm {
+		t.Errorf("byte 0 = %v", got)
+	}
+	if !stats.IsMissing(CellDBm(MissingCell)) {
+		t.Error("0xFF not decoded as missing")
+	}
+	// Clamping: stronger than representable saturates at 254.
+	if got := CellByte(500); got != 254 {
+		t.Errorf("clamped high = %d", got)
+	}
+	if got := CellByte(-200); got != 0 {
+		t.Errorf("clamped low = %d", got)
+	}
+	// Every cell reads back as a value that rounds to itself.
+	for b := 0; b < 256; b++ {
+		if got := CellByte(CellDBm(uint8(b))); got != uint8(b) {
+			t.Errorf("cell %d reads back as %v, which rounds to %d", b, CellDBm(uint8(b)), got)
+		}
 	}
 }

@@ -157,3 +157,26 @@ func TestTopAudibleChannels(t *testing.T) {
 		t.Errorf("minKeep not honoured: %d", len(got))
 	}
 }
+
+// randomAware builds an m-mark GSM-width trajectory with a fifth of its
+// cells missing and the rest drawn over 70 dB above the noise floor.
+func randomAware(seed uint64, m int) *Aware {
+	g := Geo{Marks: make([]GeoMark, m)}
+	for i := range g.Marks {
+		g.Marks[i] = GeoMark{
+			Theta: 2 * math.Pi * noise.Uniform(seed, uint64(i), 1),
+			T:     1000 + float64(i)*1.3,
+		}
+	}
+	a := NewAware(g)
+	for ch := 0; ch < gsm.NumChannels; ch++ {
+		for i := 0; i < m; i++ {
+			u := noise.Uniform(seed, uint64(ch), uint64(i), 2)
+			if u < 0.2 {
+				continue // leave missing
+			}
+			a.SetPower(ch, i, gsm.NoiseFloorDBm+70*noise.Uniform(seed, uint64(ch), uint64(i), 3))
+		}
+	}
+	return a
+}

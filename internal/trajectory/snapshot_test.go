@@ -66,15 +66,13 @@ func TestSnapshotOfSnapshotIsItself(t *testing.T) {
 	if s.Snapshot() != s {
 		t.Fatal("snapshot of a snapshot is a new copy")
 	}
-	wire, err := a.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
 	writes := map[string]func(){
-		"Append":          func() { s.Append(trajectory.GeoMark{T: 50}, []float64{-70, -70, -70, -70}) },
-		"SetPower":        func() { s.SetPower(0, 0, -70) },
-		"Interpolate":     func() { s.Interpolate() },
-		"UnmarshalBinary": func() { _ = s.UnmarshalBinary(wire) },
+		"Append":      func() { s.Append(trajectory.GeoMark{T: 50}, []float64{-70, -70, -70, -70}) },
+		"SetPower":    func() { s.SetPower(0, 0, -70) },
+		"Interpolate": func() { s.Interpolate() },
+		"AppendCellColumns": func() {
+			s.AppendCellColumns([]trajectory.GeoMark{{T: 50}}, []uint8{1, 2, 3, 4}, 1)
+		},
 	}
 	for name, write := range writes {
 		func() {

@@ -16,7 +16,7 @@
 // Snapshot shares chunk storage by reference instead of deep-copying it, so
 // the engine's per-tick admission copies cost O(marks) for the geometry
 // plus a pointer slice — not O(channels × marks) for the cells. Cell access
-// goes through At/SetPower/CopyRowInto; the matrix is no longer an exported
+// goes through At/SetPower/CopyCellsInto; the matrix is no longer an exported
 // field, because storage sharing is only safe when every in-place write is
 // funnelled through the copy-on-write barrier.
 package trajectory
@@ -353,19 +353,9 @@ func (a *Aware) Window(start, length int) [][]float64 {
 	return w
 }
 
-// CopyRowInto copies channel ch's full row (metres [0, Len)), decoded to
-// dBm, into dst, which must be at least Len long.
-func (a *Aware) CopyRowInto(ch int, dst []float64) {
-	if ch < 0 || ch >= a.pw.width {
-		panic(fmt.Sprintf("trajectory: channel %d out of range", ch))
-	}
-	a.pw.copyRow(ch, 0, dst[:a.Len()])
-}
-
 // CopyCellsInto copies channel ch's power cells (CellByte form) over metres
-// [lo, lo+len(dst)) into dst — CopyRowInto without the decode to dBm, for
-// the codecs that ship cells as bytes and the SYN scan's index, which
-// correlates them as integers.
+// [lo, lo+len(dst)) into dst, undecoded: for the codec, which ships cells
+// as bytes, and the SYN scan's index, which correlates them as integers.
 func (a *Aware) CopyCellsInto(ch, lo int, dst []uint8) {
 	if ch < 0 || ch >= a.pw.width || lo < 0 || lo+len(dst) > a.Len() {
 		panic(fmt.Sprintf("trajectory: cell copy (%d, [%d,%d)) out of range", ch, lo, lo+len(dst)))

@@ -3,10 +3,7 @@ package v2v
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
-	"math"
-	"math/bits"
 
 	"rups/internal/obs"
 	"rups/internal/trajectory"
@@ -15,37 +12,11 @@ import (
 // The reliable sync protocol's wire formats.
 //
 // A *chunk* is the protocol's sequence-numbered unit: a contiguous run of
-// trajectory marks starting at mark FromMark, encoded *losslessly*. The
-// geometry travels as raw float64 bits; the power travels as the
-// trajectory's own one-byte cells (trajectory.CellByte), delta-coded along
-// each channel. A chunk round trip of a trajectory's rows is bit-exact, so
-// a fully synced copy is byte-identical to the sender's prefix — which is
-// what lets the reliable path degrade to the perfect-channel baseline
-// exactly when the link is clean.
-//
-// Chunk (little endian):
-//
-//	fromMark uint32
-//	nMarks   uint16  n, 1..maxChunkMarks
-//	channels uint16  c
-//	geometry n × { theta float64 bits, t float64 bits }
-//	first    c bytes  the first mark's cell on each channel
-//	widths   ⌈c/2⌉ bytes, only when n > 1: channel ch's delta width
-//	         w_ch ∈ 0..8 in nibble ch, low nibble first
-//	deltas   only when n > 1: an LSB-first bitstream holding, channel by
-//	         channel, the n−1 steps zz(int8(cell[i] − cell[i−1])) of w_ch
-//	         bits each (zz the zigzag map, the subtraction wrapping),
-//	         zero-padded to a whole byte
-//
-// Interpolated GSM rows move a few dB per metre, so most channels need 2–3
-// bits per step instead of 8. The layout is canonical: w_ch is the bit
-// length of the channel's largest zigzag code, and the decoder refuses a
-// wider width, a nonzero spare nibble or pad bit, and any length but the one
-// the widths imply — whatever decodes re-encodes to the same bytes. A
-// chunk never refers to another, so out-of-order chunks and go-back-N
-// regrouping need nothing from the receiver's history. The worst case,
-// every step 8 bits wide, is maxChunkSize: ⌈c/2⌉ bytes over one raw byte
-// per cell.
+// trajectory marks starting at mark FromMark, in the trajectory codec
+// (trajectory.AppendChunk). The codec is lossless, so a fully synced copy
+// is byte-identical to the sender's prefix — which is what lets the
+// reliable path degrade to the perfect-channel baseline exactly when the
+// link is clean.
 //
 // A 194-channel mark costs 16 B of geometry plus ~80 B of cells, so a
 // default 8-mark chunk usually fits one 1400 B WSM payload; larger ones are
@@ -119,192 +90,9 @@ const (
 	// traced frames shave traceExtLen off this budget so the bound holds
 	// with the extension in place.
 	maxFragPayload = WSMPayload - dataHeaderLen - frameCRCLen
-
-	chunkHeaderLen = 8 // fromMark u32, nMarks u16, channels u16
 )
 
 var errBadFrame = errors.New("v2v: malformed frame")
-
-// maxChunkMarks caps the marks one chunk carries: DataFrames splits longer
-// deltas and parseFrame refuses a frame claiming more, so a reassembly
-// buffer a frame header makes the receiver allocate is bounded by
-// maxChunkSize(maxChunkMarks, width) — 27 KB at 194 channels — rather than
-// by the header's u16 counts. It is sixteen default chunks.
-const maxChunkMarks = 128
-
-// chunk is one decoded sync chunk: marks [from, from+len(marks)) with their
-// power cells, channel-major — row ch is cells[ch*len(marks):][:len(marks)].
-type chunk struct {
-	from  int
-	marks []trajectory.GeoMark
-	cells []uint8
-}
-
-// chans returns the chunk's channel count.
-func (c chunk) chans() int { return len(c.cells) / len(c.marks) }
-
-// row returns channel ch's cells.
-func (c chunk) row(ch int) []uint8 {
-	n := len(c.marks)
-	return c.cells[ch*n : (ch+1)*n : (ch+1)*n]
-}
-
-// maxChunkSize is the largest encoding of a chunk of n marks over chans
-// channels: every step at the full 8-bit width.
-func maxChunkSize(n, chans int) int {
-	size := chunkHeaderLen + 16*n + chans
-	if n > 1 {
-		size += (chans+1)/2 + chans*(n-1)
-	}
-	return size
-}
-
-// zigzag maps a wrapping cell step, read as an int8, to an unsigned code
-// whose bit length grows with the step's magnitude: 0, -1, 1, -2 … → 0, 1,
-// 2, 3 ….
-func zigzag(step uint8) uint8 { return step<<1 ^ -(step >> 7) }
-
-// unzigzag inverts zigzag.
-func unzigzag(z uint8) uint8 { return z>>1 ^ -(z & 1) }
-
-// appendChunk appends c's encoding (see the layout above) to buf.
-func appendChunk(buf []byte, c chunk) []byte {
-	n, chans := len(c.marks), c.chans()
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.from))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(n))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(chans))
-	for _, mk := range c.marks {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(mk.Theta))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(mk.T))
-	}
-	for ch := 0; ch < chans; ch++ {
-		buf = append(buf, c.cells[ch*n])
-	}
-	if n == 1 {
-		return buf
-	}
-	widths := len(buf)
-	for k := 0; k < (chans+1)/2; k++ {
-		buf = append(buf, 0)
-	}
-	var acc uint64 // pending stream bits, LSB first
-	nacc := 0
-	var codes [maxChunkMarks - 1]uint8
-	for ch := 0; ch < chans; ch++ {
-		row := c.row(ch)
-		zs := codes[:n-1]
-		var all uint8 // OR of the codes: its bit length is the largest's
-		for i := range zs {
-			zs[i] = zigzag(row[i+1] - row[i])
-			all |= zs[i]
-		}
-		w := bits.Len8(all)
-		buf[widths+ch/2] |= uint8(w) << (4 * (ch & 1))
-		if w == 0 {
-			continue
-		}
-		for _, z := range zs {
-			acc |= uint64(z) << nacc
-			nacc += w
-			if nacc >= 32 {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(acc))
-				acc >>= 32
-				nacc -= 32
-			}
-		}
-	}
-	for ; nacc > 0; nacc -= 8 {
-		buf = append(buf, byte(acc))
-		acc >>= 8
-	}
-	return buf
-}
-
-// parseChunk inverts appendChunk. It accepts exactly the canonical
-// encodings — the length the header and widths imply, minimal widths, zero
-// spare nibble and pad bits — so an accepted blob re-encodes to itself.
-func parseChunk(b []byte) (chunk, error) {
-	if len(b) < chunkHeaderLen {
-		return chunk{}, errBadFrame
-	}
-	from := int(binary.LittleEndian.Uint32(b[0:]))
-	n := int(binary.LittleEndian.Uint16(b[4:]))
-	chans := int(binary.LittleEndian.Uint16(b[6:]))
-	if n == 0 || n > maxChunkMarks || chans == 0 {
-		return chunk{}, errBadFrame
-	}
-	if len(b) > maxChunkSize(n, chans) {
-		return chunk{}, fmt.Errorf("v2v: chunk size %d over the %d bound", len(b), maxChunkSize(n, chans))
-	}
-	firstAt := chunkHeaderLen + 16*n
-	widthsAt := firstAt + chans
-	streamAt := widthsAt
-	if n > 1 {
-		streamAt += (chans + 1) / 2
-	}
-	if len(b) < streamAt {
-		return chunk{}, fmt.Errorf("v2v: chunk size %d, want at least %d", len(b), streamAt)
-	}
-	width := func(ch int) int { return int(b[widthsAt+ch/2] >> (4 * (ch & 1)) & 0xF) }
-	streamBits := 0
-	if n > 1 {
-		for ch := 0; ch < chans; ch++ {
-			w := width(ch)
-			if w > 8 {
-				return chunk{}, fmt.Errorf("v2v: chunk channel %d step width %d", ch, w)
-			}
-			streamBits += w * (n - 1)
-		}
-		if chans%2 == 1 && b[streamAt-1]>>4 != 0 {
-			return chunk{}, errors.New("v2v: chunk spare width nibble set")
-		}
-	}
-	if want := streamAt + (streamBits+7)/8; len(b) != want {
-		return chunk{}, fmt.Errorf("v2v: chunk size %d, want %d", len(b), want)
-	}
-	c := chunk{from: from, marks: make([]trajectory.GeoMark, n), cells: make([]uint8, n*chans)}
-	for i := range c.marks {
-		off := chunkHeaderLen + 16*i
-		c.marks[i] = trajectory.GeoMark{
-			Theta: math.Float64frombits(binary.LittleEndian.Uint64(b[off:])),
-			T:     math.Float64frombits(binary.LittleEndian.Uint64(b[off+8:])),
-		}
-	}
-	for ch, v := range b[firstAt:widthsAt] {
-		c.cells[ch*n] = v
-	}
-	if n == 1 {
-		return c, nil
-	}
-	pos := streamAt
-	var acc uint64 // loaded, unconsumed stream bits, LSB first
-	nacc := 0
-	for ch := 0; ch < chans; ch++ {
-		row := c.row(ch)
-		w := width(ch)
-		mask := uint64(1)<<w - 1
-		var all uint8
-		for i := 1; i < n; i++ {
-			for nacc < w {
-				acc |= uint64(b[pos]) << nacc
-				pos++
-				nacc += 8
-			}
-			z := uint8(acc & mask)
-			acc >>= w
-			nacc -= w
-			all |= z
-			row[i] = row[i-1] + unzigzag(z)
-		}
-		if bits.Len8(all) != w {
-			return chunk{}, fmt.Errorf("v2v: chunk channel %d step width %d, steps need %d", ch, w, bits.Len8(all))
-		}
-	}
-	if acc != 0 {
-		return chunk{}, errors.New("v2v: chunk pad bits set")
-	}
-	return c, nil
-}
 
 // dataFrames encodes the chunk and fragments it into WSM-bounded DATA
 // frames. A nonzero ref.Trace stamps every fragment with the 16-byte
@@ -312,8 +100,8 @@ func parseChunk(b []byte) (chunk, error) {
 // epoch (the per-fragment payload budget shrinks to keep the frames
 // inside the WSM bound); zero ref and epoch emit the extension-free
 // wire format.
-func dataFrames(c chunk, ref obs.TraceRef, epoch uint32) [][]byte {
-	blob := appendChunk(make([]byte, 0, maxChunkSize(len(c.marks), c.chans())), c)
+func dataFrames(c trajectory.Chunk, ref obs.TraceRef, epoch uint32) [][]byte {
+	blob := trajectory.AppendChunk(make([]byte, 0, trajectory.MaxChunkSize(len(c.Marks), c.Chans())), c)
 	budget := maxFragPayload
 	var flags byte
 	if ref.Trace != 0 {
@@ -336,9 +124,9 @@ func dataFrames(c chunk, ref obs.TraceRef, epoch uint32) [][]byte {
 		fr := make([]byte, 0, dataHeaderLen+traceExtLen+epochExtLen+len(payload)+frameCRCLen)
 		fr = binary.LittleEndian.AppendUint16(fr, frameMagic)
 		fr = append(fr, frameData, flags)
-		fr = binary.LittleEndian.AppendUint32(fr, uint32(c.from))
-		fr = binary.LittleEndian.AppendUint16(fr, uint16(len(c.marks)))
-		fr = binary.LittleEndian.AppendUint16(fr, uint16(c.chans()))
+		fr = binary.LittleEndian.AppendUint32(fr, uint32(c.From))
+		fr = binary.LittleEndian.AppendUint16(fr, uint16(len(c.Marks)))
+		fr = binary.LittleEndian.AppendUint16(fr, uint16(c.Chans()))
 		fr = binary.LittleEndian.AppendUint16(fr, uint16(f))
 		fr = binary.LittleEndian.AppendUint16(fr, uint16(nFrags))
 		fr = binary.LittleEndian.AppendUint32(fr, uint32(len(blob)))
@@ -362,23 +150,23 @@ func dataFrames(c chunk, ref obs.TraceRef, epoch uint32) [][]byte {
 // exported codec surface for transports beyond the simulated link (the TCP
 // resolution service streams these same bytes). Power values are rounded
 // to their cells (trajectory.CellByte), which loses nothing for rows read
-// from a trajectory, and a delta over maxChunkMarks marks is split into
-// consecutive chunks. See dataFrames.
+// from a trajectory, and a delta over trajectory.MaxChunkMarks marks is
+// split into consecutive chunks. See dataFrames.
 func DataFrames(d Delta, ref obs.TraceRef, epoch uint32) [][]byte {
 	var out [][]byte
-	for at := 0; at < len(d.Marks); at += maxChunkMarks {
-		c := cellChunk(d, at, min(maxChunkMarks, len(d.Marks)-at))
+	for at := 0; at < len(d.Marks); at += trajectory.MaxChunkMarks {
+		c := cellChunk(d, at, min(trajectory.MaxChunkMarks, len(d.Marks)-at))
 		out = append(out, dataFrames(c, ref, epoch)...)
 	}
 	return out
 }
 
 // cellChunk rounds marks [at, at+n) of d to a chunk of cells.
-func cellChunk(d Delta, at, n int) chunk {
-	c := chunk{from: d.FromMark + at, marks: d.Marks[at : at+n], cells: make([]uint8, len(d.Power)*n)}
+func cellChunk(d Delta, at, n int) trajectory.Chunk {
+	c := trajectory.Chunk{From: d.FromMark + at, Marks: d.Marks[at : at+n], Cells: make([]uint8, len(d.Power)*n)}
 	for ch, row := range d.Power {
 		for i, v := range row[at : at+n] {
-			c.cells[ch*n+i] = trajectory.CellByte(v)
+			c.Cells[ch*n+i] = trajectory.CellByte(v)
 		}
 	}
 	return c
@@ -501,13 +289,13 @@ func parseFrame(b []byte) (frame, error) {
 		if len(b) != payloadStart+plen+frameCRCLen {
 			return frame{}, errBadFrame
 		}
-		if fr.nMarks == 0 || fr.nMarks > maxChunkMarks || fr.chans == 0 ||
+		if fr.nMarks == 0 || fr.nMarks > trajectory.MaxChunkMarks || fr.chans == 0 ||
 			fr.nFrags == 0 || fr.fragIdx >= fr.nFrags {
 			return frame{}, errBadFrame
 		}
 		// The claimed blob length sizes the receiver's reassembly buffer:
 		// no conforming chunk of these counts is longer.
-		if fr.total <= 0 || fr.total > maxChunkSize(fr.nMarks, fr.chans) ||
+		if fr.total <= 0 || fr.total > trajectory.MaxChunkSize(fr.nMarks, fr.chans) ||
 			fr.offset < 0 || fr.offset+plen > fr.total {
 			return frame{}, errBadFrame
 		}

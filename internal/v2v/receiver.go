@@ -68,8 +68,8 @@ func NewReceiver(width int) *Receiver {
 // before it fills — except the chunk starting at the copy's end, which is
 // always accepted, so a full buffer can delay a sync but never wedge it.
 // With parseFrame's per-frame size bound, a receiver therefore buffers at
-// most (maxPending+1) · maxChunkSize(maxChunkMarks, width) bytes, whatever
-// the frames claim.
+// most (maxPending+1) · trajectory.MaxChunkSize(trajectory.MaxChunkMarks,
+// width) bytes, whatever the frames claim.
 const maxPending = 2 * defaultWindow
 
 // Copy returns the reconstruction: always a contiguous, bit-exact prefix
@@ -196,9 +196,9 @@ func (r *Receiver) Offer(raw []byte) bool {
 	// trace. Inert when untraced or tracing is off.
 	rsp := r.rec.StartChild(fb.ref.Trace, fb.ref.Parent, "reassemble")
 	rsp.Arg = int64(fr.from)
-	c, err := parseChunk(fb.buf)
+	c, err := trajectory.ParseChunk(fb.buf)
 	rsp.End()
-	if err != nil || c.from != fr.from || len(c.marks) != fb.nMarks || c.chans() != r.width {
+	if err != nil || c.From != fr.from || len(c.Marks) != fb.nMarks || c.Chans() != r.width {
 		if tel != nil {
 			tel.rejected.Inc()
 		}
@@ -234,15 +234,15 @@ func (r *Receiver) reset(tel *syncTelemetry) {
 // admitChunk applies a reassembled chunk if it extends the contiguous
 // prefix, holds it if it is ahead of a gap, and then drains any held
 // chunks the application unblocked.
-func (r *Receiver) admitChunk(c chunk, ref obs.TraceRef, tel *syncTelemetry) {
-	if c.from+len(c.marks) <= r.copy.Len() {
+func (r *Receiver) admitChunk(c trajectory.Chunk, ref obs.TraceRef, tel *syncTelemetry) {
+	if c.From+len(c.Marks) <= r.copy.Len() {
 		if tel != nil {
 			tel.dupSuppressed.Inc()
 		}
 		return
 	}
-	if c.from > r.copy.Len() {
-		r.held[c.from] = heldChunk{c: c, ref: ref}
+	if c.From > r.copy.Len() {
+		r.held[c.From] = heldChunk{c: c, ref: ref}
 		if tel != nil {
 			tel.chunksHeld.Inc()
 		}
@@ -256,11 +256,11 @@ func (r *Receiver) admitChunk(c chunk, ref obs.TraceRef, tel *syncTelemetry) {
 // or before the end and reach beyond it — recording the admit span on the
 // chunk's cross-vehicle trace and advancing lastRef so downstream resolves
 // stitch under this admission.
-func (r *Receiver) applyChunk(c chunk, ref obs.TraceRef, tel *syncTelemetry) {
+func (r *Receiver) applyChunk(c trajectory.Chunk, ref obs.TraceRef, tel *syncTelemetry) {
 	asp := r.rec.StartChild(ref.Trace, ref.Parent, "admit_chunk")
-	asp.Arg = int64(c.from)
-	skip := r.copy.Len() - c.from // overlapping marks already present
-	r.copy.AppendCellColumns(c.marks[skip:], c.cells[skip:], len(c.marks))
+	asp.Arg = int64(c.From)
+	skip := r.copy.Len() - c.From // overlapping marks already present
+	r.copy.AppendCellColumns(c.Marks[skip:], c.Cells[skip:], len(c.Marks))
 	asp.End()
 	if ref.Trace != 0 {
 		r.lastRef = obs.TraceRef{Trace: ref.Trace, Parent: asp.ID()}
@@ -284,11 +284,11 @@ func (r *Receiver) drainHeld(tel *syncTelemetry) {
 		progressed := false
 		for _, k := range keys {
 			h := r.held[k]
-			if h.c.from > r.copy.Len() {
+			if h.c.From > r.copy.Len() {
 				continue
 			}
 			delete(r.held, k)
-			if h.c.from+len(h.c.marks) <= r.copy.Len() {
+			if h.c.From+len(h.c.Marks) <= r.copy.Len() {
 				if tel != nil {
 					tel.dupSuppressed.Inc()
 				}

@@ -19,14 +19,16 @@ func (r *Receiver) buffered() int {
 		n += len(fb.buf)
 	}
 	for _, h := range r.held {
-		n += 16*len(h.c.marks) + len(h.c.cells)
+		n += 16*len(h.c.Marks) + len(h.c.Cells)
 	}
 	return n
 }
 
 // bufferBound is the most a receiver of the given width may buffer,
 // whatever it is offered (see maxPending).
-func bufferBound(width int) int { return (maxPending + 1) * maxChunkSize(maxChunkMarks, width) }
+func bufferBound(width int) int {
+	return (maxPending + 1) * trajectory.MaxChunkSize(trajectory.MaxChunkMarks, width)
+}
 
 // rawDataFrame builds one CRC-valid, untraced DATA frame with arbitrary
 // header fields — what a hostile peer can put on the wire.
@@ -89,7 +91,7 @@ func TestReceiverBoundsReassembly(t *testing.T) {
 	// per-chunk mark cap are refused outright.
 	for name, fr := range map[string][]byte{
 		"wrong width":    rawDataFrame(0, 8, width+1, 0, 1, 100, 0, []byte{0}),
-		"too many marks": rawDataFrame(0, maxChunkMarks+1, width, 0, 1, 100, 0, []byte{0}),
+		"too many marks": rawDataFrame(0, trajectory.MaxChunkMarks+1, width, 0, 1, 100, 0, []byte{0}),
 	} {
 		if rx.Offer(fr) {
 			t.Errorf("%s: frame accepted", name)
@@ -134,9 +136,7 @@ func TestReceiverBoundsReassembly(t *testing.T) {
 // bound, and must ack exactly the marks its copy holds.
 func FuzzReceiverOffer(f *testing.F) {
 	const width = 3
-	src := trajectory.NewAwareWidth(trajectory.Geo{}, width)
-	c := smoothChunk(5, 0, 40, width)
-	src.AppendCellColumns(c.marks, c.cells, len(c.marks))
+	src := mkAwareWidth(5, 40, width)
 	record := func(in []byte, ctl byte, fr []byte) []byte {
 		in = append(in, ctl)
 		in = binary.LittleEndian.AppendUint16(in, uint16(len(fr)))
@@ -182,18 +182,19 @@ func FuzzReceiverOffer(f *testing.F) {
 	})
 }
 
-// TestDataFramesSplitsLongDeltas: a delta over maxChunkMarks marks goes out
-// as consecutive chunks within the cap, which a receiver rebuilds exactly.
+// TestDataFramesSplitsLongDeltas: a delta over trajectory.MaxChunkMarks
+// marks goes out as consecutive chunks within the cap, which a receiver
+// rebuilds exactly.
 func TestDataFramesSplitsLongDeltas(t *testing.T) {
-	src := mkAware(42, 2*maxChunkMarks+5)
+	src := mkAware(42, 2*trajectory.MaxChunkMarks+5)
 	d, err := MakeDelta(src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rx := NewReceiver(src.Width())
 	for _, fr := range DataFrames(d, obs.TraceRef{}, 0) {
-		if p, err := parseFrame(fr); err != nil || p.nMarks > maxChunkMarks {
-			t.Fatalf("frame of %d marks (err %v) over the %d cap", p.nMarks, err, maxChunkMarks)
+		if p, err := parseFrame(fr); err != nil || p.nMarks > trajectory.MaxChunkMarks {
+			t.Fatalf("frame of %d marks (err %v) over the %d cap", p.nMarks, err, trajectory.MaxChunkMarks)
 		}
 		if !rx.Offer(fr) {
 			t.Fatal("receiver refused a DataFrames frame")

@@ -38,8 +38,8 @@ import (
 // SyncConfig tunes the reliable sync protocol. Zero values take defaults.
 type SyncConfig struct {
 	// ChunkMarks is the number of marks per chunk (default 8, at most
-	// maxChunkMarks). A 194-channel mark is ~95 B on the wire (16 B of
-	// geometry and delta-coded cells of 2–3 bits per step), so a default
+	// trajectory.MaxChunkMarks). A 194-channel mark is ~95 B on the wire
+	// (16 B of geometry and delta-coded cells of 2–3 bits per step), so a default
 	// chunk usually fits one WSM; larger chunks amortize headers and each
 	// channel's raw first cell, smaller ones localize loss.
 	ChunkMarks int
@@ -77,8 +77,8 @@ func (c SyncConfig) withDefaults() SyncConfig {
 	if c.ChunkMarks <= 0 {
 		c.ChunkMarks = d.ChunkMarks
 	}
-	if c.ChunkMarks > maxChunkMarks {
-		c.ChunkMarks = maxChunkMarks
+	if c.ChunkMarks > trajectory.MaxChunkMarks {
+		c.ChunkMarks = trajectory.MaxChunkMarks
 	}
 	if c.Window <= 0 {
 		c.Window = d.Window
@@ -117,7 +117,7 @@ type fragBuf struct {
 // heldChunk is an out-of-order chunk buffered until its gap fills,
 // together with the trace ref it arrived under.
 type heldChunk struct {
-	c   chunk
+	c   trajectory.Chunk
 	ref obs.TraceRef
 }
 
@@ -332,10 +332,7 @@ func (s *Session) fillWindow(round int, now float64) {
 		if s.next+n > s.visible {
 			n = s.visible - s.next
 		}
-		c := chunk{from: s.next, marks: s.src.Geo.Marks[s.next : s.next+n], cells: s.cells[:n*s.src.Width()]}
-		for ch := 0; ch < s.src.Width(); ch++ {
-			s.src.CopyCellsInto(ch, s.next, c.row(ch))
-		}
+		c := s.src.CopyChunk(s.next, n, s.cells)
 		resent := s.next < s.highWater
 		// Each transmission gets its own span on the session's trace; its
 		// ID rides in every fragment so the receiver's reassemble/admit
