@@ -89,6 +89,8 @@ eval-quick:
 # exit status still reflects any failure. Seed corpus entries live in each
 # package's testdata/fuzz/ directory. Every Fuzz* target in the tree has a
 # fuzz-* target here (CI checks this); FUZZTIME sets each one's budget.
+# -fuzzminimizetime keeps the budget on new inputs: at the default 60 s,
+# minimizing FuzzReceiverOffer's large stream inputs ate whole runs.
 FUZZTIME ?= 30s
 
 fuzz:
@@ -101,19 +103,19 @@ fuzz:
 	exit $$rc
 
 fuzz-trace:
-	go test -run '^FuzzReadFrom$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZTIME) ./internal/trace/
+	go test -run '^FuzzReadFrom$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/trace/
 
 fuzz-v2v-frame:
-	go test -run '^FuzzParseFrame$$' -fuzz '^FuzzParseFrame$$' -fuzztime $(FUZZTIME) ./internal/v2v/
+	go test -run '^FuzzParseFrame$$' -fuzz '^FuzzParseFrame$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/v2v/
 
 fuzz-v2v-chunk:
-	go test -run '^FuzzDecodeChunk$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime $(FUZZTIME) ./internal/trajectory/
+	go test -run '^FuzzDecodeChunk$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/trajectory/
 
 fuzz-v2v-receiver:
-	go test -run '^FuzzReceiverOffer$$' -fuzz '^FuzzReceiverOffer$$' -fuzztime $(FUZZTIME) ./internal/v2v/
+	go test -run '^FuzzReceiverOffer$$' -fuzz '^FuzzReceiverOffer$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/v2v/
 
 fuzz-chanblock:
-	go test -run '^FuzzChanBlock$$' -fuzz '^FuzzChanBlock$$' -fuzztime $(FUZZTIME) ./internal/core/
+	go test -run '^FuzzChanBlock$$' -fuzz '^FuzzChanBlock$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/
 
 maps:
 	go run ./cmd/rups-map -out docs/city.svg

@@ -1,8 +1,10 @@
 // Command rups-sim runs one live scenario and streams the resolved
 // relative distances next to ground truth — what a dashboard in the rear
 // car would show. The default is the paper's two-vehicle setup with the
-// GPS baseline; -vehicles N > 2 drives an N-vehicle convoy and resolves
-// every pair per tick through the batch engine.
+// GPS baseline; -vehicles N > 2 drives an N-vehicle convoy whose vehicles
+// sync their contexts over the DSRC link with the reliable sync protocol,
+// and resolves every pair per tick through the batch engine from what the
+// link delivered.
 //
 // Telemetry: -debug-addr serves live Prometheus metrics (/metrics), the
 // span ring (/debug/spans, filterable by ?trace= and paginated by
@@ -17,12 +19,12 @@
 // full-ring capsule when the run ends. -slo-config loads a custom
 // objective roster (JSON) in place of the default three.
 //
-// Link faults: -loss/-burst/-reorder/-dup/-corrupt/-link-seed switch the
-// convoy onto a fault-injected DSRC link with the reliable sync protocol
-// in between — pairs then resolve from what the channel actually
-// delivered, flagged stale or refused entirely as copies age
-// (-stale-after/-expire-after). -heal-frac clears the faults partway
-// through to show recovery.
+// Link faults: -loss/-burst/-reorder/-dup/-corrupt/-link-seed set the
+// convoy link's fault model (none by default: a clean link). Pairs whose
+// copies age are flagged stale or refused entirely
+// (-stale-after/-expire-after); -heal-frac clears the faults partway
+// through to show recovery. With -vehicles 2, any fault flag puts the
+// pair on the link too, in place of the two-vehicle setup.
 //
 // Usage:
 //
@@ -59,7 +61,7 @@ func main() {
 		trucks   = flag.Int("trucks", 0, "passing-truck perturbation events")
 		seed     = flag.Uint64("seed", 7, "scenario seed")
 		interval = flag.Float64("interval", 2, "query interval, seconds")
-		vehicles = flag.Int("vehicles", 2, "convoy size; above 2 resolves all pairs per tick via the engine")
+		vehicles = flag.Int("vehicles", 2, "convoy size; above 2 syncs over the V2V link and resolves all pairs per tick via the engine")
 		workers  = flag.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS)")
 
 		loss        = flag.Float64("loss", 0, "i.i.d. frame drop probability on the V2V link")
@@ -67,7 +69,7 @@ func main() {
 		reorder     = flag.Float64("reorder", 0, "frame reorder probability")
 		dup         = flag.Float64("dup", 0, "frame duplication probability")
 		corrupt     = flag.Float64("corrupt", 0, "frame bit-corruption probability")
-		linkSeed    = flag.Uint64("link-seed", 0, "fault-model seed; any nonzero value (or any fault flag) engages the lossy link")
+		linkSeed    = flag.Uint64("link-seed", 0, "fault-model seed (0 = 1); with -vehicles 2, any nonzero value (or any fault flag) puts the pair on the link")
 		healFrac    = flag.Float64("heal-frac", 0.7, "fraction of the run after which link faults clear (1 = never heal)")
 		staleAfter  = flag.Float64("stale-after", 30, "flag pair results stale past this context age, seconds (0 disables)")
 		expireAfter = flag.Float64("expire-after", 150, "refuse pair results past this context age, seconds (0 disables)")
@@ -173,27 +175,17 @@ func main() {
 		sc.LeaderLane = rc.Lanes() - 1
 	}
 
-	lossy := *loss > 0 || *burst > 0 || *reorder > 0 || *dup > 0 || *corrupt > 0 || *linkSeed != 0
-	if lossy {
-		faults := link.Params{
-			Seed: *linkSeed, Loss: *loss,
-			BurstEnter: *burst, BurstExit: 0.1,
-			Reorder: *reorder, Duplicate: *dup, Corrupt: *corrupt,
+	linked := *loss > 0 || *burst > 0 || *reorder > 0 || *dup > 0 || *corrupt > 0 || *linkSeed != 0
+	if linked || *vehicles > 2 {
+		faults := link.Params{Seed: *linkSeed, Loss: *loss, Reorder: *reorder, Duplicate: *dup, Corrupt: *corrupt}
+		if *burst > 0 {
+			faults.BurstEnter, faults.BurstExit = *burst, 0.1
 		}
 		if faults.Seed == 0 {
 			faults.Seed = 1
 		}
 		pol := core.Staleness{StaleAfterSec: *staleAfter, ExpireAfterSec: *expireAfter}
-		n := *vehicles
-		if n < 2 {
-			n = 2
-		}
-		runLinkedConvoy(sc, rc, n, *workers, *interval, faults, pol, *healFrac, slt)
-		return
-	}
-
-	if *vehicles > 2 {
-		runConvoy(sc, rc, *vehicles, *workers, *interval)
+		runLinkedConvoy(sc, rc, *vehicles, *workers, *interval, faults, pol, *healFrac, slt)
 		return
 	}
 
@@ -223,52 +215,20 @@ func main() {
 	fmt.Fprintf(os.Stderr, "resolved %d/%d queries\n", resolved, total)
 }
 
-// runConvoy streams per-tick pairwise resolutions of an n-vehicle convoy,
-// batched through the engine.
-func runConvoy(sc sim.Scenario, rc city.RoadClass, n, workers int, interval float64) {
-	fmt.Fprintf(os.Stderr, "simulating %d-vehicle convoy on %s, %d radios, %v m ...\n",
-		n, rc, sc.Radios, sc.DistanceM)
-	r := sim.ExecuteConvoy(sc, n)
-	e := engine.New(workers)
-	defer e.Close()
-	p := core.DefaultParams()
-
-	fmt.Printf("%8s  %5s  %9s  %9s  %7s  %7s\n",
-		"t (s)", "pair", "truth (m)", "RUPS (m)", "err (m)", "score")
-	t0, t1 := r.TimeSpan()
-	resolved, total := 0, 0
-	for t := t0 + 20; t <= t1; t += interval {
-		results, err := r.ResolveAllAt(e, t, p)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rups-sim: %v\n", err)
-			os.Exit(1)
-		}
-		for _, res := range results {
-			total++
-			truth := r.TruthGapAt(res.A, res.B, t)
-			rupsStr, errStr, scoreStr := "-", "-", "-"
-			if res.OK {
-				resolved++
-				rupsStr = fmt.Sprintf("%.1f", res.Est.Distance)
-				errStr = fmt.Sprintf("%.1f", res.Est.Distance-truth)
-				scoreStr = fmt.Sprintf("%.2f", res.Est.Score)
-			}
-			fmt.Printf("%8.1f  %2d-%-2d  %9.1f  %9s  %7s  %7s\n",
-				t-t0, res.A, res.B, truth, rupsStr, errStr, scoreStr)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "resolved %d/%d pair queries\n", resolved, total)
-}
-
-// runLinkedConvoy streams per-tick pairwise resolutions over the
-// fault-injected DSRC mesh: deltas cross the lossy link through the
-// reliable sync protocol, and pairs resolve from the link-delivered copies
-// under the staleness policy.
+// runLinkedConvoy streams per-tick pairwise resolutions over the DSRC
+// mesh: deltas cross the link (clean, or fault-injected per faults) through
+// the reliable sync protocol, and pairs resolve from the link-delivered
+// copies under the staleness policy.
 func runLinkedConvoy(sc sim.Scenario, rc city.RoadClass, n, workers int, interval float64,
 	faults link.Params, pol core.Staleness, healFrac float64, slt *slo.Tracker) {
-	fmt.Fprintf(os.Stderr,
-		"simulating %d-vehicle convoy on %s over a lossy link (seed %d, loss %.2f, burst %.3f, reorder %.2f) ...\n",
-		n, rc, faults.Seed, faults.Loss, faults.BurstEnter, faults.Reorder)
+	clean := faults == link.Params{Seed: faults.Seed}
+	desc := "a clean link"
+	if !clean {
+		desc = fmt.Sprintf("a lossy link (seed %d, loss %.2f, burst %.3f, reorder %.2f)",
+			faults.Seed, faults.Loss, faults.BurstEnter, faults.Reorder)
+	}
+	fmt.Fprintf(os.Stderr, "simulating %d-vehicle convoy on %s, %d radios, %v m, over %s ...\n",
+		n, rc, sc.Radios, sc.DistanceM, desc)
 	r := sim.ExecuteConvoy(sc, n)
 	lc := sim.NewLinkedConvoy(r, faults, v2v.SyncConfig{Seed: faults.Seed}, pol)
 	lc.SLO = slt
@@ -283,7 +243,7 @@ func runLinkedConvoy(sc sim.Scenario, rc city.RoadClass, n, workers int, interva
 	healed := false
 	resolved, stale, total := 0, 0, 0
 	for t := t0 + 20; t <= t1; t += interval {
-		if !healed && healFrac < 1 && t >= healAt {
+		if !healed && !clean && healFrac < 1 && t >= healAt {
 			lc.SetFaults(link.Params{Seed: faults.Seed})
 			healed = true
 			fmt.Fprintf(os.Stderr, "link healed at t=%.1f s\n", t-t0)

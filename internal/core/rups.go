@@ -130,7 +130,7 @@ func NewSearcher(a, b *trajectory.Aware, p Params) *Searcher {
 // cold path's for any tracker state: a warm pivot only changes the order
 // the exact branch-and-bound scan evaluates placements in, and a
 // cross-direction seed only prunes placements proven unable to win the
-// direction combine (see warmSegment) — never a maximum, never a SYN.
+// direction combine (see scanSegment) — never a maximum, never a SYN.
 func (s *Searcher) SetTracker(tk *Tracker) { s.tk = tk }
 
 // SetTrace stitches this search into an existing causal trace — in the
@@ -167,7 +167,7 @@ func (s *Searcher) Release() {
 }
 
 // segmentPlan is one planned double-sliding check: the window length and
-// threshold findSYNSeg derived from the available context at one segment
+// threshold planSegment derived from the available context at one segment
 // offset.
 type segmentPlan struct {
 	endOff    int
@@ -175,11 +175,9 @@ type segmentPlan struct {
 	threshold float64
 	// Warm start: pivotB/pivotA are the tracker-predicted window
 	// placements for the two directions (-1 = cold, pivot on the range
-	// midpoint), hintDelta the hint they were derived from. A direction
-	// whose pivot is in range runs the exact branch-and-bound scan from
-	// that pivot; the other direction scans seeded with the first's score
-	// (see warmSegment). Both are exact, so warm plans combine like cold
-	// ones.
+	// midpoint), hintDelta the hint they were derived from. They only
+	// order scanSegment's evaluation; warm marks the plan for the
+	// hit/fallback telemetry (trackSegment).
 	warm           bool
 	pivotB, pivotA int
 	hintDelta      int
@@ -216,7 +214,7 @@ func (s *Searcher) planSegment(endOff int) (segmentPlan, bool) {
 		pl.threshold = s.p.ShortCoherency
 	}
 	// Freeze the per-window placement statistics for both scan targets now,
-	// on the planning goroutine: the direction scans may run concurrently
+	// on the planning goroutine: segment tasks may run concurrently
 	// and only read the indexes.
 	s.idxB.ensureWindowStats(w)
 	if !s.p.SingleSided {
@@ -234,96 +232,69 @@ func (s *Searcher) bounds(targetLen, w, endOff int) (lo, hi int) {
 	return centre - s.p.MaxRelDistM, centre + s.p.MaxRelDistM
 }
 
-// warmSegment runs a warm segment's two direction scans in dependency
-// order instead of fanning them out independently. A direction whose
-// hint-predicted pivot falls inside its admissible range runs the ordinary
-// exact branch-and-bound scan pivoted on the hint instead of the range
-// midpoint: on a live lock the first placement visited is the true match,
-// whose score prunes every other placement on its cheap column term alone,
-// so the scan degrades to one channel term plus a column sweep — and when
-// the hint is stale the bound simply admits more channel-term evaluations
-// until the true maximum is found, never a wrong answer (same maximum for
-// any pivot; only evaluation order changes). The other direction — whose
-// pivot typically lands outside its range when the two context lengths
-// differ — cannot be skipped (the cold oracle computes a real score there
-// that can win combine), but it can be scanned seeded with the first
-// direction's exact score: placements that provably cannot win combine
-// are pruned on their column term alone (bestWindowSeededIn), so a
-// direction holding no real alignment costs one column sweep instead of a
-// full channel-term scan. Either way every direction result equals the
-// cold scan's, so combine — and the resolved estimate — is oracle-exact
-// with no fallback wave.
-func (s *Searcher) warmSegment(pl *segmentPlan) {
-	endA := s.aCtx.Len() - 1 - pl.endOff
-	endB := s.bCtx.Len() - 1 - pl.endOff
-	scAB := s.segScorer(s.idxA, s.idxB, endA-pl.w+1, pl)
+// scanSegment runs one segment's double-sliding check (paper §IV-D) as one
+// task: two direction scans in dependency order. The first runs the exact
+// branch-and-bound scan pivoted on its tracker hint (bestWindowInFrom; a
+// cold plan or an out-of-range hint pivots on the range midpoint). On a
+// live lock its first visit is the true match, whose score prunes nearly
+// every other placement on the cheap column term alone; a stale hint only
+// costs more channel terms, never a different maximum. The first direction
+// is BA only when BA's pivot alone is in range, AB otherwise. The second
+// direction cannot be skipped (its real score can win combine), but it is
+// scanned seeded with the first's score under combine's tie rule
+// (bestWindowSeededIn): placements that provably cannot win combine are
+// pruned on their column term, so a direction holding no real alignment
+// costs one column sweep. Either way combine — and the resolved estimate —
+// equals that of two unpruned full scans.
+func (s *Searcher) scanSegment(pl *segmentPlan) {
+	ab := s.segScorer(s.idxA, s.idxB, s.aCtx.Len()-pl.endOff-pl.w, pl)
+	defer s.finishScan(ab)
 	loB, hiB := s.bounds(s.bCtx.Len(), pl.w, pl.endOff)
-	floB, fhiB := clampRange(loB, hiB, scAB.positions())
-	abWarm := floB <= fhiB && pl.pivotB >= floB && pl.pivotB <= fhiB
-
-	var scBA *segScorer
-	var loA, hiA int
-	baWarm := false
-	if !s.p.SingleSided {
-		scBA = s.segScorer(s.idxB, s.idxA, endB-pl.w+1, pl)
-		loA, hiA = s.bounds(s.aCtx.Len(), pl.w, pl.endOff)
-		floA, fhiA := clampRange(loA, hiA, scBA.positions())
-		baWarm = floA <= fhiA && pl.pivotA >= floA && pl.pivotA <= fhiA
-		if baWarm {
-			sp := s.rec.StartChild(s.trace, s.scanParent, "scan_ba")
-			sp.Arg = int64(pl.endOff)
-			pl.posA, pl.scoreBA = scBA.bestWindowInFrom(loA, hiA, pl.pivotA)
-			sp.End()
-		}
-	}
-
-	sp := s.rec.StartChild(s.trace, s.scanParent, "scan_ab")
-	sp.Arg = int64(pl.endOff)
-	if !abWarm && baWarm {
-		// AB wins combine ties, so the seed prunes only placements that
-		// cannot even reach the exact BA score.
-		pl.posB, pl.scoreAB = scAB.bestWindowSeededIn(loB, hiB, pl.scoreBA, true)
-	} else {
-		// Warm-pivoted when the pivot is in range; bestWindowInFrom falls
-		// back to the midpoint pivot itself otherwise.
-		pl.posB, pl.scoreAB = scAB.bestWindowInFrom(loB, hiB, pl.pivotB)
-	}
-	sp.End()
-
-	if scBA != nil && !baWarm {
-		sp := s.rec.StartChild(s.trace, s.scanParent, "scan_ba")
-		sp.Arg = int64(pl.endOff)
-		if abWarm {
-			// BA loses combine ties: placements that can at best tie the AB
-			// score are pruned too.
-			pl.posA, pl.scoreBA = scBA.bestWindowSeededIn(loA, hiA, pl.scoreAB, false)
-		} else {
-			pl.posA, pl.scoreBA = scBA.bestWindowInFrom(loA, hiA, pl.pivotA)
-		}
+	if s.p.SingleSided {
+		sp := s.scanSpan("scan_ab", pl)
+		pl.posB, pl.scoreAB = ab.bestWindowInFrom(loB, hiB, pl.pivotB)
 		sp.End()
+		pl.posA, pl.scoreBA = -1, math.Inf(-1)
+		return
 	}
-
-	s.flushScan(scAB)
-	scAB.release()
-	if scBA != nil {
-		s.flushScan(scBA)
-		scBA.release()
+	ba := s.segScorer(s.idxB, s.idxA, s.bCtx.Len()-pl.endOff-pl.w, pl)
+	defer s.finishScan(ba)
+	loA, hiA := s.bounds(s.aCtx.Len(), pl.w, pl.endOff)
+	if inRange(pl.pivotA, loA, hiA, ba.positions()) && !inRange(pl.pivotB, loB, hiB, ab.positions()) {
+		sp := s.scanSpan("scan_ba", pl)
+		pl.posA, pl.scoreBA = ba.bestWindowInFrom(loA, hiA, pl.pivotA)
+		sp.End()
+		// AB wins combine ties, so the seed prunes only placements that
+		// cannot even reach BA's score.
+		sp = s.scanSpan("scan_ab", pl)
+		pl.posB, pl.scoreAB = ab.bestWindowSeededIn(loB, hiB, pl.scoreBA, true)
+		sp.End()
+		return
 	}
+	sp := s.scanSpan("scan_ab", pl)
+	pl.posB, pl.scoreAB = ab.bestWindowInFrom(loB, hiB, pl.pivotB)
+	sp.End()
+	// BA loses combine ties: placements that can at best tie AB's score are
+	// pruned too.
+	sp = s.scanSpan("scan_ba", pl)
+	pl.posA, pl.scoreBA = ba.bestWindowSeededIn(loA, hiA, pl.scoreAB, false)
+	sp.End()
 }
 
-// scanAB runs direction 1 of the double-sliding check: A's reference
-// segment slides over B, over the full locality range. Warm segments go
-// through warmSegment instead.
-func (s *Searcher) scanAB(pl *segmentPlan) {
-	sp := s.rec.StartChild(s.trace, s.scanParent, "scan_ab")
+// scanSpan opens one direction scan's span under the resolve span, tagged
+// with the segment offset.
+func (s *Searcher) scanSpan(name string, pl *segmentPlan) obs.Span {
+	sp := s.rec.StartChild(s.trace, s.scanParent, name)
 	sp.Arg = int64(pl.endOff)
-	endA := s.aCtx.Len() - 1 - pl.endOff
-	sc := s.segScorer(s.idxA, s.idxB, endA-pl.w+1, pl)
-	lo, hi := s.bounds(s.bCtx.Len(), pl.w, pl.endOff)
-	pl.posB, pl.scoreAB = sc.bestWindowInFrom(lo, hi, pl.pivotB)
-	s.flushScan(sc)
-	sc.release()
-	sp.End()
+	return sp
+}
+
+// inRange reports whether pivot lies in [lo, hi] clamped to the n valid
+// placements: where bestWindowInFrom would start from it rather than from
+// the midpoint.
+func inRange(pivot, lo, hi, n int) bool {
+	lo, hi = clampRange(lo, hi, n)
+	return pivot >= lo && pivot <= hi
 }
 
 // segScorer builds one direction scan's scorer for the reference segment
@@ -348,28 +319,16 @@ func clampRange(lo, hi, n int) (int, int) {
 	return lo, hi
 }
 
-// flushScan folds one direction scan's placement counts into the metrics
-// registry (three atomic adds; skipped entirely while telemetry is off).
-func (s *Searcher) flushScan(sc *segScorer) {
+// finishScan folds one direction scan's placement counts into the metrics
+// registry (three atomic adds; skipped entirely while telemetry is off) and
+// releases its scorer.
+func (s *Searcher) finishScan(sc *segScorer) {
 	if t := s.tel; t != nil {
 		t.windows.Add(uint64(sc.visited))
 		t.pruned.Add(uint64(sc.pruned))
 		t.abandoned.Add(uint64(sc.abandoned))
 	}
-}
-
-// scanBA runs direction 2: B's reference segment slides over A (skipped in
-// the single-sided ablation).
-func (s *Searcher) scanBA(pl *segmentPlan) {
-	sp := s.rec.StartChild(s.trace, s.scanParent, "scan_ba")
-	sp.Arg = int64(pl.endOff)
-	endB := s.bCtx.Len() - 1 - pl.endOff
-	sc := s.segScorer(s.idxB, s.idxA, endB-pl.w+1, pl)
-	lo, hi := s.bounds(s.aCtx.Len(), pl.w, pl.endOff)
-	pl.posA, pl.scoreBA = sc.bestWindowInFrom(lo, hi, pl.pivotA)
-	s.flushScan(sc)
 	sc.release()
-	sp.End()
 }
 
 // combine folds the two direction results into the segment's SYN point
@@ -420,32 +379,16 @@ func (s *Searcher) combine(pl *segmentPlan) (SYNPoint, bool) {
 	return best, true
 }
 
-// FindSYNSeg runs the double-sliding check for the segment ending endOff
-// metres before the most recent mark and returns the best SYN point. ok is
-// false when no window position reaches the coherency threshold.
-func (s *Searcher) FindSYNSeg(endOff int) (SYNPoint, bool) {
-	pl, ok := s.planSegment(endOff)
-	if !ok {
-		return SYNPoint{}, false
-	}
-	pl.posA, pl.scoreBA = -1, math.Inf(-1)
-	s.scanAB(&pl)
-	if !s.p.SingleSided {
-		s.scanBA(&pl)
-	}
-	return s.combine(&pl)
-}
-
 // FindSYNs locates up to n SYN points from segments ending at successive
-// strides back from the most recent mark (§VI-C), running the 2·n
-// independent direction scans through par. Results are combined in segment
+// strides back from the most recent mark (§VI-C), running one scanSegment
+// task per planned segment through par. Results are combined in segment
 // order, so the output is bit-identical for any Parallel implementation.
 func (s *Searcher) FindSYNs(n int, par Parallel) []SYNPoint {
 	if t := s.tel; t != nil {
 		t.searches.Inc()
 	}
 	plans := make([]*segmentPlan, 0, n)
-	tasks := make([]func(), 0, 2*n)
+	tasks := make([]func(), 0, n)
 	for i := 0; i < n; i++ {
 		pl, ok := s.planSegment(i * s.p.SegmentStrideMeters)
 		if !ok {
@@ -461,26 +404,13 @@ func (s *Searcher) FindSYNs(n int, par Parallel) []SYNPoint {
 		if t := s.tel; t != nil {
 			t.segments.Inc()
 		}
-		pl.posA, pl.scoreBA = -1, math.Inf(-1)
 		s.warmPlan(&pl, i)
 		p := new(segmentPlan)
 		*p = pl
 		plans = append(plans, p)
-		if p.warm {
-			// Warm directions depend on each other (the verified one seeds
-			// the other's pruning), so the segment runs as one task.
-			tasks = append(tasks, func() { s.warmSegment(p) })
-			continue
-		}
-		tasks = append(tasks, func() { s.scanAB(p) })
-		if !s.p.SingleSided {
-			tasks = append(tasks, func() { s.scanBA(p) })
-		}
+		tasks = append(tasks, func() { s.scanSegment(p) })
 	}
 	par(tasks...)
-	// Warm and cold direction results are equally exact (a warm pivot or
-	// seed only reorders/prunes evaluation, never changes a maximum), so
-	// every plan combines once, in segment order.
 	var out []SYNPoint
 	for i, pl := range plans {
 		if pl == nil {
@@ -558,13 +488,13 @@ func (s *Searcher) trackSegment(seg int, pl *segmentPlan, syn SYNPoint, ok bool)
 }
 
 // Resolve is the full RUPS pipeline for this pair: find up to NumSYN SYN
-// points (direction scans fanned out through par), turn each into a
+// points (one segment task each, fanned out through par), turn each into a
 // distance estimate, and aggregate them according to p.Aggregation. ok is
 // false when no SYN point was found.
 func (s *Searcher) Resolve(par Parallel) (Estimate, bool) {
 	rsp := s.rec.StartChild(s.trace, s.parent, "resolve")
 	defer rsp.End()
-	// Direction scans fan out under the resolve span, which itself hangs
+	// Segment tasks fan out under the resolve span, which itself hangs
 	// under any stitched-in cross-vehicle parent (SetTrace).
 	s.scanParent = rsp.ID()
 	syns := s.FindSYNs(s.p.NumSYN, par)
@@ -602,9 +532,11 @@ func (s *Searcher) Resolve(par Parallel) (Estimate, bool) {
 // when no window position reaches the coherency threshold — the
 // trajectories are considered unrelated.
 func FindSYN(a, b *trajectory.Aware, p Params) (SYNPoint, bool) {
-	s := NewSearcher(a, b, p)
-	defer s.Release()
-	return s.FindSYNSeg(0)
+	syns := FindSYNs(a, b, p, 1)
+	if len(syns) == 0 {
+		return SYNPoint{}, false
+	}
+	return syns[0], true
 }
 
 // FindSYNs locates up to n SYN points from segments ending at successive

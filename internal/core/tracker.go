@@ -15,7 +15,7 @@ const DefaultWarmRadiusM = 25
 // pivots that direction's exact branch-and-bound scan on it: the scan still
 // covers the whole locality range, but on a live lock its first visit is the
 // true match and the bound cuts nearly every other placement. The other
-// direction scans seeded with the first one's score (Searcher.warmSegment).
+// direction scans seeded with the first one's score (Searcher.scanSegment).
 // A wrong hint only reorders the scan and costs more channel terms, never
 // correctness: the result is always identical to the cold oracle's.
 //

@@ -1,7 +1,7 @@
 // Package engine batches relative-distance resolution across a platoon: it
 // owns a bounded worker pool and resolves many vehicle pairs concurrently,
-// fanning both the per-pair queries and each query's 2·NumSYN direction
-// scans over the same pool. Results are bit-identical to the sequential
+// fanning both the per-pair queries and each query's NumSYN segment tasks
+// (one double-sliding check each) over the same pool. Results are bit-identical to the sequential
 // core.Resolve oracle — every scheduled task is internally deterministic
 // and writes only its own result slot, and combination happens in a fixed
 // order — so concurrency changes latency, never answers.
@@ -206,7 +206,7 @@ func (e *Engine) submit(t func()) bool {
 // a task is given to an idle worker when one is ready to receive, and run
 // inline on the calling goroutine otherwise. Workers executing a pair task
 // therefore never block waiting for pool capacity when the pair fans out
-// its direction scans — nested fan-out cannot deadlock, and the pool degrades
+// its segment tasks — nested fan-out cannot deadlock, and the pool degrades
 // to sequential execution under saturation (or after Close) instead of
 // queueing.
 func (e *Engine) run(tasks ...func()) {

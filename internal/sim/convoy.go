@@ -2,11 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"rups/internal/city"
-	"rups/internal/core"
-	"rups/internal/engine"
 	"rups/internal/fm"
 	"rups/internal/gsm"
 	"rups/internal/mobility"
@@ -18,8 +15,8 @@ import (
 
 // ConvoyRun is an executed N-vehicle scenario: vehicle 0 leads, vehicle i
 // follows vehicle i−1 with the scenario's initial gap. It is the
-// multi-vehicle counterpart of Run, built for batch resolution through the
-// engine.
+// multi-vehicle counterpart of Run; LinkedConvoy resolves its pairs over
+// the V2V link.
 type ConvoyRun struct {
 	Scenario Scenario
 	Vehicles []*VehicleRun // index 0 = leader, increasing = further back
@@ -98,30 +95,4 @@ func (r *ConvoyRun) ContextsAt(t float64) []*trajectory.Aware {
 		ctxs[i] = v.Aware.PrefixUntil(t)
 	}
 	return ctxs
-}
-
-// ResolveAllAt answers every pairwise relative-distance query at time t
-// through the engine: contexts are admitted once, then all pairs resolve
-// concurrently over the pool. Result (i, j) estimates how far vehicle j is
-// ahead of vehicle i; each is bit-identical to the sequential
-// core.Resolve on the same contexts. Returns engine.ErrClosed if the
-// engine was closed. When telemetry is enabled, each resolved pair's
-// |d_r error| against the mobility ground truth lands in the
-// rups_sim_pair_error_metres histogram.
-func (r *ConvoyRun) ResolveAllAt(e *engine.Engine, t float64, p core.Params) ([]engine.Result, error) {
-	res, err := e.ResolveAll(r.ContextsAt(t), p)
-	if err != nil {
-		return nil, err
-	}
-	if tel := simTel.Get(); tel != nil {
-		for _, pr := range res {
-			if !pr.OK {
-				tel.unresolved.Inc()
-				continue
-			}
-			tel.resolved.Inc()
-			tel.pairError.Observe(math.Abs(pr.Est.Distance - r.TruthGapAt(pr.A, pr.B, t)))
-		}
-	}
-	return res, nil
 }

@@ -43,6 +43,23 @@ func TestConvoyPipelineSanity(t *testing.T) {
 	}
 }
 
+// directResolve is the convoy's link-free oracle: every vehicle's context
+// at t admitted straight into the engine, every pair (i < j) resolved cold.
+func directResolve(t *testing.T, e *engine.Engine, r *ConvoyRun, tq float64, p core.Params) []engine.Result {
+	t.Helper()
+	b, err := e.Admit(r.ContextsAt(tq)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs [][2]int
+	for i := range r.Vehicles {
+		for j := i + 1; j < len(r.Vehicles); j++ {
+			pairs = append(pairs, [2]int{i, j})
+		}
+	}
+	return b.ResolvePairs(pairs, p)
+}
+
 // TestConvoyEngineMatchesSequential: a per-tick batch through the engine is
 // bit-identical to resolving every pair sequentially on the same contexts.
 func TestConvoyEngineMatchesSequential(t *testing.T) {
@@ -53,10 +70,7 @@ func TestConvoyEngineMatchesSequential(t *testing.T) {
 
 	e := engine.New(0)
 	defer e.Close()
-	got, err := r.ResolveAllAt(e, tq, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := directResolve(t, e, r, tq, p)
 	if len(got) != 3 {
 		t.Fatalf("3-vehicle tick produced %d results, want 3", len(got))
 	}

@@ -153,9 +153,9 @@ func (lc *LinkedConvoy) Usage() link.Usage {
 // context: for each pair (i, j), vehicle i's own prefix and its synced
 // copy of j are admitted, and the pair resolves under the convoy's
 // staleness policy. Results carry vehicle indexes (A = resolver i,
-// B = peer j) in the same (i < j) enumeration order as
-// ConvoyRun.ResolveAllAt, so the two paths are directly comparable — with
-// a clean link and quiescent sessions they are byte-equivalent.
+// B = peer j) in (i < j) enumeration order, the order in which
+// engine.Batch.ResolveAll resolves the same contexts admitted directly —
+// with a clean link and quiescent sessions the two are byte-equivalent.
 func (lc *LinkedConvoy) ResolveAllAt(e *engine.Engine, t float64, p core.Params) ([]engine.Result, error) {
 	trajs := make([]*trajectory.Aware, 0, 2*len(lc.links))
 	qs := make([]engine.Query, 0, len(lc.links))

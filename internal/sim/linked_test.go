@@ -45,10 +45,7 @@ func TestLinkedCleanMatchesDirectAdmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := r.ResolveAllAt(e, tq, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := directResolve(t, e, r, tq, p)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("clean reliable path diverged from direct Admit:\n%+v\nvs\n%+v", got, want)
 	}

@@ -12,7 +12,9 @@
 # Phase 2 — clean restart: a fresh server under the same binary takes a
 # paced, fault-free fleet. The snapshot must prove the failure paths
 # stayed quiet — zero refusals, evictions, malformed, sheds — while
-# queries resolved and the resolve-latency SLO never breached.
+# queries resolved, repeated pairs warm-started, and the resolve-latency
+# SLO never breached. Contexts grow to 192 m (24 rounds × 8 marks) so
+# that pairs resolve, and then resolve again, well before the run ends.
 #
 # Usage: scripts/soak.sh [outdir]   (default: soak-out)
 set -euo pipefail
@@ -79,7 +81,7 @@ srv=$!
 wait_ready
 
 timeout 180 "$out/rups-load" -addr "$addr" \
-  -vehicles 150 -rounds 12 -marks 4 -queries 1 -pace 0.1 \
+  -vehicles 150 -rounds 24 -marks 8 -queries 1 -pace 0.1 \
   -require-progress >"$out/load-clean.txt"
 cat "$out/load-clean.txt"
 
