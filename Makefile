@@ -3,7 +3,7 @@
 .PHONY: all build test test-short race lint lint-sarif lint-ignores \
 	lint-prune lint-fix allocreport bench-all eval eval-quick \
 	fuzz fuzz-trace fuzz-v2v-frame fuzz-v2v-chunk \
-	fuzz-v2v-receiver fuzz-chanblock arm64-check maps serve soak clean
+	fuzz-v2v-receiver fuzz-chankernel arm64-check maps serve soak clean
 
 all: build test
 
@@ -99,7 +99,7 @@ fuzz:
 	$(MAKE) fuzz-v2v-frame || rc=1; \
 	$(MAKE) fuzz-v2v-chunk || rc=1; \
 	$(MAKE) fuzz-v2v-receiver || rc=1; \
-	$(MAKE) fuzz-chanblock || rc=1; \
+	$(MAKE) fuzz-chankernel || rc=1; \
 	exit $$rc
 
 fuzz-trace:
@@ -114,8 +114,8 @@ fuzz-v2v-chunk:
 fuzz-v2v-receiver:
 	go test -run '^FuzzReceiverOffer$$' -fuzz '^FuzzReceiverOffer$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/v2v/
 
-fuzz-chanblock:
-	go test -run '^FuzzChanBlock$$' -fuzz '^FuzzChanBlock$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/
+fuzz-chankernel:
+	go test -run '^FuzzChanKernel$$' -fuzz '^FuzzChanKernel$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/
 
 maps:
 	go run ./cmd/rups-map -out docs/city.svg

@@ -338,8 +338,11 @@ func BenchmarkEngineResolve(b *testing.B) {
 	defer e.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.ResolveAll(trajs, p)
-		if err != nil || len(res) != 15 {
+		batch, err := e.Admit(trajs...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res := batch.ResolveAll(p); len(res) != 15 {
 			b.Fatal("wrong pair count")
 		}
 	}

@@ -2,9 +2,9 @@ package core
 
 import "math"
 
-// The correlation kernels score four lanes per call. A lane correlates a
-// reference vector x against a target window y of the call's n elements
-// and receives the clamped Pearson r, computed from exact integer moments:
+// The correlation kernels score four lanes at a time. A lane correlates a
+// reference vector x against a target window y of n elements and receives
+// the clamped Pearson r, computed from exact integer moments:
 //
 //	r = (w·Σxy − Σx·Σy) · ix · iy,  ix = 1/√(w·Σx² − (Σx)²),  iy = 1/√(w·Σy² − (Σy)²)
 //
@@ -18,29 +18,54 @@ import "math"
 //
 // Two kernels share that Pearson step (pearsonFromSums):
 //
-//   - corr4I16, the channel term: x is a reference row of cells widened
-//     to int16, y a window of target cells read as bytes, Σxy an int32
-//     dot product;
+//   - chanKernel, the channel term of one placement: it walks all k
+//     channels four lanes at a time, correlating the reference and target
+//     rows in place as bytes (Σxy an int32 dot product, Σy and Σy² from
+//     the target's prefix tables), adds the r values in channel order, and
+//     abandons the placement as soon as its partial bound dies;
 //   - corr4, the column term: x and y are float64 column sums (up to
 //     k·254, past int16 for k > 129), Σxy a float64 dot product in dot's
 //     lane order.
 //
-// Both block layouts are part of the amd64 kernels' contract
-// (kernel_amd64.s reads the fields at fixed offsets, the same in both;
-// TestCorrBlockLayout pins them).
+// The amd64 kernels read chanTable, chanLanes and corrBlock at fixed
+// offsets (kernel_amd64.s; TestCorrBlockLayout pins them).
 
-// chanBlock is one call of the channel kernel. x[c] holds n reference
-// cells as int16 followed by zeros up to padLen(n); y[c] must be readable
-// for padLen(n) bytes, of which the kernel uses the first n (the AVX2 loop
-// multiplies the excess by x's zero pad). chanSum fills the lanes with
-// four channels of one placement; spare lanes repeat a real lane and
-// their r is discarded.
-type chanBlock struct {
-	x      [4][]int16
-	y      [4][]uint8
-	sy, qy [4]float64 // Σy and Σy² over the target window
-	sx, ix [4]float64 // reference Σx and 1/√(w·Σx² − (Σx)²) (0 when degenerate)
-	r      [4]float64
+// chanTable is the fused channel kernel's view of one reference segment
+// and its target: built once per segment by newSegScorer, then read by
+// every placement's kernel call. Lane c of lanes[g] is channel 4g+c; the
+// last block's spare lanes repeat channel k−1, and their r is not added.
+type chanTable struct {
+	ref []uint8  // the source index's cells
+	tgt []uint8  // the target index's cells
+	pre []rowPre // the target index's row prefix tables
+	// lanes holds one entry per block of four channels.
+	lanes []chanLanes
+	k, w  int
+	// tail masks the reference's last 16-cell step: 0xFFFF for the step's
+	// cells inside the window, 0 past it. The step reads up to 15 cells
+	// past w on both rows, and the reference's are real cells (the row's
+	// next ones) or its zero pad, so they must be cancelled.
+	tail [16]uint16
+}
+
+// chanLanes is one block of four channels in a chanTable.
+type chanLanes struct {
+	ref [4]int // byte offset of the lane's reference cell at lo in ref
+	tgt [4]int // byte offset of the lane's target row in tgt
+	pre [4]int // offset of the lane's target row in pre
+	// sx and ix are the reference's Σx and 1/√(w·Σx² − (Σx)²) (0 when
+	// degenerate).
+	sx, ix [4]float64
+}
+
+// tailMask returns chanTable.tail for a window of w ≥ 1 cells: the last
+// 16-cell step starts at 16·⌊(w−1)/16⌋ and holds ((w−1) mod 16) + 1 cells
+// of the window.
+func tailMask(w int) (m [16]uint16) {
+	for u := range (w-1)%16 + 1 {
+		m[u] = 0xFFFF
+	}
+	return m
 }
 
 // corrBlock is one call of the column kernel: lane c scores reference
@@ -54,41 +79,68 @@ type corrBlock struct {
 	r      [4]float64
 }
 
-// padLen is n rounded up to the channel kernel's 16-cell step.
-func padLen(n int) int { return (n + 15) &^ 15 }
-
-// corr4I16 runs the channel kernel on one block of n-cell lanes: the AVX2
-// assembly where the CPU supports it (decided once, at package init),
-// corr4I16Generic everywhere else. Both return the same bits.
-func corr4I16(b *chanBlock, n int, wf float64) {
+// chanKernel is the channel term of the placement at j: the sum of the
+// per-channel r in channel order, or ok false once the placement is
+// provably dead. After every block of four channels but the last, with i
+// channels summed, it tests the bound (sum + (k−i))/k + cr + abandonSlack
+// (see segScorer.chanSum) and abandons when bound ≤ le or bound < lt
+// (scanCut.fold). It runs the AVX2 assembly where the CPU supports it
+// (decided once, at package init), chanKernelGeneric everywhere else; both
+// return the same sum bits and the same verdict.
+func chanKernel(t *chanTable, j int, cr, le, lt float64) (sum float64, ok bool) {
 	if hasAVX2 {
-		corr4I16AVX2(b, n, wf)
-		return
+		return chanKernelAVX2(t, j, cr, le, lt)
 	}
-	corr4I16Generic(b, n, wf)
+	return chanKernelGeneric(t, j, cr, le, lt)
 }
 
-// corr4I16Generic is the portable channel kernel and the reference the
-// assembly is tested against: per lane an int32 dot product of the cells,
-// then the Pearson step.
-func corr4I16Generic(b *chanBlock, n int, wf float64) {
-	for c := range b.r {
-		sxy := dotCells(b.x[c][:n], b.y[c][:n])
-		b.r[c] = pearsonFromSums(wf, float64(sxy), b.sy[c], b.qy[c], b.sx[c], b.ix[c])
+// chanKernelGeneric is the portable channel kernel and the reference the
+// assembly is tested against: per real lane an int32 dot product of the
+// cells and the Pearson step, then the abandon test per block.
+func chanKernelGeneric(t *chanTable, j int, cr, le, lt float64) (sum float64, ok bool) {
+	k, w := t.k, t.w
+	wf, kf := float64(w), float64(k)
+	for g := range t.lanes {
+		ln := &t.lanes[g]
+		i := g * abandonEvery
+		for c := range min(abandonEvery, k-i) {
+			p := t.pre[ln.pre[c]+j:]
+			p = p[:w+1]
+			a, b := p[0], p[w]
+			sxy := dotBytes(t.ref[ln.ref[c]:][:w], t.tgt[ln.tgt[c]+j:][:w])
+			sum += pearsonFromSums(wf, float64(sxy), float64(b.s-a.s), float64(b.q-a.q), ln.sx[c], ln.ix[c])
+		}
+		if i+abandonEvery < k {
+			if bound := (sum+float64(k-i-abandonEvery))/kf + cr + abandonSlack; bound <= le || bound < lt {
+				return sum, false
+			}
+		}
 	}
+	return sum, true
 }
 
-// dotCells returns Σ x[u]·y[u] in int32. The products and their sum are
-// exact while len(x)·254² < 2³¹, which Params.validate guarantees for
-// every window the scan plans; the assembly's int32 lanes wrap the same
-// way past it, so the two kernels agree even there.
-func dotCells(x []int16, y []uint8) int32 {
+// dotBytes returns Σ x[u]·y[u] in int32, eight cells per step into four
+// accumulators. Integer addition is associative, so the grouping changes
+// nothing: the products and their sum are exact while len(x)·254² < 2³¹,
+// which Params.validate guarantees for every window the scan plans, and
+// past it both this and the assembly's int32 lanes wrap mod 2³². The
+// up-front reslice of y and the three-index step slices leave one bounds
+// check per eight cells in the loop (-d=ssa/check_bce).
+func dotBytes(x, y []uint8) int32 {
 	y = y[:len(x)]
-	var s int32
-	for u, v := range x {
-		s += int32(v) * int32(y[u])
+	var s0, s1, s2, s3 int32
+	u := 0
+	for ; u+8 <= len(x); u += 8 {
+		a, b := x[u:u+8:u+8], y[u:u+8:u+8]
+		s0 += int32(a[0])*int32(b[0]) + int32(a[4])*int32(b[4])
+		s1 += int32(a[1])*int32(b[1]) + int32(a[5])*int32(b[5])
+		s2 += int32(a[2])*int32(b[2]) + int32(a[6])*int32(b[6])
+		s3 += int32(a[3])*int32(b[3]) + int32(a[7])*int32(b[7])
 	}
-	return s
+	for ; u < len(x); u++ {
+		s0 += int32(x[u]) * int32(y[u])
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // corr4 runs the column kernel on one block of n-element lanes: the AVX2

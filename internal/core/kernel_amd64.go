@@ -23,18 +23,22 @@ func detectAVX2() bool {
 	return ebx7&(1<<5) != 0
 }
 
-// corr4I16AVX2 is corr4I16Generic in AVX2 (kernel_amd64.s): per lane and
-// 16-cell step, VPMOVZXBW widens the target bytes to int16, VPMADDWD
-// multiplies them against the int16 reference and adds adjacent pairs into
-// int32, and VPADDD accumulates; VPHADDD and VEXTRACTI128 reduce the four
-// lanes' sums, VCVTDQ2PD converts them, and the Pearson step runs across
-// the lanes. Integer sums are exact (or wrap like dotCells'), so every lane
-// returns corr4I16Generic's bits. The caller must have made every x and y
-// row at least padLen(n) long: the assembly reads that many elements from
-// each without bounds checks.
+// chanKernelAVX2 is chanKernelGeneric in AVX2 (kernel_amd64.s). Per block
+// of four lanes and 16-cell step, VPMOVZXBW widens the reference and the
+// target bytes to int16 (the last step's reference masked by t.tail),
+// VPMADDWD multiplies them and adds adjacent pairs into int32, and VPADDD
+// accumulates; VPHADDD and VEXTRACTI128 reduce the four lanes' Σxy. Σy and
+// Σy² are the int32 differences of the lanes' prefix entries at j and j+w.
+// The Pearson step runs across the lanes, the real lanes' r are added in
+// channel order, and the abandon test runs where chanKernelGeneric's does,
+// with the same operations in the same order, so the sum bits and the
+// verdict are the twin's. The table must hold at least one block (k ≥ 1,
+// w ≥ 1), and every row the kernel reads must extend 15 bytes past the
+// window (the index rows' cellPad): it reads whole 16-cell steps without
+// bounds checks.
 //
 //go:noescape
-func corr4I16AVX2(b *chanBlock, n int, wf float64)
+func chanKernelAVX2(t *chanTable, j int, cr, le, lt float64) (sum float64, ok bool)
 
 // corr4AVX2 is corr4Generic in AVX2 (kernel_amd64.s): one YMM accumulator
 // per lane whose element l is dot's s_l, a 4×4 transpose, the n%4 tail

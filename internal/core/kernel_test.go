@@ -99,24 +99,85 @@ func laneVectors(rng *rand.Rand, n, hi, kind int) (x, y []int64) {
 	return x, y
 }
 
-// cellLane fills lane c of a channel block with cell vectors of the given
-// kind (laneVectors over [0, 254]) and returns them. Past n the reference
-// is zero up to padLen(n), as the scorer pads it, and the target holds
-// random bytes, MissingCell included: the AVX2 kernel reads them, and the
-// reference's zeros must cancel them.
-func cellLane(rng *rand.Rand, b *chanBlock, c, n, kind int) (x, y []int64) {
-	x, y = laneVectors(rng, n, trajectory.MissingCell-1, kind)
-	xs, ys := make([]int16, padLen(n)), make([]uint8, padLen(n))
-	for u := range ys {
-		ys[u] = uint8(rng.Intn(256))
+// chanScene lays out reference segments xs[i] and target windows ys[i]
+// (k channels of w dense cells each) as the rows of a source and a target
+// index, and returns the scorer of the segment at lo against the target,
+// whose placement j is the windows. Around the segment the source rows
+// hold random bytes, MissingCell included, so the source is sparse but the
+// segment dense, and the reference's last step reads real cells past w
+// that chanTable.tail must cancel. The target rows hold random present
+// cells, after of them past the window, then their zero pad.
+func chanScene(rng *rand.Rand, xs, ys [][]int64, lo, j, after int) *segScorer {
+	k, w := len(xs), len(xs[0])
+	ms, mt := lo+w+cellPad, j+w+after
+	src, tgt := grabCells(nil, k, ms), grabCells(nil, k, mt)
+	for i := range xs {
+		sr, tr := src[i*(ms+cellPad):][:ms], tgt[i*(mt+cellPad):][:mt]
+		for u := range sr {
+			sr[u] = uint8(rng.Intn(256))
+		}
+		for u := range tr {
+			tr[u] = uint8(rng.Intn(trajectory.MissingCell))
+		}
+		for u := range xs[i] {
+			sr[lo+u], tr[j+u] = uint8(xs[i][u]), uint8(ys[i][u])
+		}
 	}
-	for u := range x {
-		xs[u], ys[u] = int16(x[u]), uint8(y[u])
+	dst := newCellIndex(tgt, k, mt, nil)
+	dst.ensureWindowStats(w)
+	return newSegScorer(newCellIndex(src, k, ms, nil), dst, lo, w, false)
+}
+
+// chanLanesOf draws k channels of w cells: lane vectors of the given kinds
+// (laneVectors over [0, 254], kinds[i % len(kinds)]).
+func chanLanesOf(rng *rand.Rand, k, w int, kinds []int) (xs, ys [][]int64) {
+	xs, ys = make([][]int64, k), make([][]int64, k)
+	for i := range xs {
+		xs[i], ys[i] = laneVectors(rng, w, cellMax, kinds[i%len(kinds)])
 	}
-	b.x[c], b.y[c] = xs, ys
-	b.sx[c], b.ix[c] = refStats(x)
-	b.sy[c], b.qy[c] = winStats(y)
-	return x, y
+	return xs, ys
+}
+
+// chanReference is the channel kernel written out with int64 moments:
+// exactR per channel added in channel order, and after every fourth
+// channel but the last the padded bound (sum + (k−i))/k + cr +
+// abandonSlack tested with cut.dead (no test for a nil cut). It also
+// returns the bounds it tested.
+func chanReference(xs, ys [][]int64, cr float64, cut *scanCut) (sum float64, ok bool, bounds []float64) {
+	k := len(xs)
+	for i := range xs {
+		sum += exactR(xs[i], ys[i])
+		if n := i + 1; n%abandonEvery == 0 && n < k {
+			bound := (sum+float64(k-n))/float64(k) + cr + abandonSlack
+			bounds = append(bounds, bound)
+			if cut != nil && cut.dead(bound) {
+				return sum, false, bounds
+			}
+		}
+	}
+	return sum, true, bounds
+}
+
+// checkChan runs both channel kernels on the scorer's placement j under
+// the cut's fold (none for a nil cut) and compares their sum bits and
+// verdict with the reference's.
+func checkChan(t *testing.T, s *segScorer, j int, cr float64, cut *scanCut, want float64, wantOK bool) {
+	t.Helper()
+	le, lt := math.NaN(), math.NaN()
+	if cut != nil {
+		le, lt = cut.fold()
+	}
+	got, ok := chanKernelGeneric(&s.chans, j, cr, le, lt)
+	if !sameBits(got, want) || ok != wantOK {
+		t.Fatalf("k=%d w=%d j=%d cr=%v cut=%+v: generic (%v, %v), int64 reference (%v, %v)", s.src.k, s.w, j, cr, cut, got, ok, want, wantOK)
+	}
+	if !hasAVX2 {
+		return
+	}
+	v, vok := chanKernelAVX2(&s.chans, j, cr, le, lt)
+	if !sameBits(v, got) || vok != ok {
+		t.Fatalf("k=%d w=%d j=%d cr=%v cut=%+v: avx2 (%v %#x, %v), generic (%v %#x, %v)", s.src.k, s.w, j, cr, cut, v, math.Float64bits(v), vok, got, math.Float64bits(got), ok)
+	}
 }
 
 // colLane fills lane c of a column block with column-sum vectors of the
@@ -131,29 +192,6 @@ func colLane(rng *rand.Rand, b *corrBlock, c, n, kind int) (x, y []int64) {
 	b.sx[c], b.ix[c] = refStats(x)
 	b.sy[c], b.qy[c] = winStats(y)
 	return x, y
-}
-
-// checkChan runs both channel kernels on b and compares every lane with
-// want.
-func checkChan(t *testing.T, b *chanBlock, n int, want [4]float64) {
-	t.Helper()
-	g := *b
-	corr4I16Generic(&g, n, float64(n))
-	for c := range want {
-		if !sameBits(g.r[c], want[c]) {
-			t.Fatalf("n=%d lane %d: generic r = %v (%#x), int64 reference %v (%#x)", n, c, g.r[c], math.Float64bits(g.r[c]), want[c], math.Float64bits(want[c]))
-		}
-	}
-	if !hasAVX2 {
-		return
-	}
-	v := *b
-	corr4I16AVX2(&v, n, float64(n))
-	for c := range want {
-		if !sameBits(v.r[c], g.r[c]) {
-			t.Fatalf("n=%d lane %d: avx2 r = %v (%#x), generic %v (%#x)", n, c, v.r[c], math.Float64bits(v.r[c]), g.r[c], math.Float64bits(g.r[c]))
-		}
-	}
 }
 
 // checkCol runs both column kernels on b and compares every lane with
@@ -182,10 +220,11 @@ func checkCol(t *testing.T, b *corrBlock, n int, want [4]float64) {
 // TestCorrKernelsMatchScalar compares the channel kernel's AVX2 assembly
 // (where the CPU has it) with its Go twin, and the twin with the int64
 // reference, bit for bit, for every window n from 1 to 97 — windows
-// shorter than one 16-cell step, every n % 16, and lookahead bytes past n
-// — with lanes mixing random cells, cells at 0 and 254 only, constant
-// target and reference rows, and r at the ±1 clamp. The column kernel
-// gets the same comparison on column sums up to 194·254.
+// shorter than one 16-cell step, every n % 16, and real cells past n on
+// both rows — over 1 to 8 channels (every way of padding the last block),
+// with lanes mixing random cells, cells at 0 and 254 only, constant target
+// and reference rows, and r at the ±1 clamp. The column kernel gets the
+// same comparison on column sums up to 194·254.
 func TestCorrKernelsMatchScalar(t *testing.T) {
 	if !hasAVX2 {
 		t.Log("CPU without AVX2: checking the Go twins only")
@@ -204,24 +243,112 @@ func TestCorrKernelsMatchScalar(t *testing.T) {
 	}
 	for n := 1; n <= 97; n++ {
 		for trial := 0; trial < 40; trial++ {
-			var cb chanBlock
-			var kb corrBlock
-			var wantC, wantK [4]float64
-			for c := range cb.x {
-				kind := 0
-				if trial%2 == 1 {
-					kind = rng.Intn(6)
-				}
-				wantC[c] = exactR(cellLane(rng, &cb, c, n, kind))
-				wantK[c] = exactR(colLane(rng, &kb, c, n, kind))
-				count(wantC[c])
+			k := trial%8 + 1
+			kinds := []int{0}
+			if trial%2 == 1 {
+				kinds = []int{rng.Intn(6), rng.Intn(6), rng.Intn(6)}
 			}
-			checkChan(t, &cb, n, wantC)
+			xs, ys := chanLanesOf(rng, k, n, kinds)
+			for i := range xs {
+				count(exactR(xs[i], ys[i]))
+			}
+			j := rng.Intn(4)
+			s := chanScene(rng, xs, ys, rng.Intn(4), j, rng.Intn(20))
+			want, _, _ := chanReference(xs, ys, 0, nil)
+			checkChan(t, s, j, 0, nil, want, true)
+			s.release()
+
+			var kb corrBlock
+			var wantK [4]float64
+			for c := range kb.x {
+				wantK[c] = exactR(colLane(rng, &kb, c, n, kinds[c%len(kinds)]))
+			}
 			checkCol(t, &kb, n, wantK)
 		}
 	}
 	if clampHi == 0 || clampLo == 0 || degenerate == 0 {
 		t.Fatalf("cases not exercised: clamp +1 %d, clamp -1 %d, degenerate %d", clampHi, clampLo, degenerate)
+	}
+}
+
+// TestChanKernelAbandon checks the kernels' in-kernel abandon against the
+// int64 reference's cut.dead at every fourth channel, with thresholds
+// placed exactly on the reference's padded bounds, one ulp either side,
+// and on the bounds without abandonSlack (which must not abandon), for
+// incumbents, floors and seeds under both tie rules.
+func TestChanKernelAbandon(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	var abandoned, kept int
+	for trial := 0; trial < 300; trial++ {
+		k, w := 5+rng.Intn(45), 1+rng.Intn(97)
+		xs, ys := chanLanesOf(rng, k, w, []int{0, 0, 4, 5})
+		j := rng.Intn(4)
+		s := chanScene(rng, xs, ys, rng.Intn(4), j, rng.Intn(20))
+		cr := 2*rng.Float64() - 1
+		_, _, bounds := chanReference(xs, ys, cr, nil)
+		b := bounds[rng.Intn(len(bounds))]
+		for _, th := range []float64{b, math.Nextafter(b, 2), math.Nextafter(b, -2), b - abandonSlack} {
+			for _, cut := range []scanCut{
+				{best: th, floor: math.Inf(-1), seed: math.Inf(-1)},
+				{best: math.Inf(-1), floor: th, seed: math.Inf(-1), tiesWin: true},
+				{best: math.Inf(-1), floor: math.Inf(-1), seed: th},
+				{best: math.Inf(-1), floor: math.Inf(-1), seed: th, tiesWin: true},
+				{best: th - 0.5, floor: th - 0.25, seed: th, tiesWin: rng.Intn(2) == 1},
+			} {
+				want, ok, _ := chanReference(xs, ys, cr, &cut)
+				checkChan(t, s, j, cr, &cut, want, ok)
+				if ok {
+					kept++
+				} else {
+					abandoned++
+				}
+			}
+		}
+		s.release()
+	}
+	if abandoned == 0 || kept == 0 {
+		t.Fatalf("verdicts not exercised: %d abandoned, %d kept", abandoned, kept)
+	}
+}
+
+// TestScanCutFold checks that the channel kernel's two thresholds
+// (scanCut.fold: dead iff bound ≤ le or bound < lt) give scanCut.dead's
+// verdict on bounds at, one ulp either side of, and between every
+// threshold, and at ±Inf and NaN: under both tie rules, with the seed
+// -Inf, NaN, equal to the bound, above and below the incumbent and the
+// floor, with the floor above and below the incumbent, and with a NaN
+// floor.
+func TestScanCutFold(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	cuts := []scanCut{
+		{best: -inf, floor: -inf, seed: -inf},
+		{best: 1.1, floor: 1.2, seed: -inf},  // floor above best
+		{best: 1.3, floor: 1.2, seed: -inf},  // best above floor
+		{best: 1.3, floor: 1.2, seed: nan},   // a NaN seed is ignored
+		{best: 1.3, floor: 1.2, seed: 1.25},  // seed between floor and best
+		{best: 1.3, floor: 1.2, seed: 1.4},   // seed above both
+		{best: 1.1, floor: 1.2, seed: 1.15},  // seed between best and floor
+		{best: 1.3, floor: 1.2, seed: 1.3},   // seed equal to best
+		{best: 1.3, floor: 1.2, seed: 1.2},   // seed equal to floor
+		{best: -inf, floor: 1.2, seed: 2},    // the clamped maximum score
+		{best: -inf, floor: -inf, seed: 0.5}, // an unfloored seeded scan
+		{best: 1.1, floor: nan, seed: 1.4},   // a NaN floor never fires
+		{best: 1.1, floor: nan, seed: nan},
+	}
+	for _, c := range cuts {
+		for _, tiesWin := range []bool{false, true} {
+			c.tiesWin = tiesWin
+			bounds := []float64{-inf, inf, nan, 0, 1.0, 1.25, 1.35}
+			for _, x := range []float64{c.best, c.floor, c.seed} {
+				bounds = append(bounds, x, math.Nextafter(x, inf), math.Nextafter(x, -inf))
+			}
+			le, lt := c.fold()
+			for _, b := range bounds {
+				if got, want := b <= le || b < lt, c.dead(b); got != want {
+					t.Errorf("cut %+v bound %v: fold (le %v, lt %v) says dead=%v, scanCut.dead %v", c, b, le, lt, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -233,7 +360,7 @@ func TestChanKernelLongestWindow(t *testing.T) {
 	n := cellRunMax
 	x := make([]int64, n)
 	for u := range x {
-		x[u] = trajectory.MissingCell - 1
+		x[u] = cellMax
 	}
 	for u := 0; u < n; u += 997 {
 		x[u] = 0
@@ -241,21 +368,15 @@ func TestChanKernelLongestWindow(t *testing.T) {
 	y := make([]int64, n)
 	copy(y, x)
 	y[1] = 0
-	var b chanBlock
-	xs, ys := make([]int16, padLen(n)), make([]uint8, padLen(n))
-	for u := range x {
-		xs[u], ys[u] = int16(x[u]), uint8(y[u])
+	r := exactR(x, y)
+	if r < 0.9 {
+		t.Fatalf("fixture correlation %v, want near 1", r)
 	}
-	for c := range b.x {
-		b.x[c], b.y[c] = xs, ys
-		b.sx[c], b.ix[c] = refStats(x)
-		b.sy[c], b.qy[c] = winStats(y)
-	}
-	want := exactR(x, y)
-	if want < 0.9 {
-		t.Fatalf("fixture correlation %v, want near 1", want)
-	}
-	checkChan(t, &b, n, [4]float64{want, want, want, want})
+	xs, ys := [][]int64{x, x, x, x, x}, [][]int64{y, y, y, y, y}
+	s := chanScene(rand.New(rand.NewSource(44)), xs, ys, 0, 0, 0)
+	want, _, _ := chanReference(xs, ys, 0, nil)
+	checkChan(t, s, 0, 0, nil, want, true)
+	s.release()
 }
 
 // TestChanSumPaddedBlocks checks the scan's two kernel users against the
@@ -325,53 +446,78 @@ func TestDenseDetection(t *testing.T) {
 	}
 }
 
-// FuzzChanBlock compares both channel kernels with the int64 reference on
-// fuzzer-chosen windows: lane 0 takes the fuzzer's cells (bytes reduced
-// mod 255, so never MissingCell), the other lanes seeded random kinds.
-func FuzzChanBlock(f *testing.F) {
-	f.Add(uint8(85), int64(1), []byte{3, 200, 17, 254, 0, 90}, []byte{5, 5, 250, 1})
-	f.Add(uint8(16), int64(2), []byte{254}, []byte{254, 0})
-	f.Add(uint8(97), int64(3), []byte{}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
-	f.Fuzz(func(t *testing.T, n8 uint8, seed int64, xb, yb []byte) {
-		n := int(n8)%97 + 1
+// FuzzChanKernel compares both channel kernels with the int64 reference
+// (chanReference: exactR in channel order, cut.dead at every fourth
+// channel) on fuzzer-chosen scenes: channel 0 takes the fuzzer's cells
+// (bytes reduced mod 255, so never MissingCell), the other channels seeded
+// random kinds; the fuzzer also picks k, w ≤ 97, j, cr and the cut, whose
+// thresholds can be -Inf or NaN or sit exactly on one of the reference's
+// bounds. The kernels must return the reference's sum bits and verdict,
+// abandoned placements included.
+func FuzzChanKernel(f *testing.F) {
+	f.Add(uint8(84), uint8(44), uint8(1), int64(1), []byte{3, 200, 17, 254, 0, 90}, int8(30), int16(9000), int16(8000), int16(-3), uint8(0))
+	f.Add(uint8(15), uint8(8), uint8(0), int64(2), []byte{254}, int8(-127), int16(0), int16(0), int16(0), uint8(0x35))
+	f.Add(uint8(96), uint8(12), uint8(3), int64(3), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, int8(127), int16(-9000), int16(100), int16(12000), uint8(0x1b))
+	f.Fuzz(func(t *testing.T, w8, k8, j8 uint8, seed int64, cells []byte, cr8 int8, best, floor, sd int16, mode uint8) {
+		w, k, j := int(w8)%97+1, int(k8)%48+1, int(j8)%8
 		rng := rand.New(rand.NewSource(seed))
-		var b chanBlock
-		var want [4]float64
-		for c := range b.x {
-			want[c] = exactR(cellLane(rng, &b, c, n, rng.Intn(6)))
-		}
-		x, y := make([]int64, n), make([]int64, n)
-		for u := range x {
-			if len(xb) > 0 {
-				x[u] = int64(xb[u%len(xb)] % trajectory.MissingCell)
+		xs, ys := chanLanesOf(rng, k, w, []int{rng.Intn(6), rng.Intn(6), rng.Intn(6)})
+		if len(cells) > 0 {
+			for u := range w {
+				xs[0][u] = int64(cells[u%len(cells)] % trajectory.MissingCell)
+				ys[0][u] = int64(cells[(u+w)%len(cells)] % trajectory.MissingCell)
 			}
-			if len(yb) > 0 {
-				y[u] = int64(yb[u%len(yb)] % trajectory.MissingCell)
-			}
-			b.x[0][u], b.y[0][u] = int16(x[u]), uint8(y[u])
 		}
-		b.sx[0], b.ix[0] = refStats(x)
-		b.sy[0], b.qy[0] = winStats(y)
-		want[0] = exactR(x, y)
-		checkChan(t, &b, n, want)
+		s := chanScene(rng, xs, ys, rng.Intn(4), j, rng.Intn(20))
+		defer s.release()
+		cr := float64(cr8) / 127
+		th := func(v int16) float64 { return float64(v) / 8192 }
+		cut := scanCut{best: th(best), floor: th(floor), seed: th(sd), tiesWin: mode&1 == 1}
+		if mode&2 != 0 {
+			cut.best = math.Inf(-1)
+		}
+		switch mode >> 2 & 3 {
+		case 1:
+			cut.seed = math.Inf(-1)
+		case 2:
+			cut.seed = math.NaN()
+		case 3:
+			cut.floor = math.Inf(-1)
+		}
+		if _, _, bounds := chanReference(xs, ys, cr, nil); len(bounds) > 0 {
+			b := bounds[int(mode>>6)%len(bounds)]
+			switch mode >> 4 & 3 {
+			case 1:
+				cut.best = b
+			case 2:
+				cut.floor = b
+			case 3:
+				cut.seed = b
+			}
+		}
+		want, ok, _ := chanReference(xs, ys, cr, &cut)
+		checkChan(t, s, j, cr, &cut, want, ok)
 	})
 }
 
-// BenchmarkCorrKernel times one four-lane block at the default 85 m
-// window: the channel kernel (int16 cells) and the column kernel (float64
-// column sums), each as its Go twin and (where the CPU has it) in AVX2.
+// BenchmarkCorrKernel times the channel kernel on one whole placement at
+// the default 45 channels and 85 m window (every channel scored: no cut),
+// as its Go twin and (where the CPU has it) in AVX2, and the column kernel
+// on one four-lane block of float64 column sums at the same window.
 func BenchmarkCorrKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(47))
-	const n = 85
-	var cb chanBlock
+	const k, n, places = 45, 85, 64
+	xs, ys := chanLanesOf(rng, k, n, []int{0})
+	s := chanScene(rng, xs, ys, 0, 0, places)
+	defer s.release()
+	nan := math.NaN()
 	var kb corrBlock
-	for c := range cb.x {
-		cellLane(rng, &cb, c, n, 0)
+	for c := range kb.x {
 		colLane(rng, &kb, c, n, 0)
 	}
 	b.Run("chan-generic", func(b *testing.B) {
 		for it := 0; it < b.N; it++ {
-			corr4I16Generic(&cb, n, n)
+			chanKernelGeneric(&s.chans, it%places, 0, nan, nan)
 		}
 	})
 	b.Run("chan-avx2", func(b *testing.B) {
@@ -379,7 +525,7 @@ func BenchmarkCorrKernel(b *testing.B) {
 			b.Skip("CPU without AVX2")
 		}
 		for it := 0; it < b.N; it++ {
-			corr4I16AVX2(&cb, n, n)
+			chanKernelAVX2(&s.chans, it%places, 0, nan, nan)
 		}
 	})
 	b.Run("col-generic", func(b *testing.B) {
@@ -401,8 +547,9 @@ func BenchmarkCorrKernel(b *testing.B) {
 // set-up to naive loops over the cells, for row counts from 1 to 45 and
 // for dense and sparse matrices: both prefix tables (a missing cell counts
 // 0), the missing-count prefixes, the column sums and their prefix tables,
-// and the segment's int16 cells, zero pad, and its kernel lanes' Σx and
-// 1/√(w·Σx² − (Σx)²).
+// and the segment's lane table: every lane's row offsets (spare lanes
+// repeating the last channel), its Σx and 1/√(w·Σx² − (Σx)²), and the
+// reference's tail mask.
 func TestIndexSumsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 45, colLaneRows, colLaneRows + 1} {
@@ -465,22 +612,34 @@ func TestIndexSumsMatchNaive(t *testing.T) {
 			if !s.dense {
 				t.Fatalf("k=%d sparse=%v: segment not dense", k, sparse)
 			}
-			pw := padLen(w)
-			for i, row := range cells {
-				seg := row[lo : lo+w]
-				for u := 0; u < pw; u++ {
-					want := int16(0)
-					if u < w {
-						want = int16(seg[u])
-					}
-					if got := s.scratch.xs[i*pw+u]; got != want {
-						t.Fatalf("k=%d row %d reference cell %d = %d, want %d", k, i, u, got, want)
-					}
+			// The last step covers cells [16·⌊(w−1)/16⌋, +16) of the segment.
+			for u, v := range s.chans.tail {
+				want := uint16(0)
+				if (w-1)/16*16+u < w {
+					want = 0xFFFF
 				}
+				if v != want {
+					t.Fatalf("k=%d w=%d tail mask %v", k, w, s.chans.tail)
+				}
+			}
+			if len(s.chans.lanes) != (k+3)/4 || s.chans.k != k || s.chans.w != w {
+				t.Fatalf("k=%d table (k=%d, w=%d, %d blocks)", k, s.chans.k, s.chans.w, len(s.chans.lanes))
+			}
+			for l := 0; l < 4*len(s.chans.lanes); l++ {
+				i := min(l, k-1) // spare lanes repeat the last channel
+				seg := cells[i][lo : lo+w]
 				sx, ix := refStats(seg)
-				b, c := &s.scratch.blocks[i/abandonEvery], i%abandonEvery
-				if !sameBits(b.sx[c], sx) || !sameBits(b.ix[c], ix) || &b.x[c][0] != &s.scratch.xs[i*pw] {
-					t.Fatalf("k=%d row %d reference lane (%v, %v), naive (%v, %v)", k, i, b.sx[c], b.ix[c], sx, ix)
+				ln, c := &s.chans.lanes[l/4], l%4
+				if !sameBits(ln.sx[c], sx) || !sameBits(ln.ix[c], ix) {
+					t.Fatalf("k=%d lane %d reference (%v, %v), naive (%v, %v)", k, l, ln.sx[c], ln.ix[c], sx, ix)
+				}
+				if ln.ref[c] != i*idx.stride+lo || ln.tgt[c] != i*s.tgt.stride || ln.pre[c] != i*(s.tgt.m+1) {
+					t.Fatalf("k=%d lane %d offsets (%d, %d, %d), want channel %d's", k, l, ln.ref[c], ln.tgt[c], ln.pre[c], i)
+				}
+				for u, v := range seg {
+					if int64(s.chans.ref[ln.ref[c]+u]) != v {
+						t.Fatalf("k=%d lane %d reference cell %d = %d, want %d", k, l, u, s.chans.ref[ln.ref[c]+u], v)
+					}
 				}
 			}
 			s.release()

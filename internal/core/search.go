@@ -343,32 +343,25 @@ func colMean(sum float64, n int) float64 {
 	return sum / float64(n)
 }
 
-// segScratch holds the per-segment scratch buffers a segScorer materializes
-// (the reference rows as int16 and their statistics). Pooled: a
-// platoon-scale batch runs 2·NumSYN segment scans per pair, and the
-// engine's workers churn through them concurrently.
+// segScratch holds the per-segment scratch buffers a segScorer fills: the
+// channel kernel's lane table and the pruned scan's column correlations.
+// Pooled: a platoon-scale batch runs 2·NumSYN segment scans per pair, and
+// the engine's workers churn through them concurrently.
 type segScratch struct {
-	xs []int16 // reference row i at [i·padLen(w), (i+1)·padLen(w)), zero past w
-	// blocks[g] is the channel kernel's block for channels 4g…4g+3 with
-	// the reference side (x, Σx, 1/√(w·Σx² − (Σx)²)) filled in; chanSum
-	// fills the target side per placement.
-	blocks []chanBlock
-	colR   []float64 // per-placement column correlations for the pruned scan
+	lanes []chanLanes // one entry per block of four channels
+	colR  []float64   // per-placement column correlations for the pruned scan
 }
 
 var segPool = sync.Pool{New: func() any { return new(segScratch) }}
 
-// grow readies the scratch for k reference rows padded to pw cells.
-func (s *segScratch) grow(k, pw int) {
-	if cap(s.xs) < k*pw {
-		s.xs = make([]int16, k*pw)
-	}
-	s.xs = s.xs[:k*pw]
+// growLanes readies the lane table for k channels.
+func (s *segScratch) growLanes(k int) []chanLanes {
 	nb := (k + abandonEvery - 1) / abandonEvery
-	if cap(s.blocks) < nb {
-		s.blocks = make([]chanBlock, nb)
+	if cap(s.lanes) < nb {
+		s.lanes = make([]chanLanes, nb)
 	}
-	s.blocks = s.blocks[:nb]
+	s.lanes = s.lanes[:nb]
+	return s.lanes
 }
 
 // growColR readies the column-correlation buffer for n placements.
@@ -390,8 +383,9 @@ type segScorer struct {
 	dense    bool // fast path valid: ref segment and whole target dense
 	noCol    bool // ablation: drop Eq. 2's column-mean term
 
-	// Dense path: the reference rows widened to int16 with their Σx and
-	// 1/√(w·Σx² − (Σx)²), both from the source's prefix tables.
+	// Dense path: the channel kernel's table (its lanes in scratch) and
+	// the pooled buffers.
+	chans   chanTable
 	scratch *segScratch
 	// Column term: the reference's column sums (a slice of the source's),
 	// their sum, and their 1/√(w·Σx² − (Σx)²) (0 when degenerate).
@@ -434,25 +428,18 @@ func newSegScorer(src, tgt *matrixIndex, lo, w int, noCol bool) *segScorer {
 	}
 	s.planned = tgt.planned(w)
 	sc := segPool.Get().(*segScratch)
-	pw := padLen(w)
-	sc.grow(src.k, pw)
 	s.scratch = sc
-	// The reference statistics are two prefix lookups per row; only the
-	// widening to int16 touches the segment's cells.
+	// The lane table: row offsets, and the reference statistics from two
+	// prefix lookups per row. No cell is touched; the kernel reads both
+	// sides in place.
 	wf := float64(w)
-	for i := 0; i < src.k; i++ {
-		x := sc.xs[i*pw : (i+1)*pw]
-		for u, b := range src.row(i)[lo : lo+w] {
-			x[u] = int16(b)
-		}
-		clear(x[w:])
-	}
-	for g := range sc.blocks {
-		b := &sc.blocks[g]
+	s.chans = chanTable{ref: src.cells, tgt: tgt.cells, pre: tgt.pre, lanes: sc.growLanes(src.k), k: src.k, w: w, tail: tailMask(w)}
+	for g := range s.chans.lanes {
+		ln := &s.chans.lanes[g]
 		for c, ch := range lanes4(g*abandonEvery, src.k) {
 			sx, qx := src.rowSums(ch, lo, w)
-			b.x[c] = sc.xs[ch*pw : (ch+1)*pw]
-			b.sx[c], b.ix[c] = float64(sx), invNorm(wf, float64(sx), float64(qx))
+			ln.ref[c], ln.tgt[c], ln.pre[c] = ch*src.stride+lo, ch*tgt.stride, ch*(tgt.m+1)
+			ln.sx[c], ln.ix[c] = float64(sx), invNorm(wf, float64(sx), float64(qx))
 		}
 	}
 	if !noCol {
@@ -471,6 +458,7 @@ func (s *segScorer) release() {
 	if s.scratch != nil {
 		segPool.Put(s.scratch)
 		s.scratch = nil
+		s.chans = chanTable{}
 	}
 }
 
@@ -509,31 +497,29 @@ func (s *segScorer) chanTerm(j int) float64 {
 	return sum / float64(s.src.k)
 }
 
-// abandonEvery is how many channels chanSum accumulates between checks of
-// its early-abandon bound: one channel-kernel call (corr4I16 has four
-// lanes, and chanSum fills them with lanes4).
+// abandonEvery is how many channels the channel kernel accumulates
+// between checks of its early-abandon bound: one block of four lanes.
 const abandonEvery = 4
 
-// abandonSlack pads chanSum's partial bound before it is tested against
-// the scan cut. The bound is exact in real arithmetic; the slack absorbs
-// the rounding that separates the floating-point bound from the
-// floating-point score (see chanSum).
+// abandonSlack pads the channel kernel's partial bound before it is tested
+// against the scan cut. The bound is exact in real arithmetic; the slack
+// absorbs the rounding that separates the floating-point bound from the
+// floating-point score (see chanSum). kernel_amd64.s holds its bits.
 const abandonSlack = 1e-9
 
 // chanSum sums the per-channel correlations of the placement at j on the
-// dense path: channels go through the channel kernel abandonEvery at a
-// time (corr4I16: per channel an integer dot product of the cells, the
-// target window's Σy and Σy² from the prefix tables, and the Pearson
-// step), and their r are added in channel order. When k is not a multiple
-// of four the last block's spare lanes repeat channel k−1 and are not
-// added.
+// dense path with one call of the fused channel kernel (chanKernel: per
+// channel an integer dot product of the cells, read in place, the target
+// window's Σy and Σy² from the prefix tables, and the Pearson step), the r
+// added in channel order.
 //
 // With a non-nil cut, chanSum abandons the placement (ok false) once it is
 // provably dead. Every r is clamped to ≤ 1, so after i of k channels the
 // placement's score sum/k + cr is at most (partial + (k−i))/k + cr; after
-// every block that bound, plus abandonSlack, is tested with cut.dead.
-// Channels are accumulated in the same order either way, so a placement
-// that is not abandoned returns the same bits as chanTerm.
+// every block of four channels that bound, plus abandonSlack, is tested
+// against the cut's two thresholds (scanCut.fold), which is exactly
+// cut.dead. Channels are accumulated in the same order either way, so a
+// placement that is not abandoned returns the same bits as chanTerm.
 //
 // Rounding. In real arithmetic over the r values actually computed, the
 // bound dominates the score. The floating-point score and bound are each
@@ -546,30 +532,11 @@ const abandonSlack = 1e-9
 // have had to beat strictly), below the floor, or losing to the seed.
 // Rounding therefore cannot drop a placement that would have won.
 func (s *segScorer) chanSum(j int, cr float64, cut *scanCut) (sum float64, ok bool) {
-	k := s.src.k
-	kf := float64(k)
-	w, pw := s.w, padLen(s.w)
-	wf := float64(w)
-	tgt := s.tgt
-	for i := 0; i < k; i += abandonEvery {
-		b := &s.scratch.blocks[i/abandonEvery]
-		for c, ch := range lanes4(i, k) {
-			// The window plus up to 15 cells of lookahead: the row's next
-			// cells or its zero pad (j+pw ≤ m+15 < stride).
-			at := ch*tgt.stride + j
-			b.y[c] = tgt.cells[at : at+pw]
-			sy, qy := tgt.rowSums(ch, j, w)
-			b.sy[c], b.qy[c] = float64(sy), float64(qy)
-		}
-		corr4I16(b, w, wf)
-		for _, r := range b.r[:min(abandonEvery, k-i)] {
-			sum += r
-		}
-		if cut != nil && i+abandonEvery < k && cut.dead((sum+float64(k-i-abandonEvery))/kf+cr+abandonSlack) {
-			return sum, false
-		}
+	le, lt := math.NaN(), math.NaN() // no cut: ordered compares never abandon
+	if cut != nil {
+		le, lt = cut.fold()
 	}
-	return sum, true
+	return chanKernel(&s.chans, j, cr, le, lt)
 }
 
 // colTerm is Eq. 2's second term: the correlation of the column sums
@@ -722,6 +689,24 @@ type scanCut struct {
 func (c *scanCut) dead(bound float64) bool {
 	//lint:ignore floatcmp combine's tie rule is exact score equality (clamped correlations tie at exactly 2); an epsilon would change which direction wins
 	return bound <= c.best || bound < c.floor || bound < c.seed || (!c.tiesWin && bound == c.seed)
+}
+
+// fold returns the cut as two thresholds for the channel kernel: dead(b)
+// holds exactly when b ≤ le or b < lt. A ties-lose seed joins the
+// incumbent's ≤ test and a ties-win seed the floor's < test, each only
+// when it is larger (seed > x is false for a NaN seed, which dead ignores
+// too). A NaN floor never fires in dead, so a ties-win seed replaces it.
+// best is never NaN: it starts at -Inf and only takes scores that beat it.
+func (c *scanCut) fold() (le, lt float64) {
+	le, lt = c.best, c.floor
+	if c.tiesWin {
+		if c.seed > lt || math.IsNaN(lt) {
+			lt = c.seed
+		}
+	} else if c.seed > le {
+		le = c.seed
+	}
+	return le, lt
 }
 
 // scanBounded is the dense-path branch-and-bound scan over the clamped,

@@ -165,9 +165,9 @@ func (e *Engine) worker() {
 }
 
 // Close shuts the pool down and waits for in-flight tasks to finish. Close
-// is idempotent. Afterwards Admit and ResolveAll return ErrClosed;
-// batches admitted before Close still resolve correctly, degraded to
-// inline (sequential) execution.
+// is idempotent. Afterwards Admit returns ErrClosed; batches admitted
+// before Close still resolve correctly, degraded to inline (sequential)
+// execution.
 func (e *Engine) Close() {
 	e.once.Do(func() {
 		e.mu.Lock()
@@ -544,15 +544,4 @@ func slotQueries(pairs [][2]int, keyed bool) []Query {
 		}
 	}
 	return qs
-}
-
-// ResolveAll admits the platoon and resolves every unordered pair — the
-// one-call form for callers already at a quiescent point. Returns ErrClosed
-// after Close.
-func (e *Engine) ResolveAll(trajs []*trajectory.Aware, p core.Params) ([]Result, error) {
-	b, err := e.Admit(trajs...)
-	if err != nil {
-		return nil, err
-	}
-	return b.ResolveAll(p), nil
 }

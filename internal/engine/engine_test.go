@@ -68,10 +68,11 @@ func TestEngineMatchesOracle(t *testing.T) {
 	p := convoyParams()
 	e := engine.New(0)
 	defer e.Close()
-	got, err := e.ResolveAll(trajs, p)
+	batch, err := e.Admit(trajs...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := batch.ResolveAll(p)
 	if len(got) != 15 {
 		t.Fatalf("6-vehicle platoon has %d results, want 15", len(got))
 	}
@@ -102,10 +103,11 @@ func TestEngineSingleWorkerNestedFanout(t *testing.T) {
 	p := convoyParams()
 	e := engine.New(1)
 	defer e.Close()
-	got, err := e.ResolveAll(trajs, p)
+	batch, err := e.Admit(trajs...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := batch.ResolveAll(p)
 	for _, r := range got {
 		wantEst, wantOK := core.Resolve(trajs[r.A], trajs[r.B], p)
 		if r.OK != wantOK || !reflect.DeepEqual(r.Est, wantEst) {
@@ -182,19 +184,24 @@ func TestEngineDegenerate(t *testing.T) {
 	p := convoyParams()
 	e := engine.New(2)
 	defer e.Close()
-	if res, err := e.ResolveAll(nil, p); err != nil || len(res) != 0 {
-		t.Fatalf("empty batch: %v, %d results", err, len(res))
-	}
-	empty := trajectory.NewAware(trajectory.Geo{})
-	res, err := e.ResolveAll([]*trajectory.Aware{empty, empty}, p)
+	batch, err := e.Admit()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res := batch.ResolveAll(p); len(res) != 0 {
+		t.Fatalf("empty batch: %d results", len(res))
+	}
+	empty := trajectory.NewAware(trajectory.Geo{})
+	batch, err = e.Admit(empty, empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := batch.ResolveAll(p)
 	if len(res) != 1 || res[0].OK {
 		t.Fatalf("empty trajectories resolved: %+v", res)
 	}
 	trajs := syntheticConvoy(4, 2, 250, 20, 1.0)
-	batch, err := e.Admit(trajs...)
+	batch, err = e.Admit(trajs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,10 +258,6 @@ func TestEngineAdmitAfterClose(t *testing.T) {
 	if _, err := e.Admit(trajs...); err != engine.ErrClosed {
 		t.Fatalf("Admit after Close: err = %v, want ErrClosed", err)
 	}
-	if _, err := e.ResolveAll(trajs, p); err != engine.ErrClosed {
-		t.Fatalf("ResolveAll after Close: err = %v, want ErrClosed", err)
-	}
-
 	res := batch.ResolveAll(p)
 	if len(res) != 1 {
 		t.Fatalf("pre-Close batch resolved %d pairs, want 1", len(res))
@@ -278,9 +281,14 @@ func TestEngineCloseDuringResolve(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				if _, err := e.ResolveAll(trajs, p); err != nil && err != engine.ErrClosed {
-					t.Errorf("ResolveAll: %v", err)
+				batch, err := e.Admit(trajs...)
+				if err != nil {
+					if err != engine.ErrClosed {
+						t.Errorf("Admit: %v", err)
+					}
+					continue
 				}
+				batch.ResolveAll(p)
 			}
 		}()
 		go func() {
