@@ -234,12 +234,12 @@ func newProgram(passes []*analysis.Pass) *Program {
 					continue
 				}
 				pf := &ProgFunc{
-					ID:            FuncID(fn),
-					Fn:            fn,
-					Decl:          fd,
-					Pkg:           pass.Pkg,
-					Info:          pass.TypesInfo,
-					Effects:       newEffects(),
+					ID:      FuncID(fn),
+					Fn:      fn,
+					Decl:    fd,
+					Pkg:     pass.Pkg,
+					Info:    pass.TypesInfo,
+					Effects: newEffects(),
 					sanctionedObs: strings.HasSuffix(pass.Pkg.Path(), "internal/obs") ||
 						strings.HasSuffix(pass.Pkg.Path(), "internal/obs/flight"),
 				}

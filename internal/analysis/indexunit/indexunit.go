@@ -31,7 +31,7 @@ var (
 	// indexName matches identifiers that carry a trajectory metre-index.
 	// "mark" is in the set because a trajectory records one mark per metre:
 	// an int named mark is the i-th metre mark, not a distance — the exact
-	// confusion behind the Aware.DistanceBetween unit bug.
+	// confusion behind an earlier mark-to-distance unit bug.
 	indexName = regexp.MustCompile(`(?i)(idx|index|mark)`)
 	// distName matches identifiers that carry a metre distance.
 	distName = regexp.MustCompile(`(?i)(dist|metre|meter|gap)`)

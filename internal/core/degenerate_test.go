@@ -28,8 +28,8 @@ func TestMatrixIndexZeroChannels(t *testing.T) {
 	if got := s.scoreAt(0); got != 0 {
 		t.Fatalf("zero-channel scoreAt = %v, want 0", got)
 	}
-	if pos, score := s.bestWindow(); pos != -1 || !math.IsInf(score, -1) {
-		t.Fatalf("zero-channel bestWindow = (%d, %v)", pos, score)
+	if pos, score := s.scan(0, s.positions()-1, -1, noSeed, true); pos != -1 || !math.IsInf(score, -1) {
+		t.Fatalf("zero-channel scan = (%d, %v)", pos, score)
 	}
 }
 
@@ -73,8 +73,8 @@ func TestSegScorerTargetShorterThanWindow(t *testing.T) {
 	if s.positions() != 0 {
 		t.Fatalf("m<w scorer has %d positions", s.positions())
 	}
-	if pos, score := s.bestWindowIn(0, 100); pos != -1 || !math.IsInf(score, -1) {
-		t.Fatalf("m<w bestWindowIn = (%d, %v)", pos, score)
+	if pos, score := s.scan(0, 100, -1, noSeed, true); pos != -1 || !math.IsInf(score, -1) {
+		t.Fatalf("m<w scan = (%d, %v)", pos, score)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"rups/internal/stats"
 )
 
 // sweepFrom scores every placement of [lo, hi] with scoreAt, in the bounded
@@ -84,113 +86,145 @@ func floorFixture(rng *rand.Rand, trial int) (ref, tgt [][]float64) {
 	return ref, tgt
 }
 
-// TestFloorScanContract pins the bounded direction scan to a full scoreAt
-// sweep, without trusting core.Resolve: whenever the sweep's maximum
-// reaches the floor (and, when seeded, wins combine against the seed under
-// the tie rule) the scan returns the same (pos, score) bit for bit;
-// otherwise it returns a score that never exceeds the maximum and either
-// misses the floor or loses to the seed. The floor and seed ladders hit
-// the maximum exactly and one ulp either side of it.
-func TestFloorScanContract(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	var exact, below, abandoned, ties int
-	for trial := 0; trial < 48; trial++ {
-		ref, tgt := floorFixture(rng, trial)
-		w := len(ref[0])
-		src, dst := newMatrixIndex(ref), newMatrixIndex(tgt)
-		dst.ensureWindowStats(w)
-		s := newSegScorer(src, dst, 0, w, false)
-		if !s.canBound() {
-			t.Fatal("fixture should support the dense bound path")
-		}
-		n := s.positions()
-		ranges := [][2]int{{0, n - 1}, {n / 5, n - n/4}}
-		for _, r := range ranges {
-			lo, hi := r[0], r[1]
-			for _, pivot := range []int{-1, lo, hi, lo + (hi-lo)/3} {
-				wantPos, want := sweepFrom(s, lo, hi, pivot)
-				if trial%4 == 3 {
-					for j := lo; j <= hi; j++ {
-						if j != wantPos && s.scoreAt(j) == want {
-							ties++
-							break
-						}
-					}
-				}
-				floors := []float64{math.Inf(-1), want - 0.3, math.Nextafter(want, math.Inf(-1)),
-					want, math.Nextafter(want, math.Inf(1)), want + 0.2, 1.2, 1.0}
-				for _, floor := range floors {
-					s.floor = floor
-					s.abandoned = 0
-					pos, sc := s.bestWindowInFrom(lo, hi, pivot)
-					abandoned += s.abandoned
-					if want >= floor {
-						if pos != wantPos || sc != want {
-							t.Fatalf("trial %d range %v pivot %d floor %v: got (%d, %v), sweep (%d, %v)",
-								trial, r, pivot, floor, pos, sc, wantPos, want)
-						}
-						exact++
-						continue
-					}
-					if !(sc < floor) || sc > want {
-						t.Fatalf("trial %d range %v pivot %d floor %v: sub-floor maximum %v returned (%d, %v)",
-							trial, r, pivot, floor, want, pos, sc)
-					}
-					below++
-				}
-			}
+// noSeed is the seed of an unseeded direction scan.
+var noSeed = math.Inf(-1)
 
-			// The seeded variant pivots on the midpoint; its reference is
-			// the midpoint sweep.
-			wantPos, want := sweepFrom(s, lo, hi, -1)
-			seeds := []float64{math.Inf(-1), want - 0.4, math.Nextafter(want, math.Inf(-1)), want,
-				math.Nextafter(want, math.Inf(1)), want + 0.3}
-			for _, floor := range []float64{math.Inf(-1), want, math.Nextafter(want, math.Inf(1)), 1.2} {
-				s.floor = floor
-				for _, seed := range seeds {
-					for _, tiesWin := range []bool{true, false} {
-						pos, sc := s.bestWindowSeededIn(lo, hi, seed, tiesWin)
-						wins := func(v float64) bool { return v > seed || (tiesWin && v == seed) }
-						if want >= floor && wins(want) {
-							if pos != wantPos || sc != want {
-								t.Fatalf("trial %d range %v floor %v seed %v tiesWin %v: got (%d, %v), sweep (%d, %v)",
-									trial, r, floor, seed, tiesWin, pos, sc, wantPos, want)
-							}
-							exact++
-							continue
-						}
-						if sc > want || (sc >= floor && wins(sc)) {
-							t.Fatalf("trial %d range %v floor %v seed %v tiesWin %v: (%d, %v) could change combine; sweep max %v",
-								trial, r, floor, seed, tiesWin, pos, sc, want)
-						}
-						below++
-					}
-				}
-			}
-		}
-		s.release()
-	}
-	if exact == 0 || below == 0 || abandoned == 0 || ties == 0 {
-		t.Fatalf("fixtures left a branch unexercised: exact %d, below %d, abandoned %d, ulp ties %d",
-			exact, below, abandoned, ties)
-	}
+// scanVariant is one kind of scorer the bounded scan serves: the dense
+// kernel path, the NoColumnTerm ablation, and sparse segments (missing
+// cells in the reference segment and in the target), with and without the
+// column term.
+type scanVariant struct {
+	name          string
+	sparse, noCol bool
 }
 
-// TestFloorScanKeepsNoColumnTermFullScan: the NoColumnTerm ablation has no
-// column bound and keeps scanning every placement, so a floor changes
-// neither its answer nor its placement count.
-func TestFloorScanKeepsNoColumnTermFullScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	ref, tgt := randRows(rng, 6, 16), randRows(rng, 6, 90)
-	src, dst := newMatrixIndex(ref), newMatrixIndex(tgt)
-	dst.ensureWindowStats(16)
-	s := newSegScorer(src, dst, 0, 16, true)
-	defer s.release()
-	n := s.positions()
-	wantPos, want := s.bestWindowIn(0, n-1)
-	s.floor, s.visited = 1.2, 0
-	if pos, sc := s.bestWindowIn(0, n-1); pos != wantPos || sc != want || s.visited != n || s.abandoned != 0 {
-		t.Fatalf("NoColumnTerm scan under a floor: (%d, %v) over %d visits, want (%d, %v) over %d",
-			pos, sc, s.visited, wantPos, want, n)
+var scanVariants = []scanVariant{
+	{"dense", false, false},
+	{"no-column-term", false, true},
+	{"sparse", true, false},
+	{"sparse/no-column-term", true, true},
+}
+
+// variantScorer builds v's scorer of the whole ref against tgt. A sparse
+// variant scores copies of both with random cells missing, drawn from miss
+// so the fixtures' own draws stay the same for every variant.
+func variantScorer(t *testing.T, miss *rand.Rand, v scanVariant, ref, tgt [][]float64) *segScorer {
+	t.Helper()
+	if v.sparse {
+		ref, tgt = withMissing(miss, ref), withMissing(miss, tgt)
+	}
+	s := newSegScorer(newMatrixIndex(ref), newMatrixIndex(tgt), 0, len(ref[0]), v.noCol)
+	if s.dense == v.sparse {
+		t.Fatalf("%s: scorer density is not what the variant needs", v.name)
+	}
+	return s
+}
+
+// withMissing returns a copy of rows with about one cell in 40 (at least
+// one) set to stats.Missing.
+func withMissing(rng *rand.Rand, rows [][]float64) [][]float64 {
+	out := make([][]float64, len(rows))
+	for i, row := range rows {
+		out[i] = append([]float64(nil), row...)
+	}
+	m := len(rows[0])
+	for n := 1 + len(rows)*m/40; n > 0; n-- {
+		out[rng.Intn(len(rows))][rng.Intn(m)] = stats.Missing
+	}
+	return out
+}
+
+// TestFloorScanContract pins the bounded direction scan to a full scoreAt
+// sweep, without trusting core.Resolve, for every scanVariant: whenever
+// the sweep's maximum reaches the floor (and, when seeded, wins combine
+// against the seed under the tie rule) the scan returns the same (pos,
+// score) bit for bit; otherwise it returns a score that never exceeds the
+// maximum and either misses the floor or loses to the seed. The floor and
+// seed ladders hit the maximum exactly and one ulp either side of it.
+func TestFloorScanContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	miss := rand.New(rand.NewSource(18))
+	var ties int
+	exact, below, abandoned := make([]int, len(scanVariants)), make([]int, len(scanVariants)), make([]int, len(scanVariants))
+	for trial := 0; trial < 48; trial++ {
+		ref, tgt := floorFixture(rng, trial)
+		for vi, v := range scanVariants {
+			s := variantScorer(t, miss, v, ref, tgt)
+			n := s.positions()
+			ranges := [][2]int{{0, n - 1}, {n / 5, n - n/4}}
+			for _, r := range ranges {
+				lo, hi := r[0], r[1]
+				for _, pivot := range []int{-1, lo, hi, lo + (hi-lo)/3} {
+					wantPos, want := sweepFrom(s, lo, hi, pivot)
+					if trial%4 == 3 {
+						for j := lo; j <= hi; j++ {
+							if j != wantPos && s.scoreAt(j) == want {
+								ties++
+								break
+							}
+						}
+					}
+					floors := []float64{math.Inf(-1), want - 0.3, math.Nextafter(want, math.Inf(-1)),
+						want, math.Nextafter(want, math.Inf(1)), want + 0.2, 1.2, 1.0}
+					for _, floor := range floors {
+						s.floor = floor
+						s.abandoned = 0
+						pos, sc := s.scan(lo, hi, pivot, noSeed, true)
+						abandoned[vi] += s.abandoned
+						if want >= floor {
+							if pos != wantPos || sc != want {
+								t.Fatalf("%s trial %d range %v pivot %d floor %v: got (%d, %v), sweep (%d, %v)",
+									v.name, trial, r, pivot, floor, pos, sc, wantPos, want)
+							}
+							exact[vi]++
+							continue
+						}
+						if !(sc < floor) || sc > want {
+							t.Fatalf("%s trial %d range %v pivot %d floor %v: sub-floor maximum %v returned (%d, %v)",
+								v.name, trial, r, pivot, floor, want, pos, sc)
+						}
+						below[vi]++
+					}
+				}
+
+				// The seeded scans pivot on the midpoint; their reference is
+				// the midpoint sweep.
+				wantPos, want := sweepFrom(s, lo, hi, -1)
+				seeds := []float64{math.Inf(-1), want - 0.4, math.Nextafter(want, math.Inf(-1)), want,
+					math.Nextafter(want, math.Inf(1)), want + 0.3}
+				for _, floor := range []float64{math.Inf(-1), want, math.Nextafter(want, math.Inf(1)), 1.2} {
+					s.floor = floor
+					for _, seed := range seeds {
+						for _, tiesWin := range []bool{true, false} {
+							pos, sc := s.scan(lo, hi, -1, seed, tiesWin)
+							beats := func(v float64) bool { return v > seed || (tiesWin && v == seed) }
+							if want >= floor && beats(want) {
+								if pos != wantPos || sc != want {
+									t.Fatalf("%s trial %d range %v floor %v seed %v tiesWin %v: got (%d, %v), sweep (%d, %v)",
+										v.name, trial, r, floor, seed, tiesWin, pos, sc, wantPos, want)
+								}
+								exact[vi]++
+								continue
+							}
+							if sc > want || (sc >= floor && beats(sc)) {
+								t.Fatalf("%s trial %d range %v floor %v seed %v tiesWin %v: (%d, %v) could change combine; sweep max %v",
+									v.name, trial, r, floor, seed, tiesWin, pos, sc, want)
+							}
+							below[vi]++
+						}
+					}
+				}
+			}
+			s.release()
+		}
+	}
+	for vi, v := range scanVariants {
+		if exact[vi] == 0 || below[vi] == 0 || abandoned[vi] == 0 {
+			t.Fatalf("%s: fixtures left a branch unexercised: exact %d, below %d, abandoned %d",
+				v.name, exact[vi], below[vi], abandoned[vi])
+		}
+	}
+	if ties == 0 {
+		t.Fatal("fixtures never tied the maximum to the ulp")
 	}
 }

@@ -123,9 +123,7 @@ func chanScene(rng *rand.Rand, xs, ys [][]int64, lo, j, after int) *segScorer {
 			sr[lo+u], tr[j+u] = uint8(xs[i][u]), uint8(ys[i][u])
 		}
 	}
-	dst := newCellIndex(tgt, k, mt, nil)
-	dst.ensureWindowStats(w)
-	return newSegScorer(newCellIndex(src, k, ms, nil), dst, lo, w, false)
+	return newSegScorer(newCellIndex(src, k, ms, nil), newCellIndex(tgt, k, mt, nil), lo, w, false)
 }
 
 // chanLanesOf draws k channels of w cells: lane vectors of the given kinds
@@ -390,9 +388,7 @@ func TestChanSumPaddedBlocks(t *testing.T) {
 		for _, w := range []int{5, 16, 21} {
 			const m = 60
 			ref, tgt := cellRows(rng, k, w), cellRows(rng, k, m)
-			dst := newMatrixIndex(tgt)
-			dst.ensureWindowStats(w)
-			s := newSegScorer(newMatrixIndex(ref), dst, 0, w, false)
+			s := newSegScorer(newMatrixIndex(ref), newMatrixIndex(tgt), 0, w, false)
 			refC, tgtC := cellsOf(ref), cellsOf(tgt)
 			refCol, tgtCol := colSumsOf(refC), colSumsOf(tgtC)
 			for j := 0; j < s.positions(); j++ {

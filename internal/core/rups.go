@@ -116,8 +116,8 @@ func NewSearcher(a, b *trajectory.Aware, p Params) *Searcher {
 	s.idxA = newTrajectoryIndex(s.aCtx, channels, s.ar)
 	s.idxB = newTrajectoryIndex(s.bCtx, channels, s.ar)
 	if !s.idxA.dense || !s.idxB.dense {
-		// A segment scan falls back to scoreSlow when either side holds a
-		// missing cell, and scoreSlow reads both sides' dBm rows.
+		// A segment scores through stats.Pearson when either side holds a
+		// missing cell, reading both sides' dBm rows.
 		s.idxA.materialize()
 		s.idxB.materialize()
 	}
@@ -213,13 +213,6 @@ func (s *Searcher) planSegment(endOff int) (segmentPlan, bool) {
 	if w < s.p.WindowMeters {
 		pl.threshold = s.p.ShortCoherency
 	}
-	// Freeze the per-window placement statistics for both scan targets now,
-	// on the planning goroutine: segment tasks may run concurrently
-	// and only read the indexes.
-	s.idxB.ensureWindowStats(w)
-	if !s.p.SingleSided {
-		s.idxA.ensureWindowStats(w)
-	}
 	return pl, true
 }
 
@@ -233,16 +226,16 @@ func (s *Searcher) bounds(targetLen, w, endOff int) (lo, hi int) {
 }
 
 // scanSegment runs one segment's double-sliding check (paper §IV-D) as one
-// task: two direction scans in dependency order. The first runs the exact
-// branch-and-bound scan pivoted on its tracker hint (bestWindowInFrom; a
-// cold plan or an out-of-range hint pivots on the range midpoint). On a
-// live lock its first visit is the true match, whose score prunes nearly
-// every other placement on the cheap column term alone; a stale hint only
-// costs more channel terms, never a different maximum. The first direction
-// is BA only when BA's pivot alone is in range, AB otherwise. The second
-// direction cannot be skipped (its real score can win combine), but it is
-// scanned seeded with the first's score under combine's tie rule
-// (bestWindowSeededIn): placements that provably cannot win combine are
+// task: two direction scans in dependency order, each one call of the
+// exact branch-and-bound scan (segScorer.scan). The first is pivoted on its
+// tracker hint (a cold plan or an out-of-range hint pivots on the range
+// midpoint). On a live lock its first visit is the true match, whose score
+// prunes nearly every other placement on the cheap column term alone; a
+// stale hint only costs more channel terms, never a different maximum. The
+// first direction is BA only when BA's pivot alone is in range, AB
+// otherwise. The second direction cannot be skipped (its real score can
+// win combine), but it is scanned seeded with the first's score under
+// combine's tie rule: placements that provably cannot win combine are
 // pruned on their column term, so a direction holding no real alignment
 // costs one column sweep. Either way combine — and the resolved estimate —
 // equals that of two unpruned full scans.
@@ -252,7 +245,7 @@ func (s *Searcher) scanSegment(pl *segmentPlan) {
 	loB, hiB := s.bounds(s.bCtx.Len(), pl.w, pl.endOff)
 	if s.p.SingleSided {
 		sp := s.scanSpan("scan_ab", pl)
-		pl.posB, pl.scoreAB = ab.bestWindowInFrom(loB, hiB, pl.pivotB)
+		pl.posB, pl.scoreAB = ab.scan(loB, hiB, pl.pivotB, math.Inf(-1), true)
 		sp.End()
 		pl.posA, pl.scoreBA = -1, math.Inf(-1)
 		return
@@ -262,22 +255,22 @@ func (s *Searcher) scanSegment(pl *segmentPlan) {
 	loA, hiA := s.bounds(s.aCtx.Len(), pl.w, pl.endOff)
 	if inRange(pl.pivotA, loA, hiA, ba.positions()) && !inRange(pl.pivotB, loB, hiB, ab.positions()) {
 		sp := s.scanSpan("scan_ba", pl)
-		pl.posA, pl.scoreBA = ba.bestWindowInFrom(loA, hiA, pl.pivotA)
+		pl.posA, pl.scoreBA = ba.scan(loA, hiA, pl.pivotA, math.Inf(-1), true)
 		sp.End()
 		// AB wins combine ties, so the seed prunes only placements that
 		// cannot even reach BA's score.
 		sp = s.scanSpan("scan_ab", pl)
-		pl.posB, pl.scoreAB = ab.bestWindowSeededIn(loB, hiB, pl.scoreBA, true)
+		pl.posB, pl.scoreAB = ab.scan(loB, hiB, -1, pl.scoreBA, true)
 		sp.End()
 		return
 	}
 	sp := s.scanSpan("scan_ab", pl)
-	pl.posB, pl.scoreAB = ab.bestWindowInFrom(loB, hiB, pl.pivotB)
+	pl.posB, pl.scoreAB = ab.scan(loB, hiB, pl.pivotB, math.Inf(-1), true)
 	sp.End()
 	// BA loses combine ties: placements that can at best tie AB's score are
 	// pruned too.
 	sp = s.scanSpan("scan_ba", pl)
-	pl.posA, pl.scoreBA = ba.bestWindowSeededIn(loA, hiA, pl.scoreAB, false)
+	pl.posA, pl.scoreBA = ba.scan(loA, hiA, -1, pl.scoreAB, false)
 	sp.End()
 }
 
@@ -290,7 +283,7 @@ func (s *Searcher) scanSpan(name string, pl *segmentPlan) obs.Span {
 }
 
 // inRange reports whether pivot lies in [lo, hi] clamped to the n valid
-// placements: where bestWindowInFrom would start from it rather than from
+// placements: where segScorer.scan would start from it rather than from
 // the midpoint.
 func inRange(pivot, lo, hi, n int) bool {
 	lo, hi = clampRange(lo, hi, n)

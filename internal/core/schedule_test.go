@@ -36,8 +36,8 @@ func fullScan(sc *segScorer, lo, hi int) (pos int, score float64, unique bool) {
 // only BA's (BA scans first) or neither land in range, next to the cold
 // plan. The fixtures cover a planted pair, an unrelated pair, a pair 150 m
 // apart, a pair whose contexts start 150 m apart, the single-sided and
-// no-column-term ablations, and a sparse pair whose segments score on
-// scoreSlow.
+// no-column-term ablations, and a sparse pair whose segments score through
+// stats.Pearson.
 func TestSegmentScheduleMatchesFullScans(t *testing.T) {
 	p40 := DefaultParams()
 	p40.WindowChannels = 40

@@ -67,15 +67,11 @@ type matrixIndex struct {
 	// prefix sums and prefix sums of squares.
 	colSum, colPre, colPreSq []float64
 
-	// Slow path (materialize): the rows as dBm and the missing-skipping
-	// column means that scoreSlow correlates; nil until materialized.
+	// Sparse segments (materialize): the rows as dBm and the
+	// missing-skipping column means that chanSum and colTerms correlate
+	// there; nil until materialized.
 	rows [][]float64
 	col  []float64
-
-	// wins lists the window lengths the Searcher planned (ensureWindowStats):
-	// written sequentially at planning time, then read by concurrent
-	// direction scans.
-	wins []int
 
 	// ar is the owning Searcher's bump allocator (nil for directly
 	// constructed indexes, which then fall back to plain allocation).
@@ -91,30 +87,9 @@ type rowPre struct{ s, q int32 }
 // whole 16-cell steps, up to 15 cells past a window's end.
 const cellPad = 16
 
-// ensureWindowStats marks window length w as planned, enabling the bounded
-// scan (canBound) for scorers of that length. It must be called from a
-// single goroutine before scoring fans out — the Searcher does so while
-// planning segments; scans afterwards only read.
-func (idx *matrixIndex) ensureWindowStats(w int) {
-	if !idx.dense || idx.k == 0 || w <= 0 || w > idx.m || idx.planned(w) {
-		return
-	}
-	idx.wins = append(idx.wins, w)
-}
-
-// planned reports whether ensureWindowStats marked w.
-func (idx *matrixIndex) planned(w int) bool {
-	for _, pw := range idx.wins {
-		if pw == w {
-			return true
-		}
-	}
-	return false
-}
-
 // newMatrixIndex builds the index of a dBm power matrix, quantizing every
 // entry through trajectory.CellByte the way stored cells are (stats.Missing
-// becomes MissingCell), with the slow path materialized. Tests build
+// becomes MissingCell), with the dBm rows materialized. Tests build
 // indexes this way; the Searcher copies cells straight from the
 // trajectory (newTrajectoryIndex). A zero-row or zero-column matrix yields
 // a valid index with no window positions rather than a panic.
@@ -269,7 +244,7 @@ func (idx *matrixIndex) rowSums(i, lo, w int) (s, q int32) {
 }
 
 // materialize decodes the rows to dBm (trajectory.CellDBm) and computes
-// their missing-skipping column means: the slow path's inputs. The
+// their missing-skipping column means: a sparse segment's inputs. The
 // Searcher materializes both indexes when either is sparse, before the
 // scans fan out; a dense pair never pays for it.
 func (idx *matrixIndex) materialize() {
@@ -344,12 +319,12 @@ func colMean(sum float64, n int) float64 {
 }
 
 // segScratch holds the per-segment scratch buffers a segScorer fills: the
-// channel kernel's lane table and the pruned scan's column correlations.
+// channel kernel's lane table and the bounded scan's column correlations.
 // Pooled: a platoon-scale batch runs 2·NumSYN segment scans per pair, and
 // the engine's workers churn through them concurrently.
 type segScratch struct {
 	lanes []chanLanes // one entry per block of four channels
-	colR  []float64   // per-placement column correlations for the pruned scan
+	colR  []float64   // per-placement column correlations for the bounded scan
 }
 
 var segPool = sync.Pool{New: func() any { return new(segScratch) }}
@@ -376,28 +351,25 @@ func (s *segScratch) growColR(n int) []float64 {
 // segScorer scores the trajectory correlation between one fixed reference
 // segment — src's rows over [lo, lo+w) — and every same-length window of
 // the target matrix, in O(k·w) per position after the shared O(k·m)
-// preprocessing held by the two indexes.
+// preprocessing held by the two indexes. Only the scoring of one placement
+// depends on the segment (chanSum, colTerms); every scorer runs the same
+// bounded scan.
 type segScorer struct {
 	src, tgt *matrixIndex
 	lo, w    int
-	dense    bool // fast path valid: ref segment and whole target dense
+	dense    bool // kernel path: ref segment and whole target dense
 	noCol    bool // ablation: drop Eq. 2's column-mean term
 
-	// Dense path: the channel kernel's table (its lanes in scratch) and
-	// the pooled buffers.
+	// The pooled buffers, and on the dense path the channel kernel's table
+	// (its lanes in scratch).
 	chans   chanTable
 	scratch *segScratch
-	// Column term: the reference's column sums (a slice of the source's),
-	// their sum, and their 1/√(w·Σx² − (Σx)²) (0 when degenerate).
+	// Dense column term: the reference's column sums (a slice of the
+	// source's), their sum, and their 1/√(w·Σx² − (Σx)²) (0 when
+	// degenerate).
 	refCol    []float64
 	refColSum float64
 	colInvVx  float64
-
-	// planned reports that the Searcher planned this window length on the
-	// target (ensureWindowStats): only planned scorers run the bounded
-	// scan. Unplanned ones — e.g. directly constructed scorers in tests —
-	// score every placement in order.
-	planned bool
 
 	// floor is the segment's coherency threshold: a placement scoring below
 	// it can never become a SYN, so the bounded scan stops scoring it (see
@@ -422,13 +394,12 @@ func newSegScorer(src, tgt *matrixIndex, lo, w int, noCol bool) *segScorer {
 		s.w = 0
 		return s
 	}
+	sc := segPool.Get().(*segScratch)
+	s.scratch = sc
 	s.dense = tgt.dense && src.segmentDense(lo, w)
 	if !s.dense {
 		return s
 	}
-	s.planned = tgt.planned(w)
-	sc := segPool.Get().(*segScratch)
-	s.scratch = sc
 	// The lane table: row offsets, and the reference statistics from two
 	// prefix lookups per row. No cell is touched; the kernel reads both
 	// sides in place.
@@ -474,27 +445,14 @@ func (s *segScorer) positions() int {
 }
 
 // scoreAt returns the trajectory correlation of the reference segment
-// against the target window starting at column j.
+// against the target window starting at column j: Eq. 2, scored with no cut
+// exactly as the bounded scan scores a placement it does not abandon.
 func (s *segScorer) scoreAt(j int) float64 {
 	if s.positions() == 0 {
 		return 0
 	}
-	if !s.dense {
-		return s.scoreSlow(j)
-	}
-	if s.noCol {
-		return s.chanTerm(j)
-	}
-	return s.chanTerm(j) + s.colTerm(j)
-}
-
-// chanTerm is Eq. 2's first term: the mean per-channel Pearson correlation
-// of the reference segment against the target window at j (dense path),
-// summed through chanSum, so a bounded scan's score is the same bits as
-// scoreAt's.
-func (s *segScorer) chanTerm(j int) float64 {
 	sum, _ := s.chanSum(j, 0, nil)
-	return sum / float64(s.src.k)
+	return sum/float64(s.src.k) + s.colTerm(j)
 }
 
 // abandonEvery is how many channels the channel kernel accumulates
@@ -507,19 +465,21 @@ const abandonEvery = 4
 // floating-point score (see chanSum). kernel_amd64.s holds its bits.
 const abandonSlack = 1e-9
 
-// chanSum sums the per-channel correlations of the placement at j on the
-// dense path with one call of the fused channel kernel (chanKernel: per
-// channel an integer dot product of the cells, read in place, the target
-// window's Σy and Σy² from the prefix tables, and the Pearson step), the r
-// added in channel order.
+// chanSum sums the per-channel correlations of the placement at j in
+// channel order. A dense segment makes one call of the fused channel kernel
+// (chanKernel: per channel an integer dot product of the cells, read in
+// place, the target window's Σy and Σy² from the prefix tables, and the
+// Pearson step). A segment with a missing cell takes stats.Pearson over the
+// materialized dBm rows, which skips missing pairs; a NaN r adds nothing.
 //
 // With a non-nil cut, chanSum abandons the placement (ok false) once it is
 // provably dead. Every r is clamped to ≤ 1, so after i of k channels the
 // placement's score sum/k + cr is at most (partial + (k−i))/k + cr; after
-// every block of four channels that bound, plus abandonSlack, is tested
-// against the cut's two thresholds (scanCut.fold), which is exactly
-// cut.dead. Channels are accumulated in the same order either way, so a
-// placement that is not abandoned returns the same bits as chanTerm.
+// every block of four channels but the last that bound, plus abandonSlack,
+// is tested against the cut's two thresholds (scanCut.fold), which is
+// exactly cut.dead. Channels are accumulated in the same order either way,
+// so a placement that is not abandoned returns the same bits as with no
+// cut (scoreAt).
 //
 // Rounding. In real arithmetic over the r values actually computed, the
 // bound dominates the score. The floating-point score and bound are each
@@ -536,24 +496,57 @@ func (s *segScorer) chanSum(j int, cr float64, cut *scanCut) (sum float64, ok bo
 	if cut != nil {
 		le, lt = cut.fold()
 	}
-	return chanKernel(&s.chans, j, cr, le, lt)
+	if s.dense {
+		return chanKernel(&s.chans, j, cr, le, lt)
+	}
+	k, w := s.src.k, s.w
+	kf := float64(k)
+	for i := 0; i < k; i++ {
+		r := stats.Pearson(s.src.rows[i][s.lo:s.lo+w], s.tgt.rows[i][j:j+w])
+		if !math.IsNaN(r) {
+			sum += r
+		}
+		if n := i + 1; n%abandonEvery == 0 && n < k {
+			if bound := (sum+float64(k-n))/kf + cr + abandonSlack; bound <= le || bound < lt {
+				return sum, false
+			}
+		}
+	}
+	return sum, true
 }
 
-// colTerm is Eq. 2's second term: the correlation of the column sums
-// (dense path).
+// colTerm is Eq. 2's second term at placement j (colTerms).
 func (s *segScorer) colTerm(j int) float64 {
 	var r [1]float64
 	s.colTerms(j, r[:])
 	return r[0]
 }
 
-// colTerms fills out[q] with the column term of placement lo+q on the
-// dense path, four placements per kernel call: the lanes share the
-// reference column sums and slide the target window (spare lanes of the
-// last call repeat its last placement).
+// colTerms fills out[q] with the column term of placement lo+q: 0 under
+// the NoColumnTerm ablation; on a sparse segment, stats.Pearson over the
+// missing-skipping column means, a NaN r counting 0; on a dense segment,
+// the correlation of the column sums, four placements per kernel call (the
+// lanes share the reference column sums and slide the target window; spare
+// lanes of the last call repeat its last placement).
 func (s *segScorer) colTerms(lo int, out []float64) {
 	w := s.w
 	tgt := s.tgt
+	if s.noCol {
+		clear(out)
+		return
+	}
+	if !s.dense {
+		ref := s.src.col[s.lo : s.lo+w]
+		for q := range out {
+			j := lo + q
+			r := stats.Pearson(ref, tgt.col[j:j+w])
+			if math.IsNaN(r) {
+				r = 0
+			}
+			out[q] = r
+		}
+		return
+	}
 	var b corrBlock
 	for c := range b.x {
 		b.x[c] = s.refCol
@@ -571,107 +564,24 @@ func (s *segScorer) colTerms(lo int, out []float64) {
 	}
 }
 
-// scoreSlow is the missing-tolerant fallback over the materialized dBm
-// rows. Pearson documents a 0 return for degenerate windows, but a NaN
-// slipping through here would poison the best-window scan (NaN compares
-// false with every score), so each term is guarded before it joins the
-// sum.
-func (s *segScorer) scoreSlow(j int) float64 {
-	var chanSum float64
-	for i := 0; i < s.src.k; i++ {
-		r := stats.Pearson(s.src.rows[i][s.lo:s.lo+s.w], s.tgt.rows[i][j:j+s.w])
-		if math.IsNaN(r) {
-			continue
-		}
-		chanSum += r
-	}
-	chanSum /= float64(s.src.k)
-	if s.noCol {
-		return chanSum
-	}
-	colR := stats.Pearson(s.src.col[s.lo:s.lo+s.w], s.tgt.col[j:j+s.w])
-	if math.IsNaN(colR) {
-		colR = 0
-	}
-	return chanSum + colR
-}
-
-// bestWindowIn scans the window placements j ∈ [lo, hi] (clamped to the
-// valid range) and returns the best-scoring position and score. A
-// position of -1 with score -Inf means the range was empty.
-func (s *segScorer) bestWindowIn(lo, hi int) (pos int, score float64) {
-	return s.bestWindowInFrom(lo, hi, -1)
-}
-
-// bestWindowInFrom is bestWindowIn with an explicit scan pivot: the bounded
-// scan starts at pivot and expands outward, so a warm-start hint placing
-// the pivot on the true match establishes a strong incumbent immediately
-// and the column-term bound prunes the rest of the range. A pivot outside
-// [lo, hi] (including the cold sentinel -1) falls back to the range
-// midpoint. The pivot only reorders evaluation — the returned maximum is
-// identical for every pivot, which is what makes warm-started results
-// exactly equal to the cold oracle's.
-//
-// On the dense bounded path the scan also prunes against s.floor (see
-// scanBounded): when the range's maximum is ≥ the floor it is returned
-// bit-exactly, otherwise the result is some score below the floor (or -1,
-// -Inf). The sparse path and the NoColumnTerm ablation scan every
-// placement.
-func (s *segScorer) bestWindowInFrom(lo, hi, pivot int) (pos int, score float64) {
+// scan returns the best placement of j ∈ [lo, hi] (clamped to the valid
+// range) and its score, or -1 and -Inf for an empty range. It is every
+// direction scan's one entry: the bounded scan pivoted on pivot (-1, or
+// any pivot out of range, for the midpoint) and cut against s.floor and
+// the cross-direction seed (-Inf when unseeded). The seed is the other
+// direction's exact score, which this direction must beat for combine to
+// pick it; tiesWin states combine's tie rule for this direction (AB wins
+// exact score ties, BA loses them). The pivot only reorders evaluation, so
+// every pivot gives the same result: the range's maximum, bit-exact, when
+// it reaches the floor and wins combine against the seed, and otherwise
+// some lower score that misses the floor or loses to the seed — combine's
+// outcome equals that of two full scans either way.
+func (s *segScorer) scan(lo, hi, pivot int, seed float64, tiesWin bool) (pos int, score float64) {
 	lo, hi = clampRange(lo, hi, s.positions())
 	if hi < lo {
 		return -1, math.Inf(-1)
 	}
-	if s.canBound() {
-		return s.scanBounded(lo, hi, pivot, math.Inf(-1), true)
-	}
-	best := math.Inf(-1)
-	bestJ := -1
-	s.visited += hi - lo + 1
-	for j := lo; j <= hi; j++ {
-		if sc := s.scoreAt(j); sc > best {
-			best = sc
-			bestJ = j
-		}
-	}
-	return bestJ, best
-}
-
-// bestWindow scans every window placement.
-func (s *segScorer) bestWindow() (pos int, score float64) {
-	return s.bestWindowIn(0, s.positions()-1)
-}
-
-// canBound reports whether the dense bounded path — and with it the
-// column-term bound scanBounded relies on — is available for this scorer.
-func (s *segScorer) canBound() bool {
-	return s.dense && !s.noCol && s.planned && s.positions() > 0
-}
-
-// bestWindowSeededIn scans [lo, hi] like bestWindowIn but also prunes
-// against a cross-direction seed: the other direction's exact score, which
-// this direction must beat for combine to pick it. Placements whose bound
-// cannot reach the seed are skipped, so a direction holding no real
-// alignment costs about one column sweep. tiesWin states combine's tie
-// rule for this direction (AB wins exact score ties, BA loses them): a
-// ties-win direction keeps placements that can merely *equal* the seed, a
-// ties-lose direction prunes them too.
-//
-// The returned best is exact whenever it would win combine against the
-// seed and reaches the floor — a winning placement j has a bound ≥
-// score(j) ≥ (or >) seed and is never pruned. Otherwise the result may
-// undercount, but every skipped placement provably loses combine to the
-// seeding direction or misses the threshold, so combine's outcome equals
-// the cold full scan's either way.
-func (s *segScorer) bestWindowSeededIn(lo, hi int, seed float64, tiesWin bool) (pos int, score float64) {
-	lo, hi = clampRange(lo, hi, s.positions())
-	if hi < lo {
-		return -1, math.Inf(-1)
-	}
-	if !s.canBound() {
-		return s.bestWindowInFrom(lo, hi, -1)
-	}
-	return s.scanBounded(lo, hi, -1, seed, tiesWin)
+	return s.scanBounded(lo, hi, pivot, seed, tiesWin)
 }
 
 // scanCut is what a placement's score must clear to change a bounded
@@ -709,16 +619,18 @@ func (c *scanCut) fold() (le, lt float64) {
 	return le, lt
 }
 
-// scanBounded is the dense-path branch-and-bound scan over the clamped,
-// non-empty range [lo, hi], cut against s.floor and the cross-direction
-// seed (-Inf when unseeded) under tiesWin. Eq. 2's per-channel mean term
-// is a mean of clamped correlations, so it never exceeds 1, and a
-// placement can only matter when its (cheap, single-dot) column term gives
-// colR + 1 a live bound under the cut (see scanCut.dead). Column terms are evaluated first for
-// the whole range; placements are then visited pivot-outward (an
-// out-of-range pivot means the midpoint). A cold scan pivots on the range
-// midpoint (the aligned position, where the locality bound expects the
-// match); a warm-started scan pivots on the tracker's predicted placement.
+// scanBounded is the branch-and-bound scan over the clamped, non-empty
+// range [lo, hi], cut against s.floor and the cross-direction seed (-Inf
+// when unseeded) under tiesWin. Eq. 2's per-channel mean term is a mean of
+// clamped correlations (a NaN r counts 0), so it never exceeds 1, and a
+// placement can only matter when its (cheap) column term gives colR + 1 a
+// live bound under the cut (see scanCut.dead); under NoColumnTerm every
+// colR is 0 and only the channel term's abandon test cuts. Column terms
+// are evaluated first for the whole range; placements are then visited
+// pivot-outward (an out-of-range pivot means the midpoint). A cold scan
+// pivots on the range midpoint (the aligned position, where the locality
+// bound expects the match); a warm-started scan pivots on the tracker's
+// predicted placement.
 // Either way a strong incumbent appears early, and a placement that
 // survives the column bound is still abandoned inside its channel term as
 // soon as its partial bound dies (chanSum).

@@ -97,7 +97,7 @@ func TestScorerMatchesTrajCorr(t *testing.T) {
 }
 
 // TestScorerSlowPathMatchesTrajCorr does the same with missing entries
-// sprinkled in, exercising the fallback.
+// sprinkled in, exercising the sparse scoring over the dBm rows.
 func TestScorerSlowPathMatchesTrajCorr(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ref := randRows(rng, 5, 15)
@@ -148,7 +148,7 @@ func TestScorerSegmentDenseFastPath(t *testing.T) {
 }
 
 // TestScorerFindsPlantedAlignment embeds the reference segment inside a
-// noise trajectory and checks bestWindow locates it.
+// noise trajectory and checks the scan locates it.
 func TestScorerFindsPlantedAlignment(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const k, w, m, at = 10, 25, 120, 61
@@ -162,9 +162,9 @@ func TestScorerFindsPlantedAlignment(t *testing.T) {
 		}
 	}
 	s := scorerOver(ref, tgt)
-	pos, score := s.bestWindow()
+	pos, score := s.scan(0, s.positions()-1, -1, noSeed, true)
 	if pos != at {
-		t.Errorf("bestWindow at %d, want %d (score %v)", pos, at, score)
+		t.Errorf("scan at %d, want %d (score %v)", pos, at, score)
 	}
 	if score < 1.5 {
 		t.Errorf("planted alignment score = %v, want near 2", score)

@@ -7,15 +7,17 @@ import (
 )
 
 // TestWarmPivotMatchesFullScan is the soundness property of the warm-start
-// scan: bestWindowInFrom must return the full range's exact maximum for
-// *every* pivot — a warm hint only reorders the branch-and-bound
-// evaluation, it must never change the result. The fixtures are crafted to
-// break a scan that trusts its pivot: self-similar corridors where an
-// above-threshold noisy decoy sits near the pivot while the true maximum
-// lies far away, so a bound that stopped at the pivot-local best would
-// return the decoy.
+// scan, for every scanVariant: scan must return the full range's exact
+// maximum for *every* pivot — the same as the midpoint scan and as the
+// sweep in that pivot's visiting order (sweepFrom). A warm hint only
+// reorders the branch-and-bound evaluation, it must never change the
+// result. The fixtures are crafted to break a scan that trusts its pivot:
+// self-similar corridors where an above-threshold noisy decoy sits near
+// the pivot while the true maximum lies far away, so a bound that stopped
+// at the pivot-local best would return the decoy.
 func TestWarmPivotMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	miss := rand.New(rand.NewSource(8))
 	const k, m, w = 5, 120, 16
 	for trial := 0; trial < 40; trial++ {
 		ref := randRows(rng, k, w)
@@ -31,38 +33,40 @@ func TestWarmPivotMatchesFullScan(t *testing.T) {
 				}
 			}
 		}
-		src := newMatrixIndex(ref)
-		dst := newMatrixIndex(tgt)
-		dst.ensureWindowStats(w)
-		s := newSegScorer(src, dst, 0, w, false)
-		if !s.canBound() {
-			t.Fatal("fixture should support the dense bound path")
-		}
-		n := s.positions()
-		wantPos, wantScore := s.bestWindowIn(0, n-1)
-		for pivot := 0; pivot < n; pivot += 3 {
-			pos, score := s.bestWindowInFrom(0, n-1, pivot)
-			if pos != wantPos || score != wantScore {
-				t.Fatalf("trial %d pivot %d: warm-pivoted scan returned (%d, %v), full scan (%d, %v)",
-					trial, pivot, pos, score, wantPos, wantScore)
+		for _, v := range scanVariants {
+			s := variantScorer(t, miss, v, ref, tgt)
+			n := s.positions()
+			wantPos, wantScore := s.scan(0, n-1, -1, noSeed, true)
+			for pivot := 0; pivot < n; pivot += 3 {
+				pos, score := s.scan(0, n-1, pivot, noSeed, true)
+				if pos != wantPos || score != wantScore {
+					t.Fatalf("%s trial %d pivot %d: warm-pivoted scan returned (%d, %v), full scan (%d, %v)",
+						v.name, trial, pivot, pos, score, wantPos, wantScore)
+				}
+				if sPos, sScore := sweepFrom(s, 0, n-1, pivot); pos != sPos || score != sScore {
+					t.Fatalf("%s trial %d pivot %d: warm-pivoted scan returned (%d, %v), sweep (%d, %v)",
+						v.name, trial, pivot, pos, score, sPos, sScore)
+				}
 			}
+			s.release()
 		}
-		s.release()
 	}
 }
 
-// TestSeededScanCombineEquivalence pins bestWindowSeededIn's contract: the
-// returned best must be bitwise exact whenever this direction would win
-// combine against the seed (the other direction's score, under the given
-// tie rule), and may only undercount — never overcount — when it loses.
-// Either way combine's direction choice equals the cold full scan's. The
-// seed ladder includes the exact maximum itself, which is the clamped-
-// correlation tie case (identical signals score exactly 2 in both
-// directions): a ties-win direction must still find it exactly.
+// TestSeededScanCombineEquivalence pins the seeded scan's contract for
+// every scanVariant: the returned best must be bitwise exact whenever this
+// direction would win combine against the seed (the other direction's
+// score, under the given tie rule), and may only undercount — never
+// overcount — when it loses. Either way combine's direction choice equals
+// the cold full scan's, itself checked against the midpoint sweep
+// (sweepFrom). The seed ladder includes the exact maximum itself, which is
+// the clamped-correlation tie case (identical signals score exactly 2 in
+// both directions): a ties-win direction must still find it exactly.
 func TestSeededScanCombineEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	miss := rand.New(rand.NewSource(12))
 	const k, m, w = 5, 120, 16
-	var exact, undercut int
+	exact, undercut := make([]int, len(scanVariants)), make([]int, len(scanVariants))
 	for trial := 0; trial < 60; trial++ {
 		ref := randRows(rng, k, w)
 		tgt := randRows(rng, k, m)
@@ -78,37 +82,38 @@ func TestSeededScanCombineEquivalence(t *testing.T) {
 				}
 			}
 		}
-		src := newMatrixIndex(ref)
-		dst := newMatrixIndex(tgt)
-		dst.ensureWindowStats(w)
-		s := newSegScorer(src, dst, 0, w, false)
-		if !s.canBound() {
-			t.Fatal("fixture should support the dense bound path")
-		}
-		n := s.positions()
-		wantPos, wantScore := s.bestWindowIn(0, n-1)
-		for _, seed := range []float64{math.Inf(-1), wantScore - 0.5, wantScore, wantScore + 0.3} {
-			for _, tiesWin := range []bool{true, false} {
-				pos, sc := s.bestWindowSeededIn(0, n-1, seed, tiesWin)
-				wins := wantScore > seed || (tiesWin && wantScore == seed)
-				if wins {
-					if pos != wantPos || sc != wantScore {
-						t.Fatalf("trial %d seed %v tiesWin %v: winning direction returned (%d, %v), full scan (%d, %v)",
-							trial, seed, tiesWin, pos, sc, wantPos, wantScore)
-					}
-					exact++
-					continue
-				}
-				if sc > wantScore {
-					t.Fatalf("trial %d seed %v tiesWin %v: seeded scan overcounted: %v > full scan %v",
-						trial, seed, tiesWin, sc, wantScore)
-				}
-				undercut++
+		for vi, v := range scanVariants {
+			s := variantScorer(t, miss, v, ref, tgt)
+			n := s.positions()
+			wantPos, wantScore := s.scan(0, n-1, -1, noSeed, true)
+			if sPos, sScore := sweepFrom(s, 0, n-1, -1); wantPos != sPos || wantScore != sScore {
+				t.Fatalf("%s trial %d: full scan (%d, %v), sweep (%d, %v)", v.name, trial, wantPos, wantScore, sPos, sScore)
 			}
+			for _, seed := range []float64{math.Inf(-1), wantScore - 0.5, wantScore, wantScore + 0.3} {
+				for _, tiesWin := range []bool{true, false} {
+					pos, sc := s.scan(0, n-1, -1, seed, tiesWin)
+					beats := wantScore > seed || (tiesWin && wantScore == seed)
+					if beats {
+						if pos != wantPos || sc != wantScore {
+							t.Fatalf("%s trial %d seed %v tiesWin %v: winning direction returned (%d, %v), full scan (%d, %v)",
+								v.name, trial, seed, tiesWin, pos, sc, wantPos, wantScore)
+						}
+						exact[vi]++
+						continue
+					}
+					if sc > wantScore {
+						t.Fatalf("%s trial %d seed %v tiesWin %v: seeded scan overcounted: %v > full scan %v",
+							v.name, trial, seed, tiesWin, sc, wantScore)
+					}
+					undercut[vi]++
+				}
+			}
+			s.release()
 		}
-		s.release()
 	}
-	if exact == 0 || undercut == 0 {
-		t.Fatalf("fixture never exercised both branches (exact %d, undercut %d)", exact, undercut)
+	for vi, v := range scanVariants {
+		if exact[vi] == 0 || undercut[vi] == 0 {
+			t.Fatalf("%s: fixture never exercised both branches (exact %d, undercut %d)", v.name, exact[vi], undercut[vi])
+		}
 	}
 }

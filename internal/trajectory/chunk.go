@@ -14,7 +14,7 @@ import (
 // MissingCell for an unscanned channel. That is the 1 dB resolution GSM
 // receivers report and the paper's one byte per channel-metre (§V-B). A
 // cell is rounded exactly once, when it is written (SetPower, Append,
-// AppendColumns, FromRows, Bind, Interpolate); reads return the cell's
+// AppendColumns, Bind, Interpolate); reads return the cell's
 // dBm exactly, so rewriting a cell with what was read from it is a no-op
 // and every byte codec carrying cells (the wire format, the reliable-sync
 // chunks) is lossless.

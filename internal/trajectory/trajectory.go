@@ -86,19 +86,6 @@ func NewAwareWidth(g Geo, width int) *Aware {
 	return &Aware{Geo: g, pw: newPowStore(width, len(g.Marks))}
 }
 
-// FromRows builds a trajectory from channel-major power rows; every row
-// must be g.Len() long. The rows are copied into owned chunk storage.
-func FromRows(g Geo, rows [][]float64) *Aware {
-	a := NewAwareWidth(g, len(rows))
-	for ch, row := range rows {
-		if len(row) != g.Len() {
-			panic(fmt.Sprintf("trajectory: row %d has %d columns, want %d", ch, len(row), g.Len()))
-		}
-		a.pw.setRow(ch, 0, row)
-	}
-	return a
-}
-
 // Len returns the trajectory length in metres.
 func (a *Aware) Len() int { return len(a.Geo.Marks) }
 
@@ -474,34 +461,6 @@ func channelIDs(ms []chMean) []int {
 		out[i] = m.ch
 	}
 	return out
-}
-
-// Select returns a copy of the power matrix restricted to the given channel
-// rows. Like Window, this materializes: chunked rows are not contiguous.
-func (a *Aware) Select(channels []int) [][]float64 {
-	w := make([][]float64, len(channels))
-	n := a.Len()
-	back := make([]float64, len(channels)*n)
-	for i, ch := range channels {
-		if ch < 0 || ch >= a.pw.width {
-			panic(fmt.Sprintf("trajectory: channel %d out of range", ch))
-		}
-		row := back[i*n : (i+1)*n : (i+1)*n]
-		a.pw.copyRow(ch, 0, row)
-		w[i] = row
-	}
-	return w
-}
-
-// DistanceBetween returns the metres travelled between mark i and the
-// trajectory's end — the d-values of the paper's relative-distance
-// resolution (§IV-E). By the per-metre construction this is simply the
-// index distance.
-func (a *Aware) DistanceBetween(mark int) float64 {
-	if mark < 0 || mark >= a.Len() {
-		panic(fmt.Sprintf("trajectory: mark %d out of range", mark))
-	}
-	return MetresFromIndex(a.Len()-1) - MetresFromIndex(mark)
 }
 
 // TimeSpan returns the first and last mark timestamps.

@@ -168,26 +168,12 @@ func TestTopChannels(t *testing.T) {
 	if top[0] != 10 || top[1] != 20 || top[2] != 30 {
 		t.Errorf("TopChannels = %v", top)
 	}
-	sel := a.Select(top)
-	if sel[0][0] != -50 || sel[2][0] != -70 {
-		t.Error("Select content wrong")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on k=0")
 		}
 	}()
 	a.TopChannels(0)
-}
-
-func TestDistanceBetween(t *testing.T) {
-	a := NewAware(mkGeo(10, 0))
-	if got := a.DistanceBetween(9); got != 0 {
-		t.Errorf("distance from last mark = %v", got)
-	}
-	if got := a.DistanceBetween(0); got != 9 {
-		t.Errorf("distance from first mark = %v", got)
-	}
 }
 
 func TestClone(t *testing.T) {
