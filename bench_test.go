@@ -177,6 +177,14 @@ func getPair() (*trajectory.Aware, *trajectory.Aware) {
 	return pairA, pairB
 }
 
+// findSYNs runs one sequential multi-SYN search (up to p.NumSYN points)
+// on a fresh searcher.
+func findSYNs(a, b *trajectory.Aware, p core.Params) []core.SYNPoint {
+	s := core.NewSearcher(a, b, p)
+	defer s.Release()
+	return s.FindSYNs(p.NumSYN, core.Sequential)
+}
+
 // BenchmarkSynSearch is the §V-A claim: one double-sliding SYN search over
 // a 1 km context with a 45-channel × 85 m window (paper: ~1.2 ms on an
 // i7-2640M).
@@ -246,7 +254,7 @@ func BenchmarkFindSYNs(b *testing.B) {
 	p := core.DefaultParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if syns := core.FindSYNs(a, bb, p, p.NumSYN); len(syns) == 0 {
+		if syns := findSYNs(a, bb, p); len(syns) == 0 {
 			b.Fatal("no SYNs on overlapping synthetic pair")
 		}
 	}
@@ -266,7 +274,7 @@ func BenchmarkSearcherInstrumented(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if syns := core.FindSYNs(a, bb, p, p.NumSYN); len(syns) == 0 {
+		if syns := findSYNs(a, bb, p); len(syns) == 0 {
 			b.Fatal("no SYNs on overlapping synthetic pair")
 		}
 	}
@@ -286,7 +294,7 @@ func BenchmarkSearcherInstrumentedEnabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if syns := core.FindSYNs(a, bb, p, p.NumSYN); len(syns) == 0 {
+		if syns := findSYNs(a, bb, p); len(syns) == 0 {
 			b.Fatal("no SYNs on overlapping synthetic pair")
 		}
 	}
@@ -328,6 +336,18 @@ func getConvoy() []*trajectory.Aware {
 	return convoyTrajs
 }
 
+// allPairs lists every unordered pair (i < j) of n admitted slots as
+// queries without identity: the cold oracle.
+func allPairs(n int) []engine.Query {
+	var qs []engine.Query
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			qs = append(qs, engine.Query{A: i, B: j})
+		}
+	}
+	return qs
+}
+
 // BenchmarkEngineResolve measures one batch tick of the concurrent engine:
 // all 15 pairs of a 6-vehicle convoy resolved over the worker pool
 // (admission snapshots included — they are part of every real tick).
@@ -342,7 +362,7 @@ func BenchmarkEngineResolve(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res := batch.ResolveAll(p); len(res) != 15 {
+		if res := batch.Resolve(allPairs(batch.Len()), p, 0, core.Staleness{}); len(res) != 15 {
 			b.Fatal("wrong pair count")
 		}
 	}

@@ -264,7 +264,7 @@ func runLinkedConvoy(sc sim.Scenario, rc city.RoadClass, n, workers int, interva
 				errStr = fmt.Sprintf("%.1f", res.Est.Distance-truth)
 				scoreStr = fmt.Sprintf("%.2f", res.Est.Score)
 				state = "ok"
-				if res.Stale {
+				if res.Freshness == core.StaleContext {
 					stale++
 					state = "stale"
 				}

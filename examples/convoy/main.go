@@ -73,7 +73,7 @@ func main() {
 	alerts := 0
 	for t := t0 + 50; t <= end; t += queryEvery {
 		for _, p := range pairs {
-			est, ok := sim.ResolveAt(p.rear, p.front, t, params)
+			est, ok := core.Resolve(p.rear.Aware.PrefixUntil(t), p.front.Aware.PrefixUntil(t), params)
 			if !ok {
 				continue
 			}

@@ -100,7 +100,7 @@ func TestFindSYNRespectsLocalityBound(t *testing.T) {
 	p.MaxRelDistM = 40
 	for trial := int64(40); trial < 50; trial++ {
 		a, b := plantedPair(trial, 300, 25, 1.5)
-		syns := FindSYNs(a, b, p, p.NumSYN)
+		syns := findSYNs(a, b, p)
 		for _, s := range syns {
 			if d := math.Abs(s.RelativeDistance(a, b)); d > float64(p.MaxRelDistM)+1 {
 				t.Fatalf("trial %d: estimate %v beyond locality bound", trial, d)

@@ -31,7 +31,7 @@ type Estimate struct {
 // Parallel runs a set of independent tasks to completion. The argument
 // tasks never depend on each other, so any execution order — or genuine
 // concurrency — is valid. Sequential is the in-order default used by the
-// plain FindSYNs/Resolve entry points; the batch-resolution engine
+// plain FindSYN/Resolve entry points; the batch-resolution engine
 // substitutes its bounded worker pool. Every task is internally
 // deterministic and writes only its own result slot, so results are
 // bit-identical under any Parallel implementation.
@@ -457,7 +457,7 @@ func (s *Searcher) trackSegment(seg int, pl *segmentPlan, syn SYNPoint, ok bool)
 				drift = -drift
 			}
 		}
-		hit := pl.warm && ok && drift <= s.tk.radius
+		hit := pl.warm && ok && drift <= warmRadiusM
 		if t := s.tel; t != nil {
 			if hit {
 				t.warmHits.Inc()
@@ -525,19 +525,13 @@ func (s *Searcher) Resolve(par Parallel) (Estimate, bool) {
 // when no window position reaches the coherency threshold — the
 // trajectories are considered unrelated.
 func FindSYN(a, b *trajectory.Aware, p Params) (SYNPoint, bool) {
-	syns := FindSYNs(a, b, p, 1)
+	s := NewSearcher(a, b, p)
+	defer s.Release()
+	syns := s.FindSYNs(1, Sequential)
 	if len(syns) == 0 {
 		return SYNPoint{}, false
 	}
 	return syns[0], true
-}
-
-// FindSYNs locates up to n SYN points from segments ending at successive
-// strides back from the most recent mark (§VI-C).
-func FindSYNs(a, b *trajectory.Aware, p Params, n int) []SYNPoint {
-	s := NewSearcher(a, b, p)
-	defer s.Release()
-	return s.FindSYNs(n, Sequential)
 }
 
 // Resolve is the full RUPS pipeline for one query: find up to NumSYN SYN

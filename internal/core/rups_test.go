@@ -10,6 +10,14 @@ import (
 	"rups/internal/trajectory"
 )
 
+// findSYNs runs one sequential multi-SYN search (up to p.NumSYN points)
+// on a fresh searcher.
+func findSYNs(a, b *trajectory.Aware, p Params) []SYNPoint {
+	s := NewSearcher(a, b, p)
+	defer s.Release()
+	return s.FindSYNs(p.NumSYN, Sequential)
+}
+
 // awareOfLen builds a minimal trajectory with n marks (1 m/s, all power
 // missing) for index arithmetic tests.
 func awareOfLen(n int) *trajectory.Aware {
@@ -144,7 +152,7 @@ func TestFindSYNsMultipleSegments(t *testing.T) {
 	const gap = 20.0
 	a, b := pairOnRoad(t, gap, 400)
 	p := DefaultParams()
-	syns := FindSYNs(a, b, p, p.NumSYN)
+	syns := findSYNs(a, b, p)
 	if len(syns) < 3 {
 		t.Fatalf("only %d SYN points from 5 segments", len(syns))
 	}

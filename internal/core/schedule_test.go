@@ -129,7 +129,7 @@ func TestSegmentScheduleMatchesFullScans(t *testing.T) {
 				got := pl
 				s.tk = nil
 				if k >= 0 {
-					s.tk = NewTracker(0)
+					s.tk = NewTracker()
 					s.tk.hints[seg] = deltas[k]
 				}
 				s.warmPlan(&got, seg)

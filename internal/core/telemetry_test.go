@@ -90,7 +90,7 @@ func TestSearcherMarginOnePerSegment(t *testing.T) {
 
 	a, _ := plantedPair(31, 300, 20, 1.0)
 	_, b := plantedPair(32, 300, 20, 1.0) // another world: unrelated to a
-	if syns := FindSYNs(a, b, p, p.NumSYN); len(syns) != 0 {
+	if syns := findSYNs(a, b, p); len(syns) != 0 {
 		t.Fatalf("unrelated pair produced %d SYNs", len(syns))
 	}
 	tel := searchTel.Get()
@@ -112,7 +112,7 @@ func TestSearcherMarginOnePerSegment(t *testing.T) {
 	}
 
 	a, b = plantedPair(33, 300, 20, 1.0)
-	if syns := FindSYNs(a, b, p, p.NumSYN); len(syns) == 0 {
+	if syns := findSYNs(a, b, p); len(syns) == 0 {
 		t.Fatal("planted pair produced no SYNs")
 	}
 	if segs := tel.segments.Value(); tel.margin.Count() != segs || tel.accepted.Value()+tel.rejected.Value() != segs {

@@ -1,11 +1,11 @@
 package core
 
-// DefaultWarmRadiusM is the drift tolerance for classifying a warm-started
+// warmRadiusM is the drift tolerance for classifying a warm-started
 // segment as a hit: how far (in metres) a pair's SYN offset may move
 // between consecutive ticks and still count as tracked. At urban speeds
 // and second-scale resolve intervals the relative offset moves a few
 // metres per tick, so 25 m is generous without masking a lost lock.
-const DefaultWarmRadiusM = 25
+const warmRadiusM = 25
 
 // Tracker carries one pair's warm-start state across resolves, keyed by
 // segment ordinal (the i-th NumSYN segment). Each hint is the previous
@@ -29,17 +29,12 @@ const DefaultWarmRadiusM = 25
 // shared across goroutines within a batch; the engine hands it only to the
 // first query naming the pair.
 type Tracker struct {
-	radius int
-	hints  map[int]int
+	hints map[int]int
 }
 
-// NewTracker builds a tracker with the given hit-classification radius in
-// metres (DefaultWarmRadiusM when ≤ 0).
-func NewTracker(radiusM int) *Tracker {
-	if radiusM <= 0 {
-		radiusM = DefaultWarmRadiusM
-	}
-	return &Tracker{radius: radiusM, hints: make(map[int]int)}
+// NewTracker builds a tracker with no hints: its first resolve scans cold.
+func NewTracker() *Tracker {
+	return &Tracker{hints: make(map[int]int)}
 }
 
 // Reset drops every hint: the next resolve cold-scans all segments. The

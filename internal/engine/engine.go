@@ -125,7 +125,7 @@ func (e *Engine) touch(id PairID, cls core.Freshness) (tk *core.Tracker, prev co
 	defer e.tmu.Unlock()
 	st := e.pairs[id]
 	if st == nil {
-		st = &pairState{tk: core.NewTracker(0)}
+		st = &pairState{tk: core.NewTracker()}
 		e.pairs[id] = st
 	}
 	if st.gen != e.gen {
@@ -259,14 +259,15 @@ func (e *Engine) run(tasks ...func()) {
 // slice the batch was admitted with; Est is the resolved estimate
 // (Est.Distance > 0 means B is ahead of A). OK is false when no SYN point
 // passed the coherency threshold, the pair's indexes were out of range, or
-// a staleness policy expired the pair's context. Stale flags results
-// resolved from degraded (aged but not yet expired) context — see
-// core.Staleness.
+// a staleness policy expired the pair's context. Freshness is the pair's
+// staleness class under the batch's policy (see core.Staleness):
+// StaleContext for a pair resolved from aged context, ExpiredContext for
+// one refused unresolved, FreshContext otherwise.
 type Result struct {
-	A, B  int
-	Est   core.Estimate
-	OK    bool
-	Stale bool
+	A, B      int
+	Est       core.Estimate
+	OK        bool
+	Freshness core.Freshness
 	// Shed flags a pair whose deadline expired before its resolution
 	// started (at admission, or — with SetClock installed — at task
 	// start): the work was dropped unrun, OK is false, and the caller
@@ -318,23 +319,13 @@ func (e *Engine) Admit(trajs ...*trajectory.Aware) (*Batch, error) {
 // Len reports how many trajectories the batch admitted.
 func (b *Batch) Len() int { return len(b.snaps) }
 
-// ResolveAll resolves every unordered pair (i < j) of the batch and
-// returns the results in pair-enumeration order. Identical to calling the
-// sequential core.Resolve on every pair of snapshots, bit for bit.
-func (b *Batch) ResolveAll(p core.Params) []Result {
-	pairs := make([][2]int, 0, len(b.snaps)*(len(b.snaps)-1)/2)
-	for i := 0; i < len(b.snaps); i++ {
-		for j := i + 1; j < len(b.snaps); j++ {
-			pairs = append(pairs, [2]int{i, j})
-		}
-	}
-	return b.ResolvePairs(pairs, p)
-}
-
 // PairID is a pair's stable identity: the ordered (resolver, peer)
 // vehicle IDs. Warm-start trackers and staleness classes key on it, so a
 // pair keeps its state however its trajectories land in a batch's slots.
-// Flight events carry each half as its int32 bit pattern.
+// The zero PairID marks a query without identity, which reads and writes
+// no pair state (the cold oracle): {0, 0} would pair a vehicle with
+// itself, never a real pair. Flight events carry each half as its int32
+// bit pattern.
 type PairID [2]uint32
 
 // flightAB returns the pair as flight-event A and B.
@@ -343,12 +334,9 @@ func (id PairID) flightAB() (a, b int32) {
 	return int32(id[0]), int32(id[1])
 }
 
-// noPair marks a query without identity: it reads and writes no pair
-// state (ResolvePairs, the cold oracle).
-var noPair = PairID{math.MaxUint32, math.MaxUint32}
-
 // Query is one pair to resolve: A and B index the batch's admitted
-// trajectories and Pair names the two vehicles. Deadline > 0 is the
+// trajectories and Pair names the two vehicles (zero: no identity, so no
+// warm start and no staleness transitions). Deadline > 0 is the
 // absolute time (same domain as Resolve's now) by which the resolution
 // must have *started*; 0 means none. Ref, when nonzero, is the
 // cross-vehicle trace ref of the context admission that produced the
@@ -367,10 +355,11 @@ type Query struct {
 // OK == false rather than a panic. A pair's age is the older of its two
 // contexts' ages (a resolution is only as current as its weaker side):
 //
-//   - expired pairs are not resolved at all: OK == false, no silently
-//     wrong d_r from fossil context — and the pair's tracker is reset, so
-//     the next resolve after re-contact scans cold;
-//   - stale pairs resolve normally but carry Stale == true;
+//   - expired pairs are not resolved at all (OK == false, Freshness ==
+//     ExpiredContext): no silently wrong d_r from fossil context — and the
+//     pair's tracker is reset, so the next resolve after re-contact scans
+//     cold;
+//   - stale pairs resolve normally but carry Freshness == StaleContext;
 //   - fresh pairs resolve normally.
 //
 // Each pair warm-starts from its tracker: steady-state re-resolves pivot
@@ -398,7 +387,7 @@ func (b *Batch) Resolve(qs []Query, p core.Params, now float64, pol core.Stalene
 		start = time.Now()
 	}
 	e.nowBits.Store(math.Float64bits(now))
-	if slices.ContainsFunc(qs, func(q Query) bool { return q.Pair != noPair }) {
+	if slices.ContainsFunc(qs, func(q Query) bool { return q.Pair != PairID{} }) {
 		e.beginGen(fl, now)
 	}
 	out := make([]Result, len(qs))
@@ -436,7 +425,7 @@ func (b *Batch) Resolve(qs []Query, p core.Params, now float64, pol core.Stalene
 			cls = pol.Classify(age)
 		}
 		var tk *core.Tracker
-		if q.Pair != noPair {
+		if q.Pair != (PairID{}) {
 			var prev core.Freshness
 			var gen uint64
 			tk, prev, gen = e.touch(q.Pair, cls)
@@ -460,6 +449,7 @@ func (b *Batch) Resolve(qs []Query, p core.Params, now float64, pol core.Stalene
 		}
 		switch cls {
 		case core.ExpiredContext:
+			out[i].Freshness = cls
 			if tel != nil {
 				tel.pairsExpired.Inc()
 			}
@@ -490,7 +480,7 @@ func (b *Batch) Resolve(qs []Query, p core.Params, now float64, pol core.Stalene
 					return
 				}
 			}
-			out[i].Stale = cls == core.StaleContext
+			out[i].Freshness = cls // fresh or stale: expired never schedules
 			var t0 time.Time
 			if timed {
 				t0 = time.Now()
@@ -520,28 +510,32 @@ func (b *Batch) Resolve(qs []Query, p core.Params, now float64, pol core.Stalene
 
 // ResolvePairs resolves the given pairs (indexes into the admitted slice)
 // and returns results in input order. This is the cold oracle: no
-// warm-start state is consulted or updated.
+// warm-start state is consulted or updated. It is kept for the frozen
+// benchmark harness (perfbench), its only caller outside tests; new code
+// builds []Query and calls Resolve.
 func (b *Batch) ResolvePairs(pairs [][2]int, p core.Params) []Result {
-	return b.Resolve(slotQueries(pairs, false), p, 0, core.Staleness{})
+	return b.Resolve(slotQueries(pairs), p, 0, core.Staleness{})
 }
 
 // ResolvePairsAt is Resolve with each pair named by its slot indexes — a
 // stable identity only for callers that admit in a fixed order. With a
 // zero-value (disabled) policy it returns exactly what ResolvePairs
-// would, just faster on repeat contact.
+// would, just faster on repeat contact. It is kept for the frozen
+// benchmark harness (perfbench), its only caller outside tests; new code
+// builds []Query and calls Resolve.
 func (b *Batch) ResolvePairsAt(pairs [][2]int, p core.Params, now float64, pol core.Staleness) []Result {
-	return b.Resolve(slotQueries(pairs, true), p, now, pol)
+	qs := slotQueries(pairs)
+	for i := range qs {
+		qs[i].Pair = PairID{uint32(qs[i].A), uint32(qs[i].B)}
+	}
+	return b.Resolve(qs, p, now, pol)
 }
 
-// slotQueries builds one query per pair, identified by its slot indexes
-// when keyed and by noPair otherwise.
-func slotQueries(pairs [][2]int, keyed bool) []Query {
+// slotQueries builds one query without identity per pair.
+func slotQueries(pairs [][2]int) []Query {
 	qs := make([]Query, len(pairs))
 	for i, pr := range pairs {
-		qs[i] = Query{A: pr[0], B: pr[1], Pair: noPair}
-		if keyed {
-			qs[i].Pair = PairID{uint32(pr[0]), uint32(pr[1])}
-		}
+		qs[i] = Query{A: pr[0], B: pr[1]}
 	}
 	return qs
 }

@@ -53,6 +53,18 @@ func syntheticConvoy(seed int64, n, length, gap int, noiseSigma float64) []*traj
 	return out
 }
 
+// resolveAll resolves every unordered pair (i < j) of the batch as the
+// cold oracle (queries without identity), in pair-enumeration order.
+func resolveAll(b *engine.Batch, p core.Params) []engine.Result {
+	var qs []engine.Query
+	for i := 0; i < b.Len(); i++ {
+		for j := i + 1; j < b.Len(); j++ {
+			qs = append(qs, engine.Query{A: i, B: j})
+		}
+	}
+	return b.Resolve(qs, p, 0, core.Staleness{})
+}
+
 func convoyParams() core.Params {
 	p := core.DefaultParams()
 	p.WindowChannels = 40
@@ -72,7 +84,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := batch.ResolveAll(p)
+	got := resolveAll(batch, p)
 	if len(got) != 15 {
 		t.Fatalf("6-vehicle platoon has %d results, want 15", len(got))
 	}
@@ -107,7 +119,7 @@ func TestEngineSingleWorkerNestedFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := batch.ResolveAll(p)
+	got := resolveAll(batch, p)
 	for _, r := range got {
 		wantEst, wantOK := core.Resolve(trajs[r.A], trajs[r.B], p)
 		if r.OK != wantOK || !reflect.DeepEqual(r.Est, wantEst) {
@@ -161,7 +173,7 @@ func TestEngineConcurrentAppend(t *testing.T) {
 	}
 	started.Wait()
 	for round := 0; round < 3; round++ {
-		res := batch.ResolveAll(p)
+		res := resolveAll(batch, p)
 		if len(res) != 6 {
 			t.Fatalf("round %d: %d results, want 6", round, len(res))
 		}
@@ -188,7 +200,7 @@ func TestEngineDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := batch.ResolveAll(p); len(res) != 0 {
+	if res := resolveAll(batch, p); len(res) != 0 {
 		t.Fatalf("empty batch: %d results", len(res))
 	}
 	empty := trajectory.NewAware(trajectory.Geo{})
@@ -196,7 +208,7 @@ func TestEngineDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := batch.ResolveAll(p)
+	res := resolveAll(batch, p)
 	if len(res) != 1 || res[0].OK {
 		t.Fatalf("empty trajectories resolved: %+v", res)
 	}
@@ -258,7 +270,7 @@ func TestEngineAdmitAfterClose(t *testing.T) {
 	if _, err := e.Admit(trajs...); err != engine.ErrClosed {
 		t.Fatalf("Admit after Close: err = %v, want ErrClosed", err)
 	}
-	res := batch.ResolveAll(p)
+	res := resolveAll(batch, p)
 	if len(res) != 1 {
 		t.Fatalf("pre-Close batch resolved %d pairs, want 1", len(res))
 	}
@@ -288,7 +300,7 @@ func TestEngineCloseDuringResolve(t *testing.T) {
 					}
 					continue
 				}
-				batch.ResolveAll(p)
+				resolveAll(batch, p)
 			}
 		}()
 		go func() {

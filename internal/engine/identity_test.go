@@ -85,7 +85,7 @@ func TestPairIdentitySurvivesPermutation(t *testing.T) {
 			if !okf || !oks || !reflect.DeepEqual(tf, ts) {
 				t.Fatalf("t=%v pair %v: tracker hints differ under permutation:\n%+v\n%+v", now, id, tf, ts)
 			}
-			if !reflect.DeepEqual(tf, core.NewTracker(0)) {
+			if !reflect.DeepEqual(tf, core.NewTracker()) {
 				hinted++
 			}
 		}

@@ -30,21 +30,21 @@ func TestStalenessTransitions(t *testing.T) {
 	const newest = 1398.0
 
 	fresh := b.ResolvePairsAt(pairs, convoyParams(), newest+5, pol)[0]
-	if !fresh.OK || fresh.Stale {
-		t.Fatalf("fresh pair: OK=%v Stale=%v", fresh.OK, fresh.Stale)
+	if !fresh.OK || fresh.Freshness != core.FreshContext {
+		t.Fatalf("fresh pair: OK=%v Freshness=%v", fresh.OK, fresh.Freshness)
 	}
 
 	stale := b.ResolvePairsAt(pairs, convoyParams(), newest+100, pol)[0]
-	if !stale.OK || !stale.Stale {
-		t.Fatalf("aged pair: OK=%v Stale=%v, want resolved and flagged", stale.OK, stale.Stale)
+	if !stale.OK || stale.Freshness != core.StaleContext {
+		t.Fatalf("aged pair: OK=%v Freshness=%v, want resolved and flagged", stale.OK, stale.Freshness)
 	}
 	if !reflect.DeepEqual(stale.Est, fresh.Est) {
 		t.Fatalf("stale estimate %+v differs from fresh %+v — degradation changed the answer", stale.Est, fresh.Est)
 	}
 
 	expired := b.ResolvePairsAt(pairs, convoyParams(), newest+200, pol)[0]
-	if expired.OK || expired.Stale {
-		t.Fatalf("expired pair: OK=%v Stale=%v, want refused", expired.OK, expired.Stale)
+	if expired.OK || expired.Freshness != core.ExpiredContext {
+		t.Fatalf("expired pair: OK=%v Freshness=%v, want refused", expired.OK, expired.Freshness)
 	}
 	if !reflect.DeepEqual(expired.Est, core.Estimate{}) {
 		t.Fatalf("expired pair carries an estimate: %+v", expired.Est)
@@ -81,8 +81,8 @@ func TestStalenessEmptyContextExpires(t *testing.T) {
 	}
 	pol := core.DefaultStaleness()
 	r := b.ResolvePairsAt([][2]int{{0, 1}}, convoyParams(), 1399, pol)[0]
-	if r.OK || r.Stale {
-		t.Fatalf("pair against an empty context: OK=%v Stale=%v", r.OK, r.Stale)
+	if r.OK || r.Freshness != core.ExpiredContext {
+		t.Fatalf("pair against an empty context: OK=%v Freshness=%v", r.OK, r.Freshness)
 	}
 	// Out-of-range indexes still refuse cleanly under a policy.
 	r = b.ResolvePairsAt([][2]int{{0, 7}}, convoyParams(), 1399, pol)[0]

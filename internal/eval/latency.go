@@ -164,17 +164,6 @@ func Scalability(o Options) *Table {
 	return t
 }
 
-// All runs every experiment in paper order.
-func All(o Options) []*Table {
-	return []*Table{
-		Fig1(o), Fig2(o), Fig3(o), Fig4(o),
-		Fig9(o), Fig10(o), Fig11(o), Fig12(o),
-		Latency(o), Scalability(o), PlatoonScale(o), Ablations(o),
-		Sensitivity(o), Multiband(o), Odometry(o), Traffic(o), LinkLoss(o),
-		Turns(o),
-	}
-}
-
 // ByID returns the experiment runner for an id, or nil.
 func ByID(id string) func(Options) *Table {
 	switch id {

@@ -43,10 +43,6 @@ func NewField(seed uint64, towers []Tower, zone Zoning) *Field {
 	return f
 }
 
-// SetTemporal overrides the temporal dynamics (used by calibration tests and
-// ablations).
-func (f *Field) SetTemporal(p TemporalParams) { f.temporal = p }
-
 // AddPerturber attaches a transient perturbation (e.g. a passing truck) to
 // the field.
 func (f *Field) AddPerturber(p Perturber) { f.perturbs = append(f.perturbs, p) }

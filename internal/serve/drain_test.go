@@ -167,6 +167,33 @@ func TestShutdownFlushesAdmittedQueries(t *testing.T) {
 	}
 }
 
+// TestLoadGeneratorQueriesHeldPeers: on a clean link every query names a
+// peer the server already holds, so no query is answered unknown_vehicle.
+func TestLoadGeneratorQueriesHeldPeers(t *testing.T) {
+	s := New(Config{Addr: "127.0.0.1:0", Workers: 2, Params: testParams()})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	stats := RunLoad(context.Background(), LoadConfig{
+		Addr:     s.Addr().String(),
+		Vehicles: 12,
+		Rounds:   10,
+		Seed:     3,
+		PaceSec:  0.02,
+		// Fewer slots than vehicles: the first wave queries while the
+		// rest of the fleet has not connected yet.
+		Concurrency: 4,
+	})
+	s.Shutdown()
+	if stats.QueriesSent == 0 || stats.ResultsOK+stats.Unresolved == 0 {
+		t.Fatalf("clean fleet sent or answered no query: %+v", stats)
+	}
+	if stats.UnknownVeh != 0 {
+		t.Fatalf("%d of %d clean queries named a vehicle the server does not hold: %+v",
+			stats.UnknownVeh, stats.QueriesSent, stats)
+	}
+}
+
 // TestLoadGeneratorAgainstFaults runs a miniature soak in-process: a
 // fleet streaming through a lossy, bursty, corrupting link, with stalled
 // clients, malformed injection, and mid-run epoch resets, against a

@@ -139,6 +139,7 @@ func (c *loadCounters) snapshot() LoadStats {
 func RunLoad(ctx context.Context, cfg LoadConfig) LoadStats {
 	cfg = cfg.withDefaults()
 	var ctr loadCounters
+	peers := peerSet{held: make([]atomic.Bool, cfg.Vehicles)}
 	sem := make(chan struct{}, cfg.Concurrency)
 	var wg sync.WaitGroup
 	for vid := 1; vid <= cfg.Vehicles; vid++ {
@@ -151,11 +152,35 @@ func RunLoad(ctx context.Context, cfg LoadConfig) LoadStats {
 		wg.Add(1)
 		go func(vid int) {
 			defer func() { <-sem; wg.Done() }()
-			runVehicle(ctx, cfg, uint32(vid), &ctr)
+			runVehicle(ctx, cfg, uint32(vid), &ctr, &peers)
 		}(vid)
 	}
 	wg.Wait()
 	return ctr.snapshot()
+}
+
+// peerSet is the fleet's shared view of which vehicles the server holds:
+// a vehicle joins once it has seen an ACK with a positive cumulative
+// count, and stays (the server keeps a context resident after its
+// connection closes). Queries pick their peer from it, so a clean run
+// never asks about a vehicle that has not streamed yet.
+type peerSet struct {
+	held []atomic.Bool // index vid−1
+}
+
+// pick returns the held vehicle other than self that h selects, or false
+// when self is the only one held so far.
+func (ps *peerSet) pick(self uint32, h uint64) (uint32, bool) {
+	var cand []uint32
+	for i := range ps.held {
+		if vid := uint32(i + 1); vid != self && ps.held[i].Load() {
+			cand = append(cand, vid)
+		}
+	}
+	if len(cand) == 0 {
+		return 0, false
+	}
+	return cand[h%uint64(len(cand))], true
 }
 
 // convoyField is the shared RSSI landscape every synthetic vehicle drives
@@ -175,7 +200,7 @@ func convoyMark(cfg LoadConfig, vid uint32, m int, now float64) (trajectory.GeoM
 
 // runVehicle drives one synthetic vehicle through its rounds, reconnecting
 // once with a bumped epoch when it is a designated resetter.
-func runVehicle(ctx context.Context, cfg LoadConfig, vid uint32, ctr *loadCounters) {
+func runVehicle(ctx context.Context, cfg LoadConfig, vid uint32, ctr *loadCounters, peers *peerSet) {
 	traj := trajectory.NewAwareWidth(trajectory.Geo{}, cfg.Width)
 	epoch := uint32(1)
 	stalled := cfg.StallEvery > 0 && int(vid)%cfg.StallEvery == 0
@@ -185,7 +210,7 @@ func runVehicle(ctx context.Context, cfg LoadConfig, vid uint32, ctr *loadCounte
 	}
 	round := 0
 	for {
-		again, next := vehicleSession(ctx, cfg, vid, epoch, traj, stalled, resetAt, round, ctr)
+		again, next := vehicleSession(ctx, cfg, vid, epoch, traj, stalled, resetAt, round, ctr, peers)
 		if !again {
 			return
 		}
@@ -198,7 +223,7 @@ func runVehicle(ctx context.Context, cfg LoadConfig, vid uint32, ctr *loadCounte
 // vehicleSession runs one connection's lifetime. Returns (true, round) if
 // the vehicle deliberately reset and should reconnect from round.
 func vehicleSession(ctx context.Context, cfg LoadConfig, vid, epoch uint32,
-	traj *trajectory.Aware, stalled bool, resetAt, startRound int, ctr *loadCounters) (bool, int) {
+	traj *trajectory.Aware, stalled bool, resetAt, startRound int, ctr *loadCounters, peers *peerSet) (bool, int) {
 	cl, err := Dial(cfg.Addr)
 	if err != nil {
 		ctr.connErrors.Add(1)
@@ -240,6 +265,9 @@ func vehicleSession(ctx context.Context, cfg LoadConfig, vid, epoch uint32,
 					ctr.acksSeen.Add(1)
 					if m.AckEpoch == epoch {
 						acked.Store(int64(m.AckCum))
+					}
+					if m.AckCum > 0 {
+						peers.held[vid-1].Store(true)
 					}
 				case MsgResult:
 					switch m.Status {
@@ -371,9 +399,9 @@ func vehicleSession(ctx context.Context, cfg LoadConfig, vid, epoch uint32,
 			}
 		}
 		for q := 0; q < cfg.QueriesPerRound; q++ {
-			peer := uint32(noise.Hash(cfg.Seed, uint64(vid), uint64(round), uint64(q))%uint64(cfg.Vehicles)) + 1
-			if peer == vid {
-				peer = peer%uint32(cfg.Vehicles) + 1
+			peer, ok := peers.pick(vid, noise.Hash(cfg.Seed, uint64(vid), uint64(round), uint64(q)))
+			if !ok {
+				break
 			}
 			qid++
 			ctr.queriesSent.Add(1)

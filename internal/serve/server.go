@@ -359,7 +359,7 @@ func (s *Server) resolveBatch(batch []*query) {
 	for _, q := range batch {
 		ia, ib := snapshotOf(q.a), snapshotOf(q.b)
 		if ia < 0 || ib < 0 {
-			s.finish(q, StatusUnknownVehicle, false, 0)
+			s.finish(q, StatusUnknownVehicle, engine.Result{}, false)
 			continue
 		}
 		live = append(live, q)
@@ -374,7 +374,7 @@ func (s *Server) resolveBatch(batch []*query) {
 		// Engine closed under us (hard stop, not a drain): answer rather
 		// than leave clients waiting on qids forever.
 		for _, q := range live {
-			s.finish(q, StatusUnresolved, false, 0)
+			s.finish(q, StatusUnresolved, engine.Result{}, false)
 		}
 		return
 	}
@@ -384,18 +384,23 @@ func (s *Server) resolveBatch(batch []*query) {
 		switch {
 		case r.Shed:
 			stel().shed.Inc()
-			s.finish(q, StatusShed, false, 0)
+			s.finish(q, StatusShed, r, false)
 		case !r.OK:
-			s.finish(q, StatusUnresolved, r.Stale, 0)
+			// No SYN is an answer; an expired context is a refusal.
+			s.finish(q, StatusUnresolved, r, r.Freshness != core.ExpiredContext)
 		default:
-			s.finish(q, StatusOK, r.Stale, r.Est.Distance)
+			s.finish(q, StatusOK, r, true)
 		}
 	}
 }
 
 // finish sends one query's answer and records the outcome across metrics
-// and the SLO tracker.
-func (s *Server) finish(q *query, status byte, stale bool, dist float64) {
+// and the SLO tracker. r is the engine's result (zero when the query never
+// reached the engine); available is false when the service failed the
+// pair (unknown vehicle, closed engine, shed work, expired context), the
+// only outcomes pair_availability counts against it.
+func (s *Server) finish(q *query, status byte, r engine.Result, available bool) {
+	stale := r.Freshness == core.StaleContext
 	tel := stel()
 	done := s.clock.Now()
 	lat := done - q.admitted
@@ -403,7 +408,7 @@ func (s *Server) finish(q *query, status byte, stale bool, dist float64) {
 		lat = 0
 	}
 	q.c.outstanding.Add(-1)
-	q.c.send(resultFrame(q.qid, status, stale, dist, lat))
+	q.c.send(resultFrame(q.qid, status, stale, r.Est.Distance, lat))
 	tel.results.Inc()
 	tel.resolveSec.Observe(lat)
 	if t := s.cfg.SLO; t != nil {
@@ -414,7 +419,7 @@ func (s *Server) finish(q *query, status byte, stale bool, dist float64) {
 			t.Observe(s.sloFresh, status == StatusOK && !stale, done)
 		}
 		if s.sloAvail >= 0 {
-			t.Observe(s.sloAvail, status == StatusOK, done)
+			t.Observe(s.sloAvail, available, done)
 		}
 	}
 }

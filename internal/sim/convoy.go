@@ -3,13 +3,9 @@ package sim
 import (
 	"fmt"
 
-	"rups/internal/city"
-	"rups/internal/fm"
-	"rups/internal/gsm"
 	"rups/internal/mobility"
 	"rups/internal/noise"
 	"rups/internal/obs"
-	"rups/internal/scanner"
 	"rups/internal/trajectory"
 )
 
@@ -29,35 +25,18 @@ func ExecuteConvoy(sc Scenario, n int) *ConvoyRun {
 	if sc.DistanceM <= 0 || sc.Radios <= 0 || n < 2 {
 		panic(fmt.Sprintf("sim: invalid convoy scenario %+v (n=%d)", sc, n))
 	}
-	c := city.Generate(city.DefaultConfig(sc.Seed))
-	field := gsm.NewField(noise.Hash(sc.Seed, 0xF1E1D),
-		gsm.GenerateTowers(noise.Hash(sc.Seed, 0x703E5), c.Bounds(), c), c)
-	var src scanner.Source = field
-	if sc.WithFM {
-		src = scanner.NewMultiSource(field, fm.NewField(noise.Hash(sc.Seed, 0xF30), c.Bounds(), c))
-	}
-	roads := c.RoadsOfClass(sc.RoadClass)
-	road := roads[sc.RoadIndex%len(roads)]
-
-	cfg := mobility.DriveConfig{
-		Road: road, Lane: sc.LeaderLane, StartS: 30, Distance: sc.DistanceM,
-		StartTime: 0, Seed: noise.Hash(sc.Seed, 1),
-		Condition: sc.Condition, StopEveryM: sc.StopEveryM, StopSeed: sc.Seed,
-	}
+	w := newWorld(sc)
 	traces := make([]*mobility.Trace, n)
-	traces[0] = mobility.Drive(cfg)
+	traces[0] = mobility.Drive(w.drive)
 	for vi := 1; vi < n; vi++ {
-		fc := cfg
-		fc.Lane = sc.FollowerLane
-		fc.Seed = noise.Hash(sc.Seed, uint64(vi+1))
-		traces[vi] = mobility.Follow(fc, traces[vi-1], sc.InitGapM)
+		traces[vi] = mobility.Follow(w.followerDrive(sc, vi), traces[vi-1], sc.InitGapM)
 	}
 
 	run := &ConvoyRun{Scenario: sc, Vehicles: make([]*VehicleRun, n)}
 	// One recorder lookup for the whole convoy, outside the vehicle loop.
 	rec := obs.ActiveRecorder()
 	for vi, tr := range traces {
-		run.Vehicles[vi] = runVehicle(rec, tr, src, sc.Radios, sc.Placement,
+		run.Vehicles[vi] = runVehicle(rec, tr, w.src, sc.Radios, sc.Placement,
 			noise.Hash(sc.Seed, 0xC0, uint64(vi)), sc.SkipInterpolation, sc.Odometry)
 	}
 	return run

@@ -8,7 +8,6 @@ import (
 	"rups/internal/engine"
 	"rups/internal/link"
 	"rups/internal/obs/slo"
-	"rups/internal/trajectory"
 	"rups/internal/v2v"
 )
 
@@ -150,24 +149,29 @@ func (lc *LinkedConvoy) Usage() link.Usage {
 }
 
 // ResolveAllAt answers every pairwise query at time t from link-delivered
-// context: for each pair (i, j), vehicle i's own prefix and its synced
-// copy of j are admitted, and the pair resolves under the convoy's
-// staleness policy. Results carry vehicle indexes (A = resolver i,
-// B = peer j) in (i < j) enumeration order, the order in which
-// engine.Batch.ResolveAll resolves the same contexts admitted directly —
-// with a clean link and quiescent sessions the two are byte-equivalent.
+// context under the convoy's staleness policy. One admission holds each
+// context once: slot i is vehicle i's own prefix at t, followed by every
+// pair's synced copy, so a tick snapshots N + L contexts (N vehicles,
+// L pairs) and pair (i, j) resolves slot i against j's copy at i. Results
+// carry vehicle indexes (A = resolver i, B = peer j) in (i < j)
+// enumeration order — with a clean link and quiescent sessions they equal
+// the cold resolution of the same contexts admitted directly.
+//
+// The SLO, when set, counts a pair against pair_availability only when
+// resolution failed it (expired context or shed work): a pair whose
+// contexts simply share no SYN is an answer, not an outage.
 func (lc *LinkedConvoy) ResolveAllAt(e *engine.Engine, t float64, p core.Params) ([]engine.Result, error) {
-	trajs := make([]*trajectory.Aware, 0, 2*len(lc.links))
-	qs := make([]engine.Query, 0, len(lc.links))
-	for _, pl := range lc.links {
-		trajs = append(trajs, lc.Run.Vehicles[pl.resolver].Aware.PrefixUntil(t), pl.sess.Copy())
+	trajs := lc.Run.ContextsAt(t)
+	qs := make([]engine.Query, len(lc.links))
+	for k, pl := range lc.links {
+		trajs = append(trajs, pl.sess.Copy())
 		// Each pair resolves under the trace its last admitted chunk
 		// carried, so the resolve spans stitch onto the peer's
 		// send→reassemble→admit chain: one causal trace per delivered
 		// update, crossing the link.
-		qs = append(qs, engine.Query{A: len(trajs) - 2, B: len(trajs) - 1,
+		qs[k] = engine.Query{A: pl.resolver, B: len(trajs) - 1,
 			Pair: engine.PairID{uint32(pl.resolver), uint32(pl.peer)},
-			Ref:  pl.sess.TraceRef()})
+			Ref:  pl.sess.TraceRef()}
 	}
 	b, err := e.Admit(trajs...)
 	if err != nil {
@@ -181,9 +185,9 @@ func (lc *LinkedConvoy) ResolveAllAt(e *engine.Engine, t float64, p core.Params)
 	for k := range res {
 		res[k].A = lc.links[k].resolver
 		res[k].B = lc.links[k].peer
-		lc.SLO.Observe(avail, res[k].OK, t)
+		lc.SLO.Observe(avail, !res[k].Shed && res[k].Freshness != core.ExpiredContext, t)
 		if res[k].OK {
-			lc.SLO.Observe(fresh, !res[k].Stale, t)
+			lc.SLO.Observe(fresh, res[k].Freshness == core.FreshContext, t)
 			if res[k].LatencySec > 0 {
 				lc.SLO.ObserveLatency(lat, res[k].LatencySec, t)
 			}

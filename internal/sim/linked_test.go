@@ -9,6 +9,8 @@ import (
 	"rups/internal/core"
 	"rups/internal/engine"
 	"rups/internal/link"
+	"rups/internal/obs"
+	"rups/internal/obs/slo"
 	"rups/internal/v2v"
 )
 
@@ -116,7 +118,7 @@ func TestChaosConvoyConvergesAfterHeal(t *testing.T) {
 			t.Errorf("pair (%d,%d) unresolved after the link healed", pr.A, pr.B)
 			continue
 		}
-		if pr.Stale {
+		if pr.Freshness != core.FreshContext {
 			t.Errorf("pair (%d,%d) still stale after full recovery", pr.A, pr.B)
 		}
 		truth := run.TruthGapAt(pr.A, pr.B, tq)
@@ -185,4 +187,74 @@ func TestLinkedUsageCountsEveryChannel(t *testing.T) {
 	if marks == 0 || got.Bytes < 16*marks {
 		t.Fatalf("%d bytes carried for %d delivered marks", got.Bytes, marks)
 	}
+}
+
+// TestResolveAllAtAdmitsEachContextOnce: one tick admits every vehicle's
+// own prefix once and every pair's synced copy once — N + L snapshots,
+// not a fresh prefix of the resolver per pair (2·L).
+func TestResolveAllAtAdmitsEachContextOnce(t *testing.T) {
+	sc := DefaultScenario(17, city.FourLaneUrban)
+	sc.DistanceM = 150
+	sc.InitGapM = 20
+	const n = 4
+	run := ExecuteConvoy(sc, n)
+	t0, t1 := run.TimeSpan()
+	lc := NewLinkedConvoy(run, link.Params{Seed: 5}, v2v.SyncConfig{}, core.Staleness{})
+	tq := (t0 + t1) / 2
+	lc.Advance(tq)
+
+	reg := obs.NewRegistry()
+	obs.Enable(reg)
+	defer obs.Disable()
+	snaps := reg.Counter("rups_trajectory_snapshots_total", "")
+	e := engine.New(1)
+	defer e.Close()
+	before := snaps.Value()
+	res, err := lc.ResolveAllAt(e, tq, core.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := n * (n - 1) / 2
+	if len(res) != pairs {
+		t.Fatalf("%d results, want %d", len(res), pairs)
+	}
+	if got := snaps.Value() - before; got != uint64(n+pairs) {
+		t.Fatalf("one tick of %d vehicles took %d snapshots, want N + L = %d", n, got, n+pairs)
+	}
+}
+
+// TestLinkedCleanAvailability: on a clean link nothing fails, so the
+// pair_availability SLO sees no bad observation, whether or not each
+// pair's contexts share a SYN at every tick.
+func TestLinkedCleanAvailability(t *testing.T) {
+	r := getConvoy(t)
+	t0, t1 := r.TimeSpan()
+	lc := NewLinkedConvoy(r, link.Params{Seed: 6}, v2v.SyncConfig{}, core.DefaultStaleness())
+	lc.SLO = slo.New(slo.DefaultRoster(), nil)
+	e := engine.New(0)
+	defer e.Close()
+	unresolved := 0
+	for ts := t0 + 20; ts <= t1; ts += 4 {
+		lc.Advance(ts)
+		res, err := lc.ResolveAllAt(e, ts, core.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pr := range res {
+			if !pr.OK {
+				unresolved++
+			}
+		}
+	}
+	for _, st := range lc.SLO.Statuses() {
+		if st.Name != "pair_availability" {
+			continue
+		}
+		if st.BadTotal != 0 || st.GoodTotal == 0 {
+			t.Fatalf("clean link: pair_availability good=%d bad=%d (%d pairs unresolved), want no bad",
+				st.GoodTotal, st.BadTotal, unresolved)
+		}
+		return
+	}
+	t.Fatal("pair_availability missing from the default roster")
 }

@@ -181,45 +181,66 @@ func Execute(sc Scenario) *Run {
 		sc.FollowerRadios = sc.Radios
 		sc.FollowerPlacement = sc.Placement
 	}
-	c := city.Generate(city.DefaultConfig(sc.Seed))
-	field := gsm.NewField(noise.Hash(sc.Seed, 0xF1E1D), gsm.GenerateTowers(noise.Hash(sc.Seed, 0x703E5), c.Bounds(), c), c)
-	var src scanner.Source = field
-	if sc.WithFM {
-		src = scanner.NewMultiSource(field, fm.NewField(noise.Hash(sc.Seed, 0xF30), c.Bounds(), c))
-	}
-
-	roads := c.RoadsOfClass(sc.RoadClass)
-	road := roads[sc.RoadIndex%len(roads)]
-
-	leadCfg := mobility.DriveConfig{
-		Road: road, Lane: sc.LeaderLane, StartS: 30, Distance: sc.DistanceM,
-		StartTime: 0, Seed: noise.Hash(sc.Seed, 1),
-		Condition: sc.Condition, StopEveryM: sc.StopEveryM, StopSeed: sc.Seed,
-	}
-	leader := mobility.Drive(leadCfg)
-	folCfg := leadCfg
-	folCfg.Lane = sc.FollowerLane
-	folCfg.Seed = noise.Hash(sc.Seed, 2)
-	follower := mobility.Follow(folCfg, leader, sc.InitGapM)
+	w := newWorld(sc)
+	leader := mobility.Drive(w.drive)
+	follower := mobility.Follow(w.followerDrive(sc, 1), leader, sc.InitGapM)
 
 	// Passing-truck perturbations around the follower.
 	for k := 0; k < sc.Trucks; k++ {
-		field.AddPerturber(truckFor(sc, road, follower, k))
+		w.field.AddPerturber(truckFor(sc, w.road, follower, k))
 	}
 
 	r := &Run{
 		Scenario:    sc,
-		City:        c,
-		Field:       field,
-		Road:        road,
-		gpsLeader:   sampleGPS(gps.NewReceiver(noise.Hash(sc.Seed, 0x6A5, 1), c), leader),
-		gpsFollower: sampleGPS(gps.NewReceiver(noise.Hash(sc.Seed, 0x6A5, 2), c), follower),
+		City:        w.city,
+		Field:       w.field,
+		Road:        w.road,
+		gpsLeader:   sampleGPS(gps.NewReceiver(noise.Hash(sc.Seed, 0x6A5, 1), w.city), leader),
+		gpsFollower: sampleGPS(gps.NewReceiver(noise.Hash(sc.Seed, 0x6A5, 2), w.city), follower),
 		laser:       rangefinder.New(noise.Hash(sc.Seed, 0x1A5E)),
 	}
 	rec := obs.ActiveRecorder()
-	r.Leader = runVehicle(rec, leader, src, sc.Radios, sc.Placement, noise.Hash(sc.Seed, 3), sc.SkipInterpolation, sc.Odometry)
-	r.Follower = runVehicle(rec, follower, src, sc.FollowerRadios, sc.FollowerPlacement, noise.Hash(sc.Seed, 4), sc.SkipInterpolation, sc.Odometry)
+	r.Leader = runVehicle(rec, leader, w.src, sc.Radios, sc.Placement, noise.Hash(sc.Seed, 3), sc.SkipInterpolation, sc.Odometry)
+	r.Follower = runVehicle(rec, follower, w.src, sc.FollowerRadios, sc.FollowerPlacement, noise.Hash(sc.Seed, 4), sc.SkipInterpolation, sc.Odometry)
 	return r
+}
+
+// world is what Execute and ExecuteConvoy build alike from a scenario's
+// seed: the city, its GSM field, the scanned source (GSM, plus FM when the
+// scenario asks), the road, and the leader's drive.
+type world struct {
+	city  *city.City
+	field *gsm.Field
+	src   scanner.Source
+	road  city.Road
+	drive mobility.DriveConfig
+}
+
+func newWorld(sc Scenario) world {
+	c := city.Generate(city.DefaultConfig(sc.Seed))
+	w := world{city: c, field: gsm.NewField(noise.Hash(sc.Seed, 0xF1E1D),
+		gsm.GenerateTowers(noise.Hash(sc.Seed, 0x703E5), c.Bounds(), c), c)}
+	w.src = w.field
+	if sc.WithFM {
+		w.src = scanner.NewMultiSource(w.field, fm.NewField(noise.Hash(sc.Seed, 0xF30), c.Bounds(), c))
+	}
+	roads := c.RoadsOfClass(sc.RoadClass)
+	w.road = roads[sc.RoadIndex%len(roads)]
+	w.drive = mobility.DriveConfig{
+		Road: w.road, Lane: sc.LeaderLane, StartS: 30, Distance: sc.DistanceM,
+		StartTime: 0, Seed: noise.Hash(sc.Seed, 1),
+		Condition: sc.Condition, StopEveryM: sc.StopEveryM, StopSeed: sc.Seed,
+	}
+	return w
+}
+
+// followerDrive is the drive of the vi-th vehicle behind the leader: the
+// follower lane, seeded per vehicle.
+func (w world) followerDrive(sc Scenario, vi int) mobility.DriveConfig {
+	fc := w.drive
+	fc.Lane = sc.FollowerLane
+	fc.Seed = noise.Hash(sc.Seed, uint64(vi+1))
+	return fc
 }
 
 // truckFor builds the k-th passing-truck perturbation: a fast vehicle in
@@ -324,13 +345,6 @@ func PipelineVehicle(truth *mobility.Trace, field scanner.Source, radios int, pl
 	return runVehicle(obs.ActiveRecorder(), truth, field, radios, placement, seed, false, WheelOBD)
 }
 
-// ResolveAt answers a rear→front relative-distance query between any two
-// pipelined vehicles at time t: the estimate is positive when front is
-// ahead of rear.
-func ResolveAt(rear, front *VehicleRun, t float64, p core.Params) (core.Estimate, bool) {
-	return core.Resolve(rear.Aware.PrefixUntil(t), front.Aware.PrefixUntil(t), p)
-}
-
 // QueryResult is one relative-distance query answered by RUPS and GPS.
 type QueryResult struct {
 	T        float64
@@ -363,7 +377,7 @@ func (r *Run) Query(t float64, p core.Params) QueryResult {
 		res.OK = true
 		res.Est = est
 		res.RDE = math.Abs(est.Distance - res.TruthGap)
-		res.SYNErrM = r.synError(est)
+		res.SYNErrM = SYNError(est, r.Follower.MarkTruePos, r.Leader.MarkTruePos)
 	}
 	if tel := simTel.Get(); tel != nil {
 		if res.OK {
@@ -391,19 +405,20 @@ func (r *Run) Query(t float64, p core.Params) QueryResult {
 	return res
 }
 
-// synError returns the true separation of the best SYN point's matched
-// marks.
-func (r *Run) synError(est core.Estimate) float64 {
+// SYNError returns the true separation of the best SYN point's matched
+// marks, given each side's per-mark true positions (rear = the estimate's
+// A side, front = its B side); NaN when a mark has no recorded truth.
+func SYNError(est core.Estimate, rearTruePos, frontTruePos []geo.Vec2) float64 {
 	best := est.SYNs[0]
 	for _, s := range est.SYNs[1:] {
 		if s.Score > best.Score {
 			best = s
 		}
 	}
-	if best.IdxA >= len(r.Follower.MarkTruePos) || best.IdxB >= len(r.Leader.MarkTruePos) {
+	if best.IdxA >= len(rearTruePos) || best.IdxB >= len(frontTruePos) {
 		return math.NaN()
 	}
-	return r.Follower.MarkTruePos[best.IdxA].Dist(r.Leader.MarkTruePos[best.IdxB])
+	return rearTruePos[best.IdxA].Dist(frontTruePos[best.IdxB])
 }
 
 // GPSFixFor exposes the run's 1 Hz GPS fix series, letting the trace

@@ -110,21 +110,10 @@ func recordVehicle(r *sim.Run, v *sim.VehicleRun, leader bool) VehicleRecord {
 	return rec
 }
 
-// QueryResult mirrors sim.QueryResult for replayed queries.
-type QueryResult struct {
-	T        float64
-	TruthGap float64
-	OK       bool
-	Est      core.Estimate
-	RDE      float64
-	SYNErrM  float64
-	GPSEst   float64
-	GPSRDE   float64
-}
-
 // Query replays a relative-distance query at time t against the record.
-func (rec *Record) Query(t float64, p core.Params) QueryResult {
-	res := QueryResult{T: t}
+// The archive keeps no rangefinder, so the laser fields stay zero.
+func (rec *Record) Query(t float64, p core.Params) sim.QueryResult {
+	res := sim.QueryResult{T: t}
 	sL, posL := rec.Leader.truthAt(t)
 	sF, posF := rec.Follower.truthAt(t)
 	res.TruthGap = sL - sF
@@ -135,27 +124,15 @@ func (rec *Record) Query(t float64, p core.Params) QueryResult {
 		res.OK = true
 		res.Est = est
 		res.RDE = math.Abs(est.Distance - res.TruthGap)
-		res.SYNErrM = rec.synError(est)
+		res.SYNErrM = sim.SYNError(est, rec.Follower.MarkTruePos, rec.Leader.MarkTruePos)
 	}
 
-	fixF, _ := rec.Follower.gpsAt(t)
-	fixL, _ := rec.Leader.gpsAt(t)
+	fixF, freshF := rec.Follower.gpsAt(t)
+	fixL, freshL := rec.Leader.gpsAt(t)
+	res.GPSFresh = freshF && freshL
 	res.GPSEst = fixF.Dist(fixL)
 	res.GPSRDE = math.Abs(res.GPSEst - posF.Dist(posL))
 	return res
-}
-
-func (rec *Record) synError(est core.Estimate) float64 {
-	best := est.SYNs[0]
-	for _, s := range est.SYNs[1:] {
-		if s.Score > best.Score {
-			best = s
-		}
-	}
-	if best.IdxA >= len(rec.Follower.MarkTruePos) || best.IdxB >= len(rec.Leader.MarkTruePos) {
-		return math.NaN()
-	}
-	return rec.Follower.MarkTruePos[best.IdxA].Dist(rec.Leader.MarkTruePos[best.IdxB])
 }
 
 // ErrBadTrace reports a malformed trace stream.
