@@ -2,13 +2,14 @@ package core
 
 import "sync"
 
-// arena is a bump allocator for the backing arrays a Searcher materializes
-// per query: the selected channel cells, the matrixIndex prefix tables and
-// column sums, and (for contexts with missing cells) the dBm rows the slow
-// path scores. One resolve grabs a few hundred kilobytes in a handful of
-// slices, uses them for exactly the searcher's lifetime, and frees them all
-// at once — the textbook arena shape. Pooling the arena turns the
-// per-resolve allocation firehose into a steady-state zero.
+// arena is a bump allocator for the backing arrays of one matrixIndex —
+// a ResolverSide's, or a Searcher's peer index: the selected channel
+// cells, the prefix tables and column sums, and (for contexts with missing
+// cells) the dBm rows the slow path scores. One index grabs a few hundred
+// kilobytes in a handful of slices, uses them for exactly its owner's
+// lifetime, and frees them all at once — the textbook arena shape.
+// Pooling the arena turns the per-resolve allocation firehose into a
+// steady-state zero.
 //
 // Arena memory is NOT zeroed between cycles. Every consumer must write all
 // cells it will read (the index builders do — the only zero-init they rely

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"rups/internal/geo"
 	"rups/internal/obs"
@@ -53,25 +54,89 @@ func clip(a *trajectory.Aware, p Params) (*trajectory.Aware, int) {
 	return a, 0
 }
 
+// ResolverSide is the half of a Searcher that depends on the resolver's
+// snapshot alone: the context clipped to MaxContextMeters and its offset,
+// the checking window's channels (the resolver's strongest, paper §IV-D),
+// and the resolver's matrixIndex over them. Same bytes in, same tables
+// out, so one side serves every peer the resolver is paired with — the
+// engine builds one per admitted resolver slot and batch and shares it
+// among that slot's queries (NewSearcherOn).
+//
+// A built side is read-only, so any number of Searchers may read it
+// concurrently. The one lazy part is the dBm rows a sparse segment reads
+// (matrixIndex.materialize): a sparse context materializes at build time,
+// a dense one on first use by a pair whose peer is sparse, at most once.
+type ResolverSide struct {
+	// a is the resolver's snapshot, unclipped (Resolve measures distances
+	// from its last mark).
+	a        *trajectory.Aware
+	ctx      *trajectory.Aware
+	off      int
+	p        Params
+	channels []int
+	idx      *matrixIndex
+	mat      sync.Once
+	// ar backs the index; Release returns it to the pool.
+	ar *arena
+}
+
+// NewResolverSide prepares the resolver half of every search from a
+// under p.
+func NewResolverSide(a *trajectory.Aware, p Params) *ResolverSide {
+	p.validate()
+	sd := &ResolverSide{a: a, p: p, ar: arenaPool.Get().(*arena)}
+	sd.ctx, sd.off = clip(a, p)
+	// Checking-window width: the strongest channels, but never channels
+	// idling at the noise floor — sparse suburbs may not have
+	// WindowChannels audible carriers, and constant rows only dilute the
+	// correlation.
+	sd.channels = sd.ctx.TopAudibleChannels(p.WindowChannels, audibleFloorDBm, minWindowChannels)
+	sd.idx = newTrajectoryIndex(sd.ctx, sd.channels, sd.ar)
+	if !sd.idx.dense {
+		sd.materialize()
+	}
+	return sd
+}
+
+// materialize readies the side's dBm rows, once.
+func (sd *ResolverSide) materialize() { sd.mat.Do(sd.idx.materialize) }
+
+// Release returns the side's arena to the pool. No Searcher built on the
+// side may be used afterwards. Releasing is optional, and idempotent.
+func (sd *ResolverSide) Release() {
+	if sd.ar != nil {
+		sd.ar.reset()
+		arenaPool.Put(sd.ar)
+		sd.ar = nil
+		sd.idx = nil
+	}
+}
+
 // Searcher owns the shared precomputation for SYN searches between one
-// pair of trajectories: the clipped contexts, the checking-window channel
-// selection, and one matrixIndex per side. Building it costs the O(k·m)
-// preprocessing once; every segment offset and both sliding directions of
-// every subsequent search reuse it, instead of rebuilding it 2·NumSYN
-// times per query as the layered FindSYN→findSYNWindow path used to.
+// pair of trajectories: the resolver side (ResolverSide) and the peer's
+// clipped context and matrixIndex over the resolver's channels. Building
+// it costs the O(k·m) preprocessing once; every segment offset and both
+// sliding directions of every subsequent search reuse it, instead of
+// rebuilding it 2·NumSYN times per query as the layered
+// FindSYN→findSYNWindow path used to.
 //
 // A Searcher reads the trajectories it was built on but never writes them.
 // It must not be shared across goroutines while trajectory appends are in
 // flight — resolve on snapshots (trajectory.Aware.Snapshot); the engine
 // does this at query admission.
 type Searcher struct {
+	// side is the resolver half; a, aCtx, offA and idxA are its fields,
+	// read from it at construction so both halves read alike. own marks a
+	// private side (NewSearcher), which Release releases too.
+	side       *ResolverSide
+	own        bool
 	a, b       *trajectory.Aware
 	aCtx, bCtx *trajectory.Aware
 	offA, offB int
 	p          Params
 	idxA, idxB *matrixIndex
 
-	// ar backs the selected cells and index tables; Release returns
+	// ar backs the peer's selected cells and index tables; Release returns
 	// it to the pool, after which the Searcher must not be used.
 	ar *arena
 	// tk is the optional warm-start tracker (SetTracker); nil scans cold.
@@ -98,27 +163,28 @@ type Searcher struct {
 }
 
 // NewSearcher prepares the shared per-pair state for resolving relative
-// distances between a and b under p.
+// distances between a and b under p, on a private resolver side.
 func NewSearcher(a, b *trajectory.Aware, p Params) *Searcher {
-	p.validate()
-	s := &Searcher{a: a, b: b, p: p}
+	s := NewSearcherOn(NewResolverSide(a, p), b)
+	s.own = true
+	return s
+}
+
+// NewSearcherOn prepares the per-pair state for resolving the side's
+// resolver against b, under the side's Params. The side stays the
+// caller's: Release leaves it alone.
+func NewSearcherOn(side *ResolverSide, b *trajectory.Aware) *Searcher {
+	s := &Searcher{side: side, a: side.a, aCtx: side.ctx, offA: side.off, idxA: side.idx, b: b, p: side.p}
 	s.tel = searchTel.Get()
 	s.rec = obs.ActiveRecorder()
 	s.trace = s.rec.NewTrace()
 	s.ar = arenaPool.Get().(*arena)
-	s.aCtx, s.offA = clip(a, p)
-	s.bCtx, s.offB = clip(b, p)
-	// Checking-window width: the strongest channels, but never channels
-	// idling at the noise floor — sparse suburbs may not have
-	// WindowChannels audible carriers, and constant rows only dilute the
-	// correlation.
-	channels := s.aCtx.TopAudibleChannels(p.WindowChannels, audibleFloorDBm, minWindowChannels)
-	s.idxA = newTrajectoryIndex(s.aCtx, channels, s.ar)
-	s.idxB = newTrajectoryIndex(s.bCtx, channels, s.ar)
+	s.bCtx, s.offB = clip(b, s.p)
+	s.idxB = newTrajectoryIndex(s.bCtx, side.channels, s.ar)
 	if !s.idxA.dense || !s.idxB.dense {
 		// A segment scores through stats.Pearson when either side holds a
 		// missing cell, reading both sides' dBm rows.
-		s.idxA.materialize()
+		side.materialize()
 		s.idxB.materialize()
 	}
 	return s
@@ -152,8 +218,9 @@ func (s *Searcher) SetFlight(fl *flight.Ring, a, b int, now float64) {
 	s.fl, s.flA, s.flB, s.flT = fl, int32(a), int32(b), now
 }
 
-// Release returns the searcher's arena to the pool. The Searcher (and any
-// row data reached through it) must not be used afterwards. Releasing is
+// Release returns the searcher's arena to the pool, and its resolver
+// side's when the side is private (NewSearcher). The Searcher (and any row
+// data reached through it) must not be used afterwards. Releasing is
 // optional — an un-Released arena is simply garbage collected — but the
 // engine and the package-level entry points always release, which is what
 // keeps steady-state resolves allocation-flat.
@@ -163,6 +230,10 @@ func (s *Searcher) Release() {
 		arenaPool.Put(s.ar)
 		s.ar = nil
 		s.idxA, s.idxB = nil, nil
+		if s.own {
+			s.side.Release()
+		}
+		s.side = nil
 	}
 }
 

@@ -33,11 +33,12 @@ func (s SYNPoint) RelativeDistance(a, b *trajectory.Aware) float64 {
 
 // matrixIndex is the per-matrix half of the sliding trajectory-correlation
 // scorer (stats.TrajCorr, Eq. 2): everything that depends only on one
-// selected power matrix (k channel rows × m metres). A Searcher builds one
-// index per trajectory snapshot and shares it across all NumSYN segment
-// offsets and both sliding directions — the O(k·m) preprocessing of the
-// paper's §V-A complexity argument is paid once per (pair, snapshot)
-// instead of 2·NumSYN times per query.
+// selected power matrix (k channel rows × m metres). A Searcher holds one
+// index per side and shares both across all NumSYN segment offsets and
+// both sliding directions — the O(k·m) preprocessing of the paper's §V-A
+// complexity argument is paid once per query instead of 2·NumSYN times,
+// and the resolver's index (ResolverSide) once per resolver snapshot when
+// its side is shared among peers.
 //
 // The index holds the rows as power cells (trajectory.CellByte: whole dB
 // above the noise floor, 0–254), and every dense-path moment is an exact
@@ -73,8 +74,9 @@ type matrixIndex struct {
 	rows [][]float64
 	col  []float64
 
-	// ar is the owning Searcher's bump allocator (nil for directly
-	// constructed indexes, which then fall back to plain allocation).
+	// ar is the owning Searcher's or ResolverSide's bump allocator (nil
+	// for directly constructed indexes, which then fall back to plain
+	// allocation).
 	ar *arena
 }
 
@@ -246,7 +248,9 @@ func (idx *matrixIndex) rowSums(i, lo, w int) (s, q int32) {
 // materialize decodes the rows to dBm (trajectory.CellDBm) and computes
 // their missing-skipping column means: a sparse segment's inputs. The
 // Searcher materializes both indexes when either is sparse, before the
-// scans fan out; a dense pair never pays for it.
+// scans fan out; a dense pair never pays for it. It writes the index, so
+// it runs once per index (a shared resolver side guards it with a
+// sync.Once).
 func (idx *matrixIndex) materialize() {
 	if idx.k == 0 {
 		return

@@ -67,6 +67,10 @@ type Engine struct {
 	// the engine deterministic: deadlines are then only checked against
 	// the batch's own now, before scheduling. Set via SetClock.
 	clockNow func() float64
+
+	// sidesOut counts resolver sides built and not yet released: 0 between
+	// batches, whatever shed or expired.
+	sidesOut atomic.Int64
 }
 
 // SetClock installs the time source for deadline rechecks at task start.
@@ -277,7 +281,9 @@ type Result struct {
 	// work.
 	Shed bool
 	// LatencySec is this pair's wall-clock resolve time (searcher build
-	// through aggregation, queue wait excluded). Measured only when
+	// through aggregation, queue wait excluded). The pair that builds its
+	// slot's resolver side, or waits for another pair building it,
+	// includes that time. Measured only when
 	// telemetry is enabled or the pair is causally traced; 0 otherwise —
 	// an untimed pair never reads the clock.
 	LatencySec float64
@@ -362,6 +368,11 @@ type Query struct {
 //   - stale pairs resolve normally but carry Freshness == StaleContext;
 //   - fresh pairs resolve normally.
 //
+// Every query resolving at one slot shares that slot's resolver side
+// (core.ResolverSide): the first of them to run builds it, the others
+// wait for it, and the last to finish releases it. A slot none of whose
+// queries runs builds none.
+//
 // Each pair warm-starts from its tracker: steady-state re-resolves pivot
 // their scans on the previous tick's SYN offsets. A warm bounded scan is
 // accepted only when it is proven to dominate the full scan range (and
@@ -407,6 +418,7 @@ func (b *Batch) Resolve(qs []Query, p core.Params, now float64, pol core.Stalene
 		}
 	}
 	clock := e.clockNow
+	sides := make([]slotSide, len(b.snaps))
 	for i, q := range qs {
 		out[i] = Result{A: q.A, B: q.B}
 		if q.A < 0 || q.A >= len(b.snaps) || q.B < 0 || q.B >= len(b.snaps) {
@@ -472,8 +484,11 @@ func (b *Batch) Resolve(qs []Query, p core.Params, now float64, pol core.Stalene
 		// deadline recheck only when the caller both set a deadline and
 		// installed a clock.
 		timed := tel != nil || q.Ref.Trace != 0
+		side := &sides[q.A]
+		side.users.Add(1)
 		tasks = append(tasks, func() {
 			qsp.End()
+			defer side.done(e)
 			if q.Deadline > 0 && clock != nil {
 				if late := clock() - q.Deadline; late > 0 {
 					shed(i, late, 1)
@@ -485,7 +500,7 @@ func (b *Batch) Resolve(qs []Query, p core.Params, now float64, pol core.Stalene
 			if timed {
 				t0 = time.Now()
 			}
-			s := core.NewSearcher(b.snaps[q.A], b.snaps[q.B], p)
+			s := core.NewSearcherOn(side.get(e, tel, b.snaps[q.A], p), b.snaps[q.B])
 			s.SetTracker(tk)
 			s.SetTrace(q.Ref)
 			if fl != nil {
@@ -506,6 +521,40 @@ func (b *Batch) Resolve(qs []Query, p core.Params, now float64, pol core.Stalene
 		tel.batchSec.Observe(time.Since(start).Seconds())
 	}
 	return out
+}
+
+// slotSide is one admitted slot's resolver side within a Batch.Resolve
+// call, shared by every runnable query that resolves at the slot. users
+// counts those queries before any runs; each decrements it once when it
+// finishes or is shed at task start, and the last releases the side.
+type slotSide struct {
+	once  sync.Once
+	side  *core.ResolverSide
+	users atomic.Int32
+}
+
+// get returns the slot's side, building it on first call; concurrent
+// callers wait for the build.
+func (ss *slotSide) get(e *Engine, tel *engineTelemetry, snap *trajectory.Aware, p core.Params) *core.ResolverSide {
+	ss.once.Do(func() {
+		ss.side = core.NewResolverSide(snap, p)
+		e.sidesOut.Add(1)
+		if tel != nil {
+			tel.sides.Inc()
+		}
+	})
+	return ss.side
+}
+
+// done marks one of the slot's queries finished, releasing the side after
+// the last. Every earlier query's done happens before the last one's, so
+// the last sees the side whichever query built it.
+func (ss *slotSide) done(e *Engine) {
+	if ss.users.Add(-1) == 0 && ss.side != nil {
+		ss.side.Release()
+		ss.side = nil
+		e.sidesOut.Add(-1)
+	}
 }
 
 // ResolvePairs resolves the given pairs (indexes into the admitted slice)

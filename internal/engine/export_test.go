@@ -22,3 +22,7 @@ func (e *Engine) PairCount() int {
 	defer e.tmu.Unlock()
 	return len(e.pairs)
 }
+
+// SidesOut reports how many resolver sides the engine has built and not
+// yet released.
+func (e *Engine) SidesOut() int64 { return e.sidesOut.Load() }

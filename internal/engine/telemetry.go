@@ -17,6 +17,7 @@ type engineTelemetry struct {
 	pairsStale   *obs.Counter
 	pairsExpired *obs.Counter
 	pairsShed    *obs.Counter
+	sides        *obs.Counter
 }
 
 var engineTel = obs.NewView(func(r *obs.Registry) *engineTelemetry {
@@ -41,12 +42,14 @@ var engineTel = obs.NewView(func(r *obs.Registry) *engineTelemetry {
 		// Per-pair resolve latency feeds the resolve-latency SLO; same
 		// span as taskSec (1 µs – 16 s).
 		pairSec: r.Histogram("rups_engine_pair_seconds",
-			"wall time of one pair resolution (searcher build through aggregation)", -20, 4),
+			"wall time of one pair resolution (searcher build through aggregation; the pair that builds its slot's resolver side, or waits for it, includes that time)", -20, 4),
 		pairsStale: r.Counter("rups_engine_pairs_stale_total",
 			"pairs resolved from degraded (aged) context and flagged stale"),
 		pairsExpired: r.Counter("rups_engine_pairs_expired_total",
 			"pairs refused because a context aged past the expiry horizon"),
 		pairsShed: r.Counter("rups_engine_pairs_shed_total",
 			"pairs shed because their deadline expired before resolution started"),
+		sides: r.Counter("rups_engine_resolver_sides_total",
+			"resolver sides built (at most one per admitted slot per batch, shared by the slot's queries)"),
 	}
 })

@@ -223,6 +223,39 @@ func TestResolveAllAtAdmitsEachContextOnce(t *testing.T) {
 	}
 }
 
+// TestResolveAllAtSharesResolverSides: pair (i, j) resolves at vehicle
+// i, so one clean 6-vehicle tick runs 15 searches over 5 resolver sides —
+// one per resolving vehicle, not one per pair.
+func TestResolveAllAtSharesResolverSides(t *testing.T) {
+	sc := DefaultScenario(17, city.FourLaneUrban)
+	sc.DistanceM = 150
+	sc.InitGapM = 20
+	const n = 6
+	run := ExecuteConvoy(sc, n)
+	t0, t1 := run.TimeSpan()
+	lc := NewLinkedConvoy(run, link.Params{Seed: 5}, v2v.SyncConfig{}, core.Staleness{})
+	tq := (t0 + t1) / 2
+	lc.Advance(tq)
+
+	reg := obs.NewRegistry()
+	obs.Enable(reg)
+	defer obs.Disable()
+	sides := reg.Counter("rups_engine_resolver_sides_total", "")
+	searches := reg.Counter("rups_searcher_searches_total", "")
+	e := engine.New(2)
+	defer e.Close()
+	sides0, searches0 := sides.Value(), searches.Value()
+	if _, err := lc.ResolveAllAt(e, tq, core.DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	if got := sides.Value() - sides0; got != n-1 {
+		t.Fatalf("one tick of %d vehicles built %d resolver sides, want %d", n, got, n-1)
+	}
+	if got := searches.Value() - searches0; got != n*(n-1)/2 {
+		t.Fatalf("one tick of %d vehicles ran %d searches, want %d", n, got, n*(n-1)/2)
+	}
+}
+
 // TestLinkedCleanAvailability: on a clean link nothing fails, so the
 // pair_availability SLO sees no bad observation, whether or not each
 // pair's contexts share a SYN at every tick.
