@@ -139,7 +139,7 @@ func (c *loadCounters) snapshot() LoadStats {
 func RunLoad(ctx context.Context, cfg LoadConfig) LoadStats {
 	cfg = cfg.withDefaults()
 	var ctr loadCounters
-	peers := peerSet{held: make([]atomic.Bool, cfg.Vehicles)}
+	peers := peerSet{held: make([]atomic.Bool, cfg.Vehicles), anyPeer: cfg.PaceSec <= 0}
 	sem := make(chan struct{}, cfg.Concurrency)
 	var wg sync.WaitGroup
 	for vid := 1; vid <= cfg.Vehicles; vid++ {
@@ -162,14 +162,21 @@ func RunLoad(ctx context.Context, cfg LoadConfig) LoadStats {
 // peerSet is the fleet's shared view of which vehicles the server holds:
 // a vehicle joins once it has seen an ACK with a positive cumulative
 // count, and stays (the server keeps a context resident after its
-// connection closes). Queries pick their peer from it, so a clean run
-// never asks about a vehicle that has not streamed yet.
+// connection closes). Queries pick their peer from it, so a paced clean
+// run never asks about a vehicle that has not streamed yet.
 type peerSet struct {
 	held []atomic.Bool // index vid−1
+	// anyPeer lets pick fall back to the whole fleet while no other
+	// vehicle is held. A flat-out fleet (PaceSec 0) never waits for the
+	// server's ACKs and can finish every round before the first one
+	// lands; without the fallback it would send no query at all, and its
+	// unknown_vehicle answers are part of the overload it generates.
+	anyPeer bool
 }
 
-// pick returns the held vehicle other than self that h selects, or false
-// when self is the only one held so far.
+// pick returns the held vehicle other than self that h selects. While
+// none is held it returns the fleet vehicle h selects if anyPeer is set,
+// else false.
 func (ps *peerSet) pick(self uint32, h uint64) (uint32, bool) {
 	var cand []uint32
 	for i := range ps.held {
@@ -177,10 +184,18 @@ func (ps *peerSet) pick(self uint32, h uint64) (uint32, bool) {
 			cand = append(cand, vid)
 		}
 	}
-	if len(cand) == 0 {
+	if len(cand) > 0 {
+		return cand[h%uint64(len(cand))], true
+	}
+	if !ps.anyPeer {
 		return 0, false
 	}
-	return cand[h%uint64(len(cand))], true
+	n := uint32(len(ps.held))
+	peer := uint32(h%uint64(n)) + 1
+	if peer == self {
+		peer = peer%n + 1
+	}
+	return peer, true
 }
 
 // convoyField is the shared RSSI landscape every synthetic vehicle drives
