@@ -30,13 +30,14 @@ lint:
 	go run ./cmd/rups-lint -baseline lint-baseline.json ./...
 
 # Platform-independent SYN arithmetic: the tree vets for arm64, and the
-# arm64 code of the packages the SYN search computes with holds no fused
+# arm64 code of the packages the SYN search computes with, and of the
+# lattice noise and GSM field that sample its test fixtures, holds no fused
 # multiply-add. Go may fuse x*y+z into one FMA on arm64 (the spec allows
 # it; amd64 never does), which would round differently from amd64; every
 # product feeding a sum there is rounded explicitly with float64(...). The
 # listing is compiled with an empty build cache, since a cached package
 # prints no assembly.
-ARM64_FMA_PKGS = ./internal/core ./internal/stats ./internal/trajectory
+ARM64_FMA_PKGS = ./internal/core ./internal/stats ./internal/trajectory ./internal/noise ./internal/gsm
 
 arm64-check:
 	GOARCH=arm64 go vet ./...

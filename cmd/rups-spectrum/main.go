@@ -58,6 +58,7 @@ func main() {
 
 	origin := geo.Vec2{X: 800, Y: 2000}
 	dir := geo.HeadingVec(math.Pi / 2)
+	read := field.Reader()
 	for e := 0; e < *entries; e++ {
 		t0 := float64(e) * 1800
 		for m := 0; m < *length; m++ {
@@ -65,7 +66,7 @@ func main() {
 			row := []string{strconv.Itoa(e), strconv.Itoa(m)}
 			for ch := 0; ch < gsm.NumChannels; ch++ {
 				row = append(row,
-					strconv.FormatFloat(field.Sample(pos, ch, t0+float64(m)/8), 'f', 1, 64))
+					strconv.FormatFloat(read(pos, ch, t0+float64(m)/8), 'f', 1, 64))
 			}
 			if err := cw.Write(row); err != nil {
 				fatal(err)

@@ -43,18 +43,20 @@ func field(t *testing.T) *gsm.Field {
 
 // awareOnRoad samples a dense GSM-aware trajectory along a straight
 // eastbound road: metre i is at x = startX + i, traversed at time
-// t0 + i/speed, with light measurement noise.
+// t0 + i/speed, with light measurement noise. The road is read through one
+// path reader.
 func awareOnRoad(f *gsm.Field, startX, y float64, n int, t0, speed float64, seed uint64) *trajectory.Aware {
 	g := trajectory.Geo{Marks: make([]trajectory.GeoMark, n)}
 	for i := range g.Marks {
 		g.Marks[i] = trajectory.GeoMark{Theta: math.Pi / 2, T: t0 + float64(i+1)/speed}
 	}
 	a := trajectory.NewAware(g)
+	read := f.Reader()
 	for i := 0; i < n; i++ {
 		pos := geo.Vec2{X: startX + float64(i), Y: y}
 		tm := g.Marks[i].T
 		for ch := 0; ch < gsm.NumChannels; ch++ {
-			v := f.Sample(pos, ch, tm) + noise.Gaussian(seed, uint64(ch), uint64(i))
+			v := read(pos, ch, tm) + noise.Gaussian(seed, uint64(ch), uint64(i))
 			if v < gsm.NoiseFloorDBm {
 				v = gsm.NoiseFloorDBm
 			}

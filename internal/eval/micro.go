@@ -19,11 +19,12 @@ func fieldFor(seed uint64, env gsm.EnvClass) *gsm.Field {
 	return gsm.NewField(seed, gsm.GenerateTowers(seed, area, gsm.ConstZone(env)), gsm.ConstZone(env))
 }
 
-// measure reads a full power vector with scanner-grade measurement noise.
-func measure(fd *gsm.Field, pos geo.Vec2, t float64, seed uint64) []float64 {
-	v := fd.SampleVector(pos, t)
+// measure reads a full power vector through a field reader, with
+// scanner-grade measurement noise.
+func measure(read func(geo.Vec2, int, float64) float64, pos geo.Vec2, t float64, seed uint64) []float64 {
+	v := make([]float64, gsm.NumChannels)
 	for ch := range v {
-		v[ch] += noise.Gaussian(seed, uint64(ch), math.Float64bits(t))
+		v[ch] = read(pos, ch, t) + noise.Gaussian(seed, uint64(ch), math.Float64bits(t))
 		if v[ch] < gsm.NoiseFloorDBm {
 			v[ch] = gsm.NoiseFloorDBm
 		}
@@ -33,16 +34,18 @@ func measure(fd *gsm.Field, pos geo.Vec2, t float64, seed uint64) []float64 {
 
 // roadTrajectory samples the 194×L channel-major matrix along a straight
 // road at 1 m spacing, driven at speed starting at t0; day shifts the
-// absolute clock by whole days (the Fig 3 workday/weekend axis).
+// absolute clock by whole days (the Fig 3 workday/weekend axis). The whole
+// road is read through one path reader.
 func roadTrajectory(fd *gsm.Field, origin geo.Vec2, heading float64, L int, t0, speed float64, day int, seed uint64) [][]float64 {
 	m := make([][]float64, gsm.NumChannels)
 	for ch := range m {
 		m[ch] = make([]float64, L)
 	}
+	read := fd.Reader()
 	dir := geo.HeadingVec(heading)
 	base := float64(day)*86400 + t0
 	for j := 0; j < L; j++ {
-		v := measure(fd, origin.Add(dir.Scale(float64(j))), base+float64(j)/speed, seed)
+		v := measure(read, origin.Add(dir.Scale(float64(j))), base+float64(j)/speed, seed)
 		for ch := range v {
 			m[ch][j] = v[ch]
 		}
@@ -91,6 +94,7 @@ func Fig2(o Options) *Table {
 		counts[i] = make([]int, len(deltas))
 	}
 
+	read := fd.Reader()
 	for loc := 0; loc < locations; loc++ {
 		pos := geo.Vec2{
 			X: 600 + 2800*noise.Uniform(o.Seed, 0xF2, uint64(loc), 1),
@@ -103,8 +107,8 @@ func Fig2(o Options) *Table {
 		for di, dt := range deltas {
 			for p := 0; p < pairs; p++ {
 				t1 := 3600 * noise.Uniform(o.Seed, 0xF2B, uint64(loc), uint64(di), uint64(p))
-				a := measure(fd, pos, t1, 11)
-				b := measure(fd, pos, t1+dt, 12)
+				a := measure(read, pos, t1, 11)
+				b := measure(read, pos, t1+dt, 12)
 				rFull := stats.Pearson(a, b)
 				rSub := stats.Pearson(pick(a, sub), pick(b, sub))
 				for ci, c := range curves {
@@ -224,8 +228,9 @@ func Fig4(o Options) *Table {
 	origin := geo.Vec2{X: 700, Y: 1800}
 	dir := geo.HeadingVec(math.Pi / 2)
 	samples := o.n(1000, 120)
+	read := fd.Reader()
 	vec := func(s float64) []float64 {
-		v := measure(fd, origin.Add(dir.Scale(s)), 0, 77)
+		v := measure(read, origin.Add(dir.Scale(s)), 0, 77)
 		for ch := range v {
 			v[ch] = gsm.Excess(v[ch])
 		}

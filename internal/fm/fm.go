@@ -91,6 +91,10 @@ func NewField(seed uint64, area gsm.Bounds, zone gsm.Zoning) *Field {
 // Channels implements the scanner source contract.
 func (f *Field) Channels() int { return NumStations }
 
+// Reader implements the scanner source contract. The FM field has no memo
+// to keep, so its path reader is Sample itself.
+func (f *Field) Reader() func(pos geo.Vec2, ch int, t float64) float64 { return f.Sample }
+
 // Sample returns the RSSI in dBm of station ch at (pos, t), clamped to the
 // receiver's dynamic range.
 func (f *Field) Sample(pos geo.Vec2, ch int, t float64) float64 {

@@ -49,9 +49,9 @@ func ChannelIndex(arfcn int) int {
 func ChannelFreqMHz(i int) float64 {
 	n := ChannelARFCN(i)
 	if n <= 124 {
-		return 935.0 + 0.2*float64(n)
+		return 935.0 + float64(0.2*float64(n))
 	}
-	return 935.0 + 0.2*float64(n-1024)
+	return 935.0 + float64(0.2*float64(n-1024))
 }
 
 // NoiseFloorDBm is the receiver sensitivity floor. Channels with no audible

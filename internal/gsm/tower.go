@@ -72,13 +72,13 @@ func GenerateTowers(seed uint64, area Bounds, zone Zoning) []Tower {
 				col++
 				continue
 			}
-			jx := (noise.Uniform(seed, key, 1) - 0.5) * baseSpacing
-			jy := (noise.Uniform(seed, key, 2) - 0.5) * baseSpacing
+			jx := float64((noise.Uniform(seed, key, 1) - 0.5) * baseSpacing)
+			jy := float64((noise.Uniform(seed, key, 2) - 0.5) * baseSpacing)
 			towers = append(towers, Tower{
 				ID:       id,
 				Pos:      geo.Vec2{X: x + jx, Y: y + jy},
 				Channels: pickChannels(seed, key),
-				EIRPdBm:  TxPowerDBm + (noise.Uniform(seed, key, 3)-0.5)*6,
+				EIRPdBm:  TxPowerDBm + float64((noise.Uniform(seed, key, 3)-0.5)*6),
 			})
 			id++
 			col++
@@ -112,5 +112,5 @@ func pathLossDB(d, exponent float64) float64 {
 	if d < refDistM {
 		d = refDistM
 	}
-	return refLossDB + 10*exponent*math.Log10(d/refDistM)
+	return refLossDB + float64(10*exponent*math.Log10(d/refDistM))
 }

@@ -52,7 +52,7 @@ func Gaussian(seed uint64, keys ...uint64) float64 {
 }
 
 // smoothstep is the C¹ interpolation kernel 3t²−2t³.
-func smoothstep(t float64) float64 { return t * t * (3 - 2*t) }
+func smoothstep(t float64) float64 { return float64(t * t * (3 - float64(2*t))) }
 
 // latticeKey quantizes a coordinate to a lattice cell index, correctly
 // flooring negative values.
@@ -67,17 +67,52 @@ type Field1D struct {
 	Scale float64 // correlation length, in the coordinate's unit
 }
 
+// Memo1D remembers the corner variates of the last lattice cell a Field1D
+// was evaluated in, so that a sequential reader draws only the corners it
+// has not seen. A corner's variate is addressed by (seed, lattice index)
+// alone, so reusing it is exact. The zero value is an empty memo; a memo
+// belongs to one goroutine.
+type Memo1D struct {
+	seed uint64
+	i    int64
+	g    [2]float64
+	ok   bool
+}
+
+// corners returns the variates of cell i's two corners, reusing those the
+// memo holds and recording cell i in it. A nil memo draws both.
+func (m *Memo1D) corners(seed uint64, i int64) (g [2]float64) {
+	hit := m != nil && m.ok && m.seed == seed
+	for k := range g {
+		c := i + int64(k)
+		if hit {
+			if d := uint64(c - m.i); d <= 1 {
+				g[k] = m.g[d]
+				continue
+			}
+		}
+		g[k] = Gaussian(seed, uint64(c))
+	}
+	if m != nil {
+		*m = Memo1D{seed: seed, i: i, g: g, ok: true}
+	}
+	return g
+}
+
 // At returns the field value at coordinate x.
-func (f Field1D) At(x float64) float64 {
+func (f Field1D) At(x float64) float64 { return f.AtMemo(x, nil) }
+
+// AtMemo returns At(x), bit for bit, drawing only the lattice corners that
+// m does not already hold. A nil m draws every corner.
+func (f Field1D) AtMemo(x float64, m *Memo1D) float64 {
 	u := x / f.Scale
 	i := latticeKey(u)
 	t := u - float64(i)
 	w := smoothstep(t)
-	g0 := Gaussian(f.Seed, uint64(i))
-	g1 := Gaussian(f.Seed, uint64(i+1))
-	v := (1-w)*g0 + w*g1
+	g := m.corners(f.Seed, i)
+	v := float64((1-w)*g[0]) + float64(w*g[1])
 	// Normalize to unit variance: Var = (1−w)² + w².
-	return v / math.Sqrt((1-w)*(1-w)+w*w)
+	return v / math.Sqrt(float64((1-w)*(1-w))+float64(w*w))
 }
 
 // Field2D is the two-dimensional analogue of Field1D, used for shadow-fading
@@ -88,22 +123,55 @@ type Field2D struct {
 	Scale float64 // correlation length in metres
 }
 
+// Memo2D is Memo1D's two-dimensional analogue: the four corner variates of
+// the last lattice cell, in the order (i,j), (i+1,j), (i,j+1), (i+1,j+1).
+type Memo2D struct {
+	seed uint64
+	i, j int64
+	g    [4]float64
+	ok   bool
+}
+
+// corners returns the variates of cell (i, j)'s four corners, reusing every
+// corner shared with the memo's cell and recording (i, j) in it. A nil memo
+// draws all four.
+func (m *Memo2D) corners(seed uint64, i, j int64) (g [4]float64) {
+	hit := m != nil && m.ok && m.seed == seed
+	for k := range g {
+		ci, cj := i+int64(k&1), j+int64(k>>1)
+		if hit {
+			// Unsigned offsets from the memo's cell: 0 or 1 on both axes
+			// means the corner is one the memo holds.
+			if di, dj := uint64(ci-m.i), uint64(cj-m.j); di <= 1 && dj <= 1 {
+				g[k] = m.g[di+2*dj]
+				continue
+			}
+		}
+		g[k] = Gaussian(seed, uint64(ci), uint64(cj))
+	}
+	if m != nil {
+		*m = Memo2D{seed: seed, i: i, j: j, g: g, ok: true}
+	}
+	return g
+}
+
 // At returns the field value at world position (x, y).
-func (f Field2D) At(x, y float64) float64 {
+func (f Field2D) At(x, y float64) float64 { return f.AtMemo(x, y, nil) }
+
+// AtMemo returns At(x, y), bit for bit, drawing only the lattice corners
+// that m does not already hold. A nil m draws every corner.
+func (f Field2D) AtMemo(x, y float64, m *Memo2D) float64 {
 	u, v := x/f.Scale, y/f.Scale
 	i, j := latticeKey(u), latticeKey(v)
 	tx, ty := u-float64(i), v-float64(j)
 	wx, wy := smoothstep(tx), smoothstep(ty)
-	g00 := Gaussian(f.Seed, uint64(i), uint64(j))
-	g10 := Gaussian(f.Seed, uint64(i+1), uint64(j))
-	g01 := Gaussian(f.Seed, uint64(i), uint64(j+1))
-	g11 := Gaussian(f.Seed, uint64(i+1), uint64(j+1))
+	g := m.corners(f.Seed, i, j)
 	w00 := (1 - wx) * (1 - wy)
 	w10 := wx * (1 - wy)
 	w01 := (1 - wx) * wy
 	w11 := wx * wy
-	val := w00*g00 + w10*g10 + w01*g01 + w11*g11
-	norm := math.Sqrt(w00*w00 + w10*w10 + w01*w01 + w11*w11)
+	val := float64(w00*g[0]) + float64(w10*g[1]) + float64(w01*g[2]) + float64(w11*g[3])
+	norm := math.Sqrt(float64(w00*w00) + float64(w10*w10) + float64(w01*w01) + float64(w11*w11))
 	return val / norm
 }
 
@@ -123,8 +191,8 @@ func (o Octaves) At(x, y float64) float64 {
 	scale := o.Base.Scale
 	for k := 0; k < o.N; k++ {
 		f := Field2D{Seed: o.Base.Seed + uint64(k)*0x9e37, Scale: scale}
-		sum += amp * f.At(x, y)
-		varSum += amp * amp
+		sum += float64(amp * f.At(x, y))
+		varSum += float64(amp * amp)
 		amp /= 2
 		scale /= 2
 	}
@@ -149,7 +217,7 @@ func (o *OU) Step(dt, norm float64) float64 {
 		panic("noise: OU.Tau must be positive")
 	}
 	a := math.Exp(-dt / o.Tau)
-	o.x = o.x*a + o.Sigma*math.Sqrt(1-a*a)*norm
+	o.x = float64(o.x*a) + float64(o.Sigma*math.Sqrt(1-float64(a*a))*norm)
 	return o.x
 }
 

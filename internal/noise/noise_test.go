@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -205,4 +206,117 @@ func TestOUPanicsOnBadTau(t *testing.T) {
 	}()
 	ou := OU{Tau: 0, Sigma: 1}
 	ou.Step(1, 0)
+}
+
+// sameBits fails the test unless the memoized read equals the memo-free
+// one bit for bit.
+func sameBits(t *testing.T, what string, got, want float64) {
+	t.Helper()
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: memoized %v (%#x) != memo-free %v (%#x)",
+			what, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// memoPaths returns coordinate sequences that exercise every memo case:
+// random points straddling the origin, single-cell steps both ways, long
+// jumps, repeats and a backwards run, all in units of the lattice scale.
+func memoPaths() map[string][]float64 {
+	paths := map[string][]float64{}
+	var random, steps, jumps, back []float64
+	for k := uint64(0); k < 400; k++ {
+		random = append(random, 40*(Uniform(0x3E, k)-0.5))
+		// ±1-cell moves with a random in-cell offset, including repeats.
+		cell := []float64{0, 1, 2, 1, 0, -1, -2, -1, -1, 0}[k%10]
+		steps = append(steps, cell+Uniform(0x3F, k))
+		jumps = append(jumps, float64(int64(k%7)*int64(k%3)-9)*17.5+Uniform(0x40, k))
+		back = append(back, 3-0.037*float64(k))
+	}
+	paths["random"], paths["steps"], paths["jumps"], paths["backwards"] = random, steps, jumps, back
+	return paths
+}
+
+func TestField1DMemoBitIdentical(t *testing.T) {
+	for name, xs := range memoPaths() {
+		for _, f := range []Field1D{{Seed: 4, Scale: 1}, {Seed: 5, Scale: 45}, {Seed: 6, Scale: 0.8}} {
+			var m Memo1D
+			for k, x := range xs {
+				x *= f.Scale
+				sameBits(t, fmt.Sprintf("%s %+v #%d x=%v", name, f, k, x), f.AtMemo(x, &m), f.At(x))
+			}
+		}
+	}
+	// One memo shared by fields that switch seed and scale every read.
+	fields := []Field1D{{Seed: 1, Scale: 10}, {Seed: 2, Scale: 10}, {Seed: 1, Scale: 7}, {Seed: 1, Scale: 10}}
+	var m Memo1D
+	for k, x := range memoPaths()["steps"] {
+		f := fields[k%len(fields)]
+		sameBits(t, fmt.Sprintf("switch #%d", k), f.AtMemo(x*10, &m), f.At(x*10))
+	}
+	// A nil memo is the memo-free evaluation.
+	f := Field1D{Seed: 9, Scale: 3}
+	sameBits(t, "nil memo", f.AtMemo(-7.25, nil), f.At(-7.25))
+}
+
+func TestField2DMemoBitIdentical(t *testing.T) {
+	paths := memoPaths()
+	for name, xs := range paths {
+		ys := paths["steps"]
+		if name == "steps" {
+			ys = paths["backwards"]
+		}
+		for _, f := range []Field2D{{Seed: 4, Scale: 1}, {Seed: 5, Scale: 60}, {Seed: 6, Scale: 0.8}} {
+			var m Memo2D
+			for k, x := range xs {
+				x, y := x*f.Scale, ys[k]*f.Scale
+				sameBits(t, fmt.Sprintf("%s %+v #%d (%v,%v)", name, f, k, x, y), f.AtMemo(x, y, &m), f.At(x, y))
+			}
+		}
+	}
+	// Single-cell steps in all eight directions, each from a fresh cell.
+	f := Field2D{Seed: 12, Scale: 5}
+	var m Memo2D
+	for k := 0; k < 64; k++ {
+		di, dj := float64(k%3-1), float64(k/3%3-1)
+		x0, y0 := float64(k)*0.7-20, 9-float64(k)*0.45
+		sameBits(t, fmt.Sprintf("from #%d", k), f.AtMemo(x0, y0, &m), f.At(x0, y0))
+		x1, y1 := x0+di*f.Scale, y0+dj*f.Scale
+		sameBits(t, fmt.Sprintf("step (%v,%v) #%d", di, dj, k), f.AtMemo(x1, y1, &m), f.At(x1, y1))
+	}
+	// One memo shared by fields that switch seed and scale every read.
+	fields := []Field2D{{Seed: 1, Scale: 10}, {Seed: 2, Scale: 10}, {Seed: 1, Scale: 7}, {Seed: 1, Scale: 10}}
+	m = Memo2D{}
+	for k, x := range paths["steps"] {
+		f := fields[k%len(fields)]
+		x, y := x*10, paths["random"][k]
+		sameBits(t, fmt.Sprintf("switch #%d", k), f.AtMemo(x, y, &m), f.At(x, y))
+	}
+	sameBits(t, "nil memo", f.AtMemo(-7.25, 3.5, nil), f.At(-7.25, 3.5))
+}
+
+// TestLatticeMemoReuses checks that the memo is really consulted: corners
+// poisoned in the memo show up in a read of a neighbouring cell that shares
+// them, and not in a read of a distant cell.
+func TestLatticeMemoReuses(t *testing.T) {
+	f2 := Field2D{Seed: 3, Scale: 1}
+	var m2 Memo2D
+	f2.AtMemo(0.5, 0.5, &m2)
+	m2.g = [4]float64{math.NaN(), math.NaN(), math.NaN(), math.NaN()}
+	if v := f2.AtMemo(1.5, 0.5, &m2); !math.IsNaN(v) {
+		t.Errorf("step of one cell drew every corner again: %v", v)
+	}
+	sameBits(t, "jump after poison", f2.AtMemo(5.5, 0.5, &m2), f2.At(5.5, 0.5))
+
+	f1 := Field1D{Seed: 3, Scale: 1}
+	var m1 Memo1D
+	f1.AtMemo(0.5, &m1)
+	m1.g = [2]float64{math.NaN(), math.NaN()}
+	if v := f1.AtMemo(-0.5, &m1); !math.IsNaN(v) {
+		t.Errorf("step back of one cell drew every corner again: %v", v)
+	}
+	sameBits(t, "jump after poison", f1.AtMemo(9.5, &m1), f1.At(9.5))
+	// A seed switch must not reuse the other seed's corners.
+	m1.g = [2]float64{math.NaN(), math.NaN()}
+	g := Field1D{Seed: 4, Scale: 1}
+	sameBits(t, "seed switch after poison", g.AtMemo(9.5, &m1), g.At(9.5))
 }

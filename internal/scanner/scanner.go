@@ -9,8 +9,9 @@
 package scanner
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rups/internal/geo"
 	"rups/internal/gsm"
@@ -20,10 +21,16 @@ import (
 )
 
 // Source is any sampleable ambient RSSI field the radio bank can scan:
-// gsm.Field, fm.Field, or a MultiSource concatenating several bands.
+// gsm.Field, fm.Field, or a MultiSource concatenating several bands. A
+// Source is pure and safe for concurrent use; a reader it returns belongs
+// to the one goroutine that reads through it.
 type Source interface {
 	// Sample returns the RSSI in dBm at (pos, channel, time).
 	Sample(pos geo.Vec2, ch int, t float64) float64
+	// Reader returns a path reader: a function returning exactly Sample's
+	// values, which may remember what earlier reads computed so that a
+	// sequential reader (one scan) pays less per read.
+	Reader() func(pos geo.Vec2, ch int, t float64) float64
 	// Channels returns the band's carrier count.
 	Channels() int
 }
@@ -53,17 +60,34 @@ func NewMultiSource(srcs ...Source) *MultiSource {
 // Channels implements Source.
 func (m *MultiSource) Channels() int { return m.total }
 
-// Sample implements Source.
-func (m *MultiSource) Sample(pos geo.Vec2, ch int, t float64) float64 {
+// band returns the index of the source that owns channel ch.
+func (m *MultiSource) band(ch int) int {
 	if ch < 0 || ch >= m.total {
 		panic(fmt.Sprintf("scanner: multi-source channel %d out of range", ch))
 	}
-	for i := len(m.srcs) - 1; i >= 0; i-- {
-		if ch >= m.offsets[i] {
-			return m.srcs[i].Sample(pos, ch-m.offsets[i], t)
-		}
+	i := len(m.srcs) - 1
+	for ch < m.offsets[i] {
+		i--
 	}
-	panic("unreachable")
+	return i
+}
+
+// Sample implements Source.
+func (m *MultiSource) Sample(pos geo.Vec2, ch int, t float64) float64 {
+	i := m.band(ch)
+	return m.srcs[i].Sample(pos, ch-m.offsets[i], t)
+}
+
+// Reader implements Source by composing one reader per band.
+func (m *MultiSource) Reader() func(pos geo.Vec2, ch int, t float64) float64 {
+	reads := make([]func(geo.Vec2, int, float64) float64, len(m.srcs))
+	for i, s := range m.srcs {
+		reads[i] = s.Reader()
+	}
+	return func(pos geo.Vec2, ch int, t float64) float64 {
+		i := m.band(ch)
+		return reads[i](pos, ch-m.offsets[i], t)
+	}
 }
 
 // Placement is where the radio group is installed in the vehicle.
@@ -166,6 +190,7 @@ func Scan(tr *mobility.Trace, f Source, cfg Config) []trajectory.Sample {
 
 	t0 := tr.States[0].T
 	tEnd := tr.States[len(tr.States)-1].T
+	read := f.Reader()
 
 	var samples []trajectory.Sample
 	for r := 0; r < cfg.Radios; r++ {
@@ -181,7 +206,7 @@ func Scan(tr *mobility.Trace, f Source, cfg Config) []trajectory.Sample {
 		for t := t0; t <= tEnd; t += DwellS {
 			ch := mine[int(k)%len(mine)]
 			pos := tr.At(t).Pos
-			v := f.Sample(pos, ch, t) - loss +
+			v := read(pos, ch, t) - loss +
 				sigma*noise.Gaussian(cfg.Seed, uint64(r), k, 0x5CA9)
 			if v < gsm.NoiseFloorDBm {
 				v = gsm.NoiseFloorDBm
@@ -190,14 +215,14 @@ func Scan(tr *mobility.Trace, f Source, cfg Config) []trajectory.Sample {
 			k++
 		}
 	}
-	sort.SliceStable(samples, func(i, j int) bool {
-		if samples[i].T < samples[j].T {
-			return true
+	slices.SortStableFunc(samples, func(a, b trajectory.Sample) int {
+		if a.T < b.T {
+			return -1
 		}
-		if samples[i].T > samples[j].T {
-			return false
+		if a.T > b.T {
+			return 1
 		}
-		return samples[i].Ch < samples[j].Ch
+		return cmp.Compare(a.Ch, b.Ch)
 	})
 	if c := scanSamples.Get(); c != nil {
 		c.Add(uint64(len(samples)))

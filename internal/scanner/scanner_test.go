@@ -2,12 +2,15 @@ package scanner
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"rups/internal/city"
 	"rups/internal/fm"
 	"rups/internal/gsm"
 	"rups/internal/mobility"
+	"rups/internal/noise"
 	"rups/internal/trajectory"
 )
 
@@ -19,7 +22,7 @@ type env struct {
 
 var cachedEnv *env
 
-func getEnv(t *testing.T) *env {
+func getEnv(t testing.TB) *env {
 	t.Helper()
 	if cachedEnv != nil {
 		return cachedEnv
@@ -228,5 +231,88 @@ func TestScanMultiSourceCoverage(t *testing.T) {
 	}
 	if !seenFM {
 		t.Error("multi-source scan never touched the FM band")
+	}
+}
+
+// referenceScan is Scan as first written: one memo-free Source.Sample per
+// reading and a reflection-based stable sort on (T, then Ch). Scan must
+// reproduce it exactly.
+func referenceScan(tr *mobility.Trace, f Source, cfg Config) []trajectory.Sample {
+	channels := cfg.Channels
+	if channels == nil {
+		for ch := 0; ch < f.Channels(); ch++ {
+			channels = append(channels, ch)
+		}
+	}
+	loss, noiseMul := placementEffect(cfg.Placement)
+	sigma := cfg.NoiseSigmaDB * noiseMul
+	t0, tEnd := tr.States[0].T, tr.States[len(tr.States)-1].T
+	var samples []trajectory.Sample
+	for r := 0; r < cfg.Radios; r++ {
+		var mine []int
+		for i := r; i < len(channels); i += cfg.Radios {
+			mine = append(mine, channels[i])
+		}
+		if len(mine) == 0 {
+			continue
+		}
+		k := uint64(0)
+		for t := t0; t <= tEnd; t += DwellS {
+			ch := mine[int(k)%len(mine)]
+			v := f.Sample(tr.At(t).Pos, ch, t) - loss +
+				sigma*noise.Gaussian(cfg.Seed, uint64(r), k, 0x5CA9)
+			if v < gsm.NoiseFloorDBm {
+				v = gsm.NoiseFloorDBm
+			}
+			samples = append(samples, trajectory.Sample{T: t, Ch: ch, RSSI: v})
+			k++
+		}
+	}
+	sort.SliceStable(samples, func(i, j int) bool {
+		if samples[i].T < samples[j].T {
+			return true
+		}
+		if samples[i].T > samples[j].T {
+			return false
+		}
+		return samples[i].Ch < samples[j].Ch
+	})
+	return samples
+}
+
+func TestScanMatchesReference(t *testing.T) {
+	e := getEnv(t)
+	fmf := fm.NewField(12, gsm.Bounds{MinX: -3000, MinY: -3000, MaxX: 3000, MaxY: 3000}, e.city)
+	multi := NewMultiSource(e.field, fmf)
+	subset := DefaultConfig(13, 3, CabinCenter)
+	subset.Channels = []int{190, 3, 77, 4, 120, 5, 6, 61}
+	for name, c := range map[string]struct {
+		src Source
+		cfg Config
+	}{
+		"1 radio":     {e.field, DefaultConfig(14, 1, FrontPanel)},
+		"3 radios":    {e.field, DefaultConfig(15, 3, FrontPanel)},
+		"4 radios":    {e.field, DefaultConfig(16, 4, CabinCenter)},
+		"subset":      {e.field, subset},
+		"gsm+fm":      {multi, DefaultConfig(17, 4, FrontPanel)},
+		"fm+gsm":      {NewMultiSource(fmf, e.field), DefaultConfig(18, 3, FrontPanel)},
+		"fm":          {fmf, DefaultConfig(19, 2, FrontPanel)},
+		"multi reuse": {multi, subset},
+	} {
+		got, want := Scan(e.trace, c.src, c.cfg), referenceScan(e.trace, c.src, c.cfg)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Scan differs from the reference (%d vs %d samples)", name, len(got), len(want))
+		}
+	}
+}
+
+// BenchmarkScan measures one 4-radio, full-band scan of a 400 m drive
+// through a city: the radio-bank share of sim.ExecuteConvoy.
+func BenchmarkScan(b *testing.B) {
+	e := getEnv(b)
+	cfg := DefaultConfig(5, 4, FrontPanel)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Scan(e.trace, e.field, cfg)
 	}
 }

@@ -93,3 +93,14 @@ func TestConvoyEngineMatchesSequential(t *testing.T) {
 		t.Fatal("no convoy pair resolved at the query tick")
 	}
 }
+
+// BenchmarkExecuteConvoy builds one convoy the way perfbench's convoy-dsrc
+// workload does (6 vehicles over 1200 m of a 4-lane urban road), so a move
+// in its sim.execute_convoy_s can be reproduced with go test -bench.
+func BenchmarkExecuteConvoy(b *testing.B) {
+	sc := DefaultScenario(21, city.FourLaneUrban)
+	sc.DistanceM = 1200
+	for i := 0; i < b.N; i++ {
+		ExecuteConvoy(sc, 6)
+	}
+}
