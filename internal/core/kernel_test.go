@@ -123,7 +123,7 @@ func chanScene(rng *rand.Rand, xs, ys [][]int64, lo, j, after int) *segScorer {
 			sr[lo+u], tr[j+u] = uint8(xs[i][u]), uint8(ys[i][u])
 		}
 	}
-	return newSegScorer(newCellIndex(src, k, ms, nil), newCellIndex(tgt, k, mt, nil), lo, w, false)
+	return newSegScorer(newCellIndex(src, k, ms, false, nil), newCellIndex(tgt, k, mt, true, nil), lo, w, false)
 }
 
 // chanLanesOf draws k channels of w cells: lane vectors of the given kinds
@@ -643,6 +643,27 @@ func TestIndexSumsMatchNaive(t *testing.T) {
 	}
 }
 
+// BenchmarkNewSearcher times one pair's set-up on 1100 m snapshots,
+// clipped to the default 1000 m context: ranking the resolver's channels,
+// then both sides' indexes — over the scan's 365 m reach (reach), or over
+// the whole clipped context (full).
+func BenchmarkNewSearcher(b *testing.B) {
+	a, peer := plantedPair(73, 1100, 25, 1.0)
+	a, peer = a.Snapshot(), peer.Snapshot()
+	p := DefaultParams()
+	for _, c := range []struct {
+		name  string
+		reach int
+	}{{"reach", p.scanReach()}, {"full", p.MaxContextMeters}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for it := 0; it < b.N; it++ {
+				newSearcher(a, peer, p, c.reach).Release()
+			}
+		})
+	}
+}
+
 // BenchmarkMatrixIndex times the per-context preprocessing of one side of
 // a default search: the index (dense check, both prefix tables, column
 // sums and their prefix tables) over the 45 selected channels of a 1 km
@@ -653,7 +674,7 @@ func BenchmarkMatrixIndex(b *testing.B) {
 	ar := new(arena)
 	b.ReportAllocs()
 	for it := 0; it < b.N; it++ {
-		newCellIndex(cells, k, m, ar)
+		newCellIndex(cells, k, m, true, ar)
 		ar.reset()
 	}
 }

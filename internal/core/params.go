@@ -132,6 +132,15 @@ func (p Params) validate() {
 	}
 }
 
+// scanReach is how many trailing context metres a search can read: the
+// deepest segment ends (NumSYN−1)·SegmentStrideMeters before the last
+// mark, its window is at most WindowMeters long, and the locality bound
+// slides the other side's window at most MaxRelDistM further back
+// (Searcher.bounds). 365 m under DefaultParams.
+func (p Params) scanReach() int {
+	return p.WindowMeters + (p.NumSYN-1)*p.SegmentStrideMeters + p.MaxRelDistM
+}
+
 // cellRunMax is the longest run of power cells whose integer moments the
 // scan keeps in int32: a run of n cells, each at most 254, has Σy² and
 // Σxy at most n·254², below 2³¹ for n ≤ cellRunMax (33286). The bound

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -56,11 +57,12 @@ func clip(a *trajectory.Aware, p Params) (*trajectory.Aware, int) {
 
 // ResolverSide is the half of a Searcher that depends on the resolver's
 // snapshot alone: the context clipped to MaxContextMeters and its offset,
-// the checking window's channels (the resolver's strongest, paper §IV-D),
-// and the resolver's matrixIndex over them. Same bytes in, same tables
-// out, so one side serves every peer the resolver is paired with — the
-// engine builds one per admitted resolver slot and batch and shares it
-// among that slot's queries (NewSearcherOn).
+// the checking window's channels (the resolver's strongest over the
+// clipped context, paper §IV-D), and the resolver's matrixIndex over them
+// and over the scan's reach. Same bytes in, same tables out, so one side
+// serves every peer the resolver is paired with — the engine builds one
+// per admitted resolver slot and batch and shares it among that slot's
+// queries (NewSearcherOn).
 //
 // A built side is read-only, so any number of Searchers may read it
 // concurrently. The one lazy part is the dBm rows a sparse segment reads
@@ -74,8 +76,11 @@ type ResolverSide struct {
 	off      int
 	p        Params
 	channels []int
-	idx      *matrixIndex
-	mat      sync.Once
+	// reach is how many trailing context columns both sides' indexes
+	// cover (Params.scanReach).
+	reach int
+	idx   *matrixIndex
+	mat   sync.Once
 	// ar backs the index; Release returns it to the pool.
 	ar *arena
 }
@@ -83,15 +88,22 @@ type ResolverSide struct {
 // NewResolverSide prepares the resolver half of every search from a
 // under p.
 func NewResolverSide(a *trajectory.Aware, p Params) *ResolverSide {
+	return newResolverSide(a, p, p.scanReach())
+}
+
+// newResolverSide is NewResolverSide with the indexes covering the last
+// reach context columns; tests pass a longer reach to index whole
+// contexts.
+func newResolverSide(a *trajectory.Aware, p Params, reach int) *ResolverSide {
 	p.validate()
-	sd := &ResolverSide{a: a, p: p, ar: arenaPool.Get().(*arena)}
+	sd := &ResolverSide{a: a, p: p, reach: reach, ar: arenaPool.Get().(*arena)}
 	sd.ctx, sd.off = clip(a, p)
 	// Checking-window width: the strongest channels, but never channels
 	// idling at the noise floor — sparse suburbs may not have
 	// WindowChannels audible carriers, and constant rows only dilute the
 	// correlation.
 	sd.channels = sd.ctx.TopAudibleChannels(p.WindowChannels, audibleFloorDBm, minWindowChannels)
-	sd.idx = newTrajectoryIndex(sd.ctx, sd.channels, sd.ar)
+	sd.idx = newTrajectoryIndex(sd.ctx, sd.channels, reach, sd.ar)
 	if !sd.idx.dense {
 		sd.materialize()
 	}
@@ -180,7 +192,7 @@ func NewSearcherOn(side *ResolverSide, b *trajectory.Aware) *Searcher {
 	s.trace = s.rec.NewTrace()
 	s.ar = arenaPool.Get().(*arena)
 	s.bCtx, s.offB = clip(b, s.p)
-	s.idxB = newTrajectoryIndex(s.bCtx, side.channels, s.ar)
+	s.idxB = newTrajectoryIndex(s.bCtx, side.channels, side.reach, s.ar)
 	if !s.idxA.dense || !s.idxB.dense {
 		// A segment scores through stats.Pearson when either side holds a
 		// missing cell, reading both sides' dBm rows.
@@ -324,7 +336,7 @@ func (s *Searcher) scanSegment(pl *segmentPlan) {
 	ba := s.segScorer(s.idxB, s.idxA, s.bCtx.Len()-pl.endOff-pl.w, pl)
 	defer s.finishScan(ba)
 	loA, hiA := s.bounds(s.aCtx.Len(), pl.w, pl.endOff)
-	if inRange(pl.pivotA, loA, hiA, ba.positions()) && !inRange(pl.pivotB, loB, hiB, ab.positions()) {
+	if ba.pivots(pl.pivotA, loA, hiA) && !ab.pivots(pl.pivotB, loB, hiB) {
 		sp := s.scanSpan("scan_ba", pl)
 		pl.posA, pl.scoreBA = ba.scan(loA, hiA, pl.pivotA, math.Inf(-1), true)
 		sp.End()
@@ -351,14 +363,6 @@ func (s *Searcher) scanSpan(name string, pl *segmentPlan) obs.Span {
 	sp := s.rec.StartChild(s.trace, s.scanParent, name)
 	sp.Arg = int64(pl.endOff)
 	return sp
-}
-
-// inRange reports whether pivot lies in [lo, hi] clamped to the n valid
-// placements: where segScorer.scan would start from it rather than from
-// the midpoint.
-func inRange(pivot, lo, hi, n int) bool {
-	lo, hi = clampRange(lo, hi, n)
-	return pivot >= lo && pivot <= hi
 }
 
 // segScorer builds one direction scan's scorer for the reference segment
@@ -447,7 +451,12 @@ func (s *Searcher) combine(pl *segmentPlan) (SYNPoint, bool) {
 // strides back from the most recent mark (§VI-C), running one scanSegment
 // task per planned segment through par. Results are combined in segment
 // order, so the output is bit-identical for any Parallel implementation.
+// n may not exceed Params.NumSYN: deeper segments lie beyond the indexes'
+// reach.
 func (s *Searcher) FindSYNs(n int, par Parallel) []SYNPoint {
+	if n > s.p.NumSYN {
+		panic(fmt.Sprintf("core: FindSYNs(%d) past Params.NumSYN %d", n, s.p.NumSYN))
+	}
 	if t := s.tel; t != nil {
 		t.searches.Inc()
 	}

@@ -136,8 +136,8 @@ func TestSegmentScheduleMatchesFullScans(t *testing.T) {
 				s.scanSegment(&got)
 				syn, gotOK := s.combine(&got)
 
-				abIn := inRange(got.pivotB, loB, hiB, ab.positions())
-				baIn := ba != nil && inRange(got.pivotA, loA, hiA, ba.positions())
+				abIn := ab.pivots(got.pivotB, loB, hiB)
+				baIn := ba != nil && ba.pivots(got.pivotA, loA, hiA)
 				switch {
 				case k < 0:
 					cold++

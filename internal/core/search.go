@@ -47,13 +47,22 @@ func (s SYNPoint) RelativeDistance(a, b *trajectory.Aware) float64 {
 // scale of either vector, so correlating cells instead of dBm, and column
 // sums instead of column means (a dense column has all k entries), leaves
 // r unchanged; and exact moments cannot cancel, so nothing is re-centred.
+//
+// A Searcher's index covers only the scan's reach: the last
+// Params.scanReach columns of the clipped context, which hold every cell
+// a direction scan reads. base is the context column of index column 0;
+// the scorer takes context columns and translates (segScorer.scan).
 type matrixIndex struct {
 	k, m int
+	base int
 	// cells holds row i's m cells at cells[i·stride:], each row followed
 	// by cellPad zero bytes (grabCells).
 	cells  []uint8
 	stride int
-	// dense reports no MissingCell anywhere in the rows.
+	// dense reports no MissingCell in the selected channels anywhere in
+	// the context — before base too. A sparse context scores every
+	// placement through stats.Pearson, whose bits differ from the integer
+	// kernel's, so the verdict must not depend on how much is indexed.
 	dense bool
 	// missPre[i][j] counts missing cells in row i over [0, j); built only
 	// when the matrix is not dense, so segment density checks stay O(k).
@@ -101,27 +110,34 @@ func newMatrixIndex(rows [][]float64) *matrixIndex {
 		m = len(rows[0])
 	}
 	cells := grabCells(nil, k, m)
+	dense := true
 	for i, row := range rows {
 		dst := cells[i*(m+cellPad) : i*(m+cellPad)+m]
 		for j, v := range row {
 			dst[j] = trajectory.CellByte(v)
 		}
+		dense = dense && bytes.IndexByte(dst, trajectory.MissingCell) < 0
 	}
-	idx := newCellIndex(cells, k, m, nil)
+	idx := newCellIndex(cells, k, m, dense, nil)
 	idx.materialize()
 	return idx
 }
 
-// newTrajectoryIndex indexes the given channels of a: their cells are
-// copied as bytes (CopyCellsInto writes every cell, grabCells every pad,
-// satisfying the arena's no-zeroing contract).
-func newTrajectoryIndex(a *trajectory.Aware, channels []int, ar *arena) *matrixIndex {
-	k, m := len(channels), a.Len()
+// newTrajectoryIndex indexes the given channels of a over its last reach
+// metres (all of them when a is shorter): their cells are copied as bytes
+// (CopyCellsInto writes every cell, grabCells every pad, satisfying the
+// arena's no-zeroing contract). The dense verdict covers all of a.
+func newTrajectoryIndex(a *trajectory.Aware, channels []int, reach int, ar *arena) *matrixIndex {
+	k, n := len(channels), a.Len()
+	base := max(n-reach, 0)
+	m := n - base
 	cells := grabCells(ar, k, m)
 	for i, ch := range channels {
-		a.CopyCellsInto(ch, 0, cells[i*(m+cellPad):i*(m+cellPad)+m])
+		a.CopyCellsInto(ch, base, cells[i*(m+cellPad):i*(m+cellPad)+m])
 	}
-	return newCellIndex(cells, k, m, ar)
+	idx := newCellIndex(cells, k, m, !a.HasMissing(channels, 0, n), ar)
+	idx.base = base
+	return idx
 }
 
 // grabCells returns memory for k rows of m cells in the index layout (row
@@ -138,15 +154,14 @@ func grabCells(ar *arena, k, m int) []uint8 {
 
 // newCellIndex builds the shared precomputation over k rows of m cells
 // laid out by grabCells, with its tables grabbed from ar (plain allocation
-// when ar is nil). Arena memory is unzeroed, so every table cell is
-// written explicitly — in particular the prefix-table [0] sentinels.
-func newCellIndex(cells []uint8, k, m int, ar *arena) *matrixIndex {
-	idx := &matrixIndex{k: k, m: m, cells: cells, stride: m + cellPad, dense: true, ar: ar}
+// when ar is nil). dense is the caller's verdict that no selected cell is
+// missing (see matrixIndex.dense); a missing cell in the rows requires it
+// false. Arena memory is unzeroed, so every table cell is written
+// explicitly — in particular the prefix-table [0] sentinels.
+func newCellIndex(cells []uint8, k, m int, dense bool, ar *arena) *matrixIndex {
+	idx := &matrixIndex{k: k, m: m, cells: cells, stride: m + cellPad, dense: dense, ar: ar}
 	if k == 0 {
 		return idx
-	}
-	for i := 0; i < k && idx.dense; i++ {
-		idx.dense = bytes.IndexByte(idx.row(i), trajectory.MissingCell) < 0
 	}
 	// Row prefix tables: integer running sums, exact in any order. A
 	// missing cell counts 0.
@@ -357,7 +372,8 @@ func (s *segScratch) growColR(n int) []float64 {
 // the target matrix, in O(k·w) per position after the shared O(k·m)
 // preprocessing held by the two indexes. Only the scoring of one placement
 // depends on the segment (chanSum, colTerms); every scorer runs the same
-// bounded scan.
+// bounded scan. Columns are index columns inside the scorer (lo is the
+// segment's column in src); newSegScorer and scan take context columns.
 type segScorer struct {
 	src, tgt *matrixIndex
 	lo, w    int
@@ -389,10 +405,11 @@ type segScorer struct {
 	visited, pruned, abandoned int
 }
 
-// newSegScorer prepares a reference segment scorer. Degenerate inputs
-// (k == 0, w <= 0, segment out of range) yield a scorer with no positions
-// instead of a panic.
+// newSegScorer prepares a scorer for the reference segment at context
+// column lo of src. Degenerate inputs (k == 0, w <= 0, segment outside
+// the index) yield a scorer with no positions instead of a panic.
 func newSegScorer(src, tgt *matrixIndex, lo, w int, noCol bool) *segScorer {
+	lo -= src.base
 	s := &segScorer{src: src, tgt: tgt, lo: lo, w: w, noCol: noCol, floor: math.Inf(-1)}
 	if src.k == 0 || tgt.k == 0 || w <= 0 || lo < 0 || lo+w > src.m {
 		s.w = 0
@@ -437,7 +454,8 @@ func (s *segScorer) release() {
 	}
 }
 
-// positions returns how many window placements exist on the target.
+// positions returns how many window placements exist on the target
+// index.
 func (s *segScorer) positions() int {
 	if s.w <= 0 || s.tgt.k == 0 {
 		return 0
@@ -449,8 +467,9 @@ func (s *segScorer) positions() int {
 }
 
 // scoreAt returns the trajectory correlation of the reference segment
-// against the target window starting at column j: Eq. 2, scored with no cut
-// exactly as the bounded scan scores a placement it does not abandon.
+// against the target window starting at index column j: Eq. 2, scored with
+// no cut exactly as the bounded scan scores a placement it does not
+// abandon.
 func (s *segScorer) scoreAt(j int) float64 {
 	if s.positions() == 0 {
 		return 0
@@ -568,9 +587,10 @@ func (s *segScorer) colTerms(lo int, out []float64) {
 	}
 }
 
-// scan returns the best placement of j ∈ [lo, hi] (clamped to the valid
-// range) and its score, or -1 and -Inf for an empty range. It is every
-// direction scan's one entry: the bounded scan pivoted on pivot (-1, or
+// scan returns the best placement of j ∈ [lo, hi] (context columns,
+// clamped to the placements inside the target index) and its score, or -1
+// and -Inf for an empty range. It is every direction scan's one entry:
+// the bounded scan pivoted on pivot (-1, or
 // any pivot out of range, for the midpoint) and cut against s.floor and
 // the cross-direction seed (-Inf when unseeded). The seed is the other
 // direction's exact score, which this direction must beat for combine to
@@ -581,11 +601,23 @@ func (s *segScorer) colTerms(lo int, out []float64) {
 // some lower score that misses the floor or loses to the seed — combine's
 // outcome equals that of two full scans either way.
 func (s *segScorer) scan(lo, hi, pivot int, seed float64, tiesWin bool) (pos int, score float64) {
-	lo, hi = clampRange(lo, hi, s.positions())
+	b := s.tgt.base
+	lo, hi = clampRange(lo-b, hi-b, s.positions())
 	if hi < lo {
 		return -1, math.Inf(-1)
 	}
-	return s.scanBounded(lo, hi, pivot, seed, tiesWin)
+	if pos, score = s.scanBounded(lo, hi, pivot-b, seed, tiesWin); pos >= 0 {
+		pos += b
+	}
+	return pos, score
+}
+
+// pivots reports whether scan(lo, hi, pivot, …) starts from pivot rather
+// than from the range midpoint.
+func (s *segScorer) pivots(pivot, lo, hi int) bool {
+	b := s.tgt.base
+	lo, hi = clampRange(lo-b, hi-b, s.positions())
+	return pivot-b >= lo && pivot-b <= hi
 }
 
 // scanCut is what a placement's score must clear to change a bounded

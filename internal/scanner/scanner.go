@@ -9,9 +9,7 @@
 package scanner
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"rups/internal/geo"
 	"rups/internal/gsm"
@@ -190,18 +188,25 @@ func Scan(tr *mobility.Trace, f Source, cfg Config) []trajectory.Sample {
 
 	t0 := tr.States[0].T
 	tEnd := tr.States[len(tr.States)-1].T
+	steps := 0
+	for t := t0; t <= tEnd; t += DwellS {
+		steps++
+	}
 	read := f.Reader()
 
-	var samples []trajectory.Sample
-	for r := 0; r < cfg.Radios; r++ {
+	// Each radio's stream is in time order: run r fills runs[r], and the
+	// runs merge by (T, Ch), earlier radios first on a tie — the order a
+	// stable sort of the concatenated runs gives.
+	radios := min(cfg.Radios, len(channels))
+	back := make([]trajectory.Sample, radios*steps)
+	runs := make([][]trajectory.Sample, radios)
+	for r := range runs {
 		// Radio r owns channels[r], channels[r+Radios], ...
 		var mine []int
 		for i := r; i < len(channels); i += cfg.Radios {
 			mine = append(mine, channels[i])
 		}
-		if len(mine) == 0 {
-			continue
-		}
+		run := back[r*steps : r*steps : (r+1)*steps]
 		k := uint64(0)
 		for t := t0; t <= tEnd; t += DwellS {
 			ch := mine[int(k)%len(mine)]
@@ -211,21 +216,40 @@ func Scan(tr *mobility.Trace, f Source, cfg Config) []trajectory.Sample {
 			if v < gsm.NoiseFloorDBm {
 				v = gsm.NoiseFloorDBm
 			}
-			samples = append(samples, trajectory.Sample{T: t, Ch: ch, RSSI: v})
+			run = append(run, trajectory.Sample{T: t, Ch: ch, RSSI: v})
 			k++
 		}
+		runs[r] = run
 	}
-	slices.SortStableFunc(samples, func(a, b trajectory.Sample) int {
-		if a.T < b.T {
-			return -1
-		}
-		if a.T > b.T {
-			return 1
-		}
-		return cmp.Compare(a.Ch, b.Ch)
-	})
+	var samples []trajectory.Sample
+	if len(back) > 0 {
+		samples = mergeRuns(runs, make([]trajectory.Sample, 0, len(back)))
+	}
 	if c := scanSamples.Get(); c != nil {
 		c.Add(uint64(len(samples)))
 	}
 	return samples
+}
+
+// mergeRuns appends the samples of runs, each ordered by (T, Ch), to out
+// in (T, Ch) order; on equal keys the earlier run's sample comes first.
+func mergeRuns(runs [][]trajectory.Sample, out []trajectory.Sample) []trajectory.Sample {
+	for {
+		best := -1
+		for r, run := range runs {
+			if len(run) > 0 && (best < 0 || before(run[0], runs[best][0])) {
+				best = r
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		out = append(out, runs[best][0])
+		runs[best] = runs[best][1:]
+	}
+}
+
+// before orders samples by time, then channel.
+func before(a, b trajectory.Sample) bool {
+	return a.T < b.T || !(b.T < a.T) && a.Ch < b.Ch
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"math/rand"
 	"net"
+	"sync"
 	"testing"
 
 	"rups/internal/core"
@@ -249,10 +250,34 @@ func TestRateLimitRefusal(t *testing.T) {
 	}
 }
 
+// stallConn is a client socket that never drains: Write reports its first
+// entry on entered and then blocks until Close, which fails it. Only Write
+// and Close are used by conn.writeLoop.
+type stallConn struct {
+	net.Conn
+	entered, closed chan struct{}
+	enter, close    sync.Once
+}
+
+func newStallConn() *stallConn {
+	return &stallConn{entered: make(chan struct{}), closed: make(chan struct{})}
+}
+
+func (c *stallConn) Write([]byte) (int, error) {
+	c.enter.Do(func() { close(c.entered) })
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+func (c *stallConn) Close() error {
+	c.close.Do(func() { close(c.closed) })
+	return nil
+}
+
 // TestSlowReaderDisconnect: a client that stops reading cannot wedge the
 // server — once its outbox fills, the connection is aborted and the slow-
-// disconnect counter moves. net.Pipe has no kernel buffering, so the
-// writer blocks on the first unread message and the overflow is exact: one
+// disconnect counter moves. The socket's Write blocks, and the test sends
+// again only once the writer is inside it, so the overflow is exact: one
 // message in the writer's hands, OutboxCap in the box, the next send
 // fails.
 func TestSlowReaderDisconnect(t *testing.T) {
@@ -262,22 +287,26 @@ func TestSlowReaderDisconnect(t *testing.T) {
 	sim := NewSimClock(0)
 	s := New(Config{Clock: sim, OutboxCap: 1})
 	defer s.eng.Close()
-	srv, cli := net.Pipe()
-	defer cli.Close()
-	c := &conn{s: s, nc: srv, outbox: make(chan []byte, s.cfg.OutboxCap)}
+	nc := newStallConn()
+	c := &conn{s: s, nc: nc, outbox: make(chan []byte, s.cfg.OutboxCap)}
 	s.connWG.Add(1)
 	go c.writeLoop()
 
 	before := stel().slowDisconnects.Value()
-	dropped := false
-	for i := 0; i < 3; i++ { // 1 in-flight + 1 buffered: the 3rd must drop
-		if !c.send(resultFrame(uint32(i), StatusOK, false, 1, 0)) {
-			dropped = true
+	sent := 0
+	for ; sent < 3; sent++ { // 1 in-flight + 1 buffered: the 3rd must drop
+		if !c.send(resultFrame(uint32(sent), StatusOK, false, 1, 0)) {
 			break
 		}
+		if sent == 0 {
+			<-nc.entered // the writer holds the first message
+		}
 	}
-	if !dropped {
+	if sent == 3 {
 		t.Fatal("sends into a dead client never failed")
+	}
+	if sent != 2 {
+		t.Fatalf("send %d dropped, want the 3rd", sent+1)
 	}
 	if got := stel().slowDisconnects.Value(); got != before+1 {
 		t.Fatalf("slow disconnects %d, want %d", got, before+1)
@@ -459,7 +488,8 @@ func TestMalformedInputsDoNotKillTheServer(t *testing.T) {
 }
 
 // TestResidentChargePerMark: a vehicle is charged 16 B of geometry plus
-// one byte per stored power cell for every mark it holds, and the
+// one byte per stored power cell for every mark it holds, plus its sealed
+// chunks' channel tallies (4 B per channel per 128 marks), and the
 // resident-bytes gauge reports the charge.
 func TestResidentChargePerMark(t *testing.T) {
 	obs.Enable(obs.NewRegistry())
@@ -482,7 +512,7 @@ func TestResidentChargePerMark(t *testing.T) {
 		e.mu.Unlock()
 	}
 	tab.charge(e, 0)
-	want := int64(marks * (16 + width))
+	want := int64(marks*(16+width) + marks*width*4/128)
 	if e.bytes != want {
 		t.Errorf("charged %d B for %d marks × %d channels, want %d", e.bytes, marks, width, want)
 	}

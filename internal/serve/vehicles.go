@@ -52,10 +52,13 @@ func (e *vehicleEntry) snapshot() *trajectory.Aware {
 const markGeoBytes = 16
 
 // residentBytes estimates an entry's footprint: per mark, the GeoMark plus
-// one stored power cell per channel. Deliberately an estimate — the budget
-// bounds growth, it is not an allocator.
+// one stored power cell per channel, plus each channel's share of the
+// tally a sealed chunk carries (trajectory.TallyBytes per ChunkMarks
+// marks). Deliberately an estimate — the budget bounds growth, it is not
+// an allocator.
 func residentBytes(marks, width int) int64 {
-	return int64(marks) * int64(markGeoBytes+trajectory.CellBytes*width)
+	m, w := int64(marks), int64(width)
+	return m*(markGeoBytes+trajectory.CellBytes*w) + m*w*trajectory.TallyBytes/trajectory.ChunkMarks
 }
 
 // vtable is the resident-vehicle table: an LRU over vehicleEntry under a

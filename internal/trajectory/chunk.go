@@ -1,6 +1,7 @@
 package trajectory
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -98,6 +99,44 @@ type powChunk struct {
 	// shared is the watermark: columns [0, shared) are referenced by a
 	// snapshot and must not be rewritten in place.
 	shared int
+	// tally holds each channel's present-cell sum and count over the whole
+	// tile, set by the snapshot that first seals all ChunkMarks columns
+	// (seal) and nil before. A sealed tile's cells never change in place,
+	// so the tally never goes stale: an in-place write clones the tile,
+	// and the clone starts without one. Readers consult it only for tiles
+	// they cover whole — any such snapshot sealed the tile, and so set
+	// the tally, before it was published.
+	tally []cellTally
+}
+
+// cellTally is one channel's present cells in a sealed tile: their byte
+// sum and how many there are (n < ChunkMarks means some cell is missing).
+type cellTally struct{ sum, n uint16 }
+
+// TallyBytes is the resident size of one channel's tally in a sealed
+// chunk: a chunk of ChunkMarks marks adds TallyBytes per channel once a
+// snapshot seals it whole.
+const TallyBytes = 4
+
+// A tile row's byte sum fits a cellTally (a compile-time check).
+const _ = uint16(ChunkMarks * (MissingCell - 1))
+
+// seal tallies every channel of a fully sealed tile.
+func (c *powChunk) seal(width int) {
+	c.tally = make([]cellTally, width)
+	for ch := range c.tally {
+		sum, n := cellSum(c.vals[ch*ChunkMarks : (ch+1)*ChunkMarks])
+		c.tally[ch] = cellTally{uint16(sum), uint16(n)}
+	}
+}
+
+// whole returns chunk ci's tally when the piece [col, end) covers the whole
+// tile and the tile is sealed, else nil.
+func (p *powStore) whole(ci, col, end int) []cellTally {
+	if col == 0 && end == ChunkMarks {
+		return p.chunks[ci].tally
+	}
+	return nil
 }
 
 // newPowChunk allocates a tile with every cell missing, so columns beyond
@@ -218,6 +257,9 @@ func (p *powStore) ownedRowSegs(ch, lo, hi int, fn func(seg []uint8, base int)) 
 // bit. A cell is the integer dB CellDBm(b) = floorDB + b, so every partial
 // sum of MeanOK's float chain is an exact integer: summing the bytes as
 // integers and converting once gives the same bits.
+//
+// A sealed tile the store covers whole contributes its tally (the same
+// integers), so only the edge tiles and unsealed ones are read.
 func (p *powStore) rowMeans(ms []chMean) {
 	for ch := range ms {
 		ms[ch] = chMean{ch: ch} // mean accumulates the byte sum until the end
@@ -226,11 +268,18 @@ func (p *powStore) rowMeans(ms []chMean) {
 		g := p.off + i
 		ci, col := g>>chunkShift, g&chunkMask
 		end := min(col+(p.n-i), ChunkMarks)
-		vals := p.chunks[ci].vals
-		for ch := range ms {
-			sum, n := cellSum(vals[ch*ChunkMarks+col : ch*ChunkMarks+end])
-			ms[ch].mean += float64(sum) // integer-valued, so exact
-			ms[ch].n += n
+		if tally := p.whole(ci, col, end); tally != nil {
+			for ch := range ms {
+				ms[ch].mean += float64(tally[ch].sum) // integer-valued, so exact
+				ms[ch].n += int(tally[ch].n)
+			}
+		} else {
+			vals := p.chunks[ci].vals
+			for ch := range ms {
+				sum, n := cellSum(vals[ch*ChunkMarks+col : ch*ChunkMarks+end])
+				ms[ch].mean += float64(sum) // integer-valued, so exact
+				ms[ch].n += n
+			}
 		}
 		i += end - col
 	}
@@ -280,6 +329,33 @@ func cellSum(seg []uint8) (sum, n int) {
 	return sum + int(acc&0xFFFFFFFF+acc>>32), len(seg)
 }
 
+// hasMissing reports whether any of the given channels holds a
+// MissingCell over local columns [lo, hi). A sealed tile the range covers
+// whole answers from its tally's counts.
+func (p *powStore) hasMissing(channels []int, lo, hi int) bool {
+	for i := lo; i < hi; {
+		g := p.off + i
+		ci, col := g>>chunkShift, g&chunkMask
+		end := min(col+(hi-i), ChunkMarks)
+		if tally := p.whole(ci, col, end); tally != nil {
+			for _, ch := range channels {
+				if tally[ch].n < ChunkMarks {
+					return true
+				}
+			}
+		} else {
+			vals := p.chunks[ci].vals
+			for _, ch := range channels {
+				if bytes.IndexByte(vals[ch*ChunkMarks+col:ch*ChunkMarks+end], MissingCell) >= 0 {
+					return true
+				}
+			}
+		}
+		i += end - col
+	}
+	return false
+}
+
 // copyRow copies local columns [lo, lo+len(dst)) of row ch into dst.
 func (p *powStore) copyRow(ch, lo int, dst []float64) {
 	p.rowSegs(ch, lo, lo+len(dst), func(seg []uint8, base int) {
@@ -319,8 +395,9 @@ func (p *powStore) viewOf(lo, hi int) powStore {
 // chunk pointers are copied into a fresh slice (so later copy-on-write
 // swaps in the live store never reach the snapshot) and each covered
 // chunk's watermark is raised over the snapshot's columns. No cell storage
-// is copied. It returns how many cells were shared versus how many words
-// the snapshot had to allocate (the pointer slice), for telemetry.
+// is copied; a chunk sealed whole for the first time is tallied (seal).
+// It returns how many cells were shared versus how many words the
+// snapshot had to allocate (the pointer slice), for telemetry.
 //
 // Chunks entirely below p.off (possible for Tail/PrefixUntil views) are
 // neither referenced nor sealed — the snapshot cannot see them, and
@@ -342,6 +419,9 @@ func (p *powStore) snapshot() (powStore, int) {
 		}
 		if c := p.chunks[ci]; hi > c.shared {
 			c.shared = hi
+			if hi == ChunkMarks {
+				c.seal(p.width)
+			}
 		}
 	}
 	return powStore{width: p.width, chunks: chunks, off: p.off - first*ChunkMarks, n: p.n, view: true}, len(chunks)

@@ -89,7 +89,9 @@ func TestRowMeansMatchMeanOK(t *testing.T) {
 }
 
 // BenchmarkTopChannels times the checking-window channel ranking of a 1 km,
-// 194-channel context: every row's mean, then the top-45 selection.
+// 194-channel context: every row's mean, then the top-45 selection. live
+// ranks a trajectory no snapshot has sealed, reading every cell; sealed
+// ranks a snapshot, whose seven whole chunks answer from their tallies.
 func BenchmarkTopChannels(b *testing.B) {
 	const n, width = 1000, 194
 	a := NewAwareWidth(Geo{Marks: make([]GeoMark, n)}, width)
@@ -99,9 +101,15 @@ func BenchmarkTopChannels(b *testing.B) {
 			a.SetPower(ch, i, -110+60*rng.Float64())
 		}
 	}
-	b.ResetTimer()
-	for it := 0; it < b.N; it++ {
-		a.TopChannels(45)
+	for _, c := range []struct {
+		name string
+		a    *Aware
+	}{{"live", a.Clone()}, {"sealed", a.Snapshot()}} {
+		b.Run(c.name, func(b *testing.B) {
+			for it := 0; it < b.N; it++ {
+				c.a.TopChannels(45)
+			}
+		})
 	}
 }
 

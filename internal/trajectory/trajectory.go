@@ -352,6 +352,21 @@ func (a *Aware) CopyCellsInto(ch, lo int, dst []uint8) {
 	})
 }
 
+// HasMissing reports whether any of the given channels holds a missing
+// cell over metres [lo, hi). Chunks a snapshot sealed whole answer from
+// their per-channel counts, without reading a cell.
+func (a *Aware) HasMissing(channels []int, lo, hi int) bool {
+	if lo < 0 || hi < lo || hi > a.Len() {
+		panic(fmt.Sprintf("trajectory: missing check over [%d,%d) out of range 0..%d", lo, hi, a.Len()))
+	}
+	for _, ch := range channels {
+		if ch < 0 || ch >= a.pw.width {
+			panic(fmt.Sprintf("trajectory: missing check on channel %d of %d", ch, a.pw.width))
+		}
+	}
+	return a.pw.hasMissing(channels, lo, hi)
+}
+
 // RowCopy returns a fresh copy of channel ch's cells over metres [lo, hi).
 func (a *Aware) RowCopy(ch, lo, hi int) []float64 {
 	if ch < 0 || ch >= a.pw.width || lo < 0 || hi < lo || hi > a.Len() {
