@@ -3,7 +3,7 @@
 .PHONY: all build test test-short race lint lint-sarif lint-ignores \
 	lint-prune lint-fix allocreport bench-all eval eval-quick \
 	fuzz fuzz-trace fuzz-v2v-frame fuzz-v2v-chunk \
-	fuzz-v2v-receiver fuzz-chankernel arm64-check maps serve soak clean
+	fuzz-v2v-receiver fuzz-chankernel fuzz-serve-ctrl arm64-check maps serve soak clean
 
 all: build test
 
@@ -101,6 +101,7 @@ fuzz:
 	$(MAKE) fuzz-v2v-chunk || rc=1; \
 	$(MAKE) fuzz-v2v-receiver || rc=1; \
 	$(MAKE) fuzz-chankernel || rc=1; \
+	$(MAKE) fuzz-serve-ctrl || rc=1; \
 	exit $$rc
 
 fuzz-trace:
@@ -117,6 +118,9 @@ fuzz-v2v-receiver:
 
 fuzz-chankernel:
 	go test -run '^FuzzChanKernel$$' -fuzz '^FuzzChanKernel$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core/
+
+fuzz-serve-ctrl:
+	go test -run '^FuzzControlFrame$$' -fuzz '^FuzzControlFrame$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/serve/
 
 maps:
 	go run ./cmd/rups-map -out docs/city.svg

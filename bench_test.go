@@ -384,9 +384,8 @@ func BenchmarkEngineResolveSequential(b *testing.B) {
 }
 
 // staggeredPair builds two dense 1 km trajectories 150 m apart — far
-// enough inside the ±MaxRelDistM locality bound that a cold centre-out
-// scan walks most of the placement range before branch-and-bound can
-// prune, while a warm-started scan pivots straight onto the alignment.
+// enough inside the ±MaxRelDistM locality bound that the centre-out scan
+// walks most of the placement range before branch-and-bound can prune.
 func staggeredPair() (*trajectory.Aware, *trajectory.Aware) {
 	area := gsm.Bounds{MinX: 0, MinY: 0, MaxX: 3000, MaxY: 3000}
 	f := gsm.NewField(11, gsm.GenerateTowers(11, area, gsm.ConstZone(gsm.Urban)), gsm.ConstZone(gsm.Urban))
@@ -427,10 +426,11 @@ func getSteadyViews() [][2]*trajectory.Aware {
 	return steadyViews
 }
 
-// BenchmarkEngineSteadyStateCold: each tick of the ladder admitted and
-// resolved through the cold path — every scan starts from the midpoint
-// with no history.
-func BenchmarkEngineSteadyStateCold(b *testing.B) {
+// BenchmarkEngineSteadyState: each tick of the ladder admitted and
+// resolved through ResolvePairsAt on one persistent engine, the pair named
+// by its identity — the steady-state re-resolve path. Every scan starts
+// from its range midpoint, exactly as the core.Resolve oracle's.
+func BenchmarkEngineSteadyState(b *testing.B) {
 	views := getSteadyViews()
 	p := core.DefaultParams()
 	e := engine.New(0)
@@ -444,41 +444,8 @@ func BenchmarkEngineSteadyStateCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r := batch.ResolvePairs(pairs, p); !r[0].OK {
-			b.Fatal("staggered pair did not resolve")
-		}
-	}
-}
-
-// BenchmarkEngineSteadyStateWarm is the same ladder through ResolvePairsAt
-// on a persistent engine: the pair's tracker survives across ticks, so
-// every measured resolve warm-starts from the previous tick's SYN offsets.
-// Since the threshold floor and early abandon cut the cold scan, it runs
-// ~1.2× fewer ns/op than the cold run (docs/PERFORMANCE.md).
-func BenchmarkEngineSteadyStateWarm(b *testing.B) {
-	views := getSteadyViews()
-	p := core.DefaultParams()
-	e := engine.New(0)
-	defer e.Close()
-	pairs := [][2]int{{0, 1}}
-	// Lead-in tick locks the tracker so every measured tick is a re-resolve.
-	batch, err := e.Admit(views[0][0], views[0][1])
-	if err != nil {
-		b.Fatal(err)
-	}
-	if r := batch.ResolvePairsAt(pairs, p, 0, core.Staleness{}); !r[0].OK {
-		b.Fatal("staggered pair did not resolve on lead-in")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := views[(i+1)%len(views)]
-		batch, err := e.Admit(v[0], v[1])
-		if err != nil {
-			b.Fatal(err)
-		}
 		if r := batch.ResolvePairsAt(pairs, p, 0, core.Staleness{}); !r[0].OK {
-			b.Fatal("staggered pair did not resolve warm")
+			b.Fatal("staggered pair did not resolve")
 		}
 	}
 }

@@ -70,14 +70,14 @@ func strayHandle(r *obs.Registry) *obs.Counter {
 func goodFlightLoop(n int) {
 	fl := flight.Active()
 	for i := 0; i < n; i++ {
-		fl.Emit(flight.Event{Kind: flight.KindWarmHit, A: int32(i), B: -1})
+		fl.Emit(flight.Event{Kind: flight.KindStaleness, A: int32(i), B: -1})
 	}
 }
 
 // flightInLoop looks the ring up per emission.
 func flightInLoop(n int) {
 	for i := 0; i < n; i++ {
-		flight.Active().Emit(flight.Event{Kind: flight.KindWarmHit}) // want `raw flight.Active lookup inside a loop`
+		flight.Active().Emit(flight.Event{Kind: flight.KindStaleness}) // want `raw flight.Active lookup inside a loop`
 	}
 }
 

@@ -28,7 +28,7 @@ func TestMatrixIndexZeroChannels(t *testing.T) {
 	if got := s.scoreAt(0); got != 0 {
 		t.Fatalf("zero-channel scoreAt = %v, want 0", got)
 	}
-	if pos, score := s.scan(0, s.positions()-1, -1, noSeed, true); pos != -1 || !math.IsInf(score, -1) {
+	if pos, score := s.scan(0, s.positions()-1, noSeed, true); pos != -1 || !math.IsInf(score, -1) {
 		t.Fatalf("zero-channel scan = (%d, %v)", pos, score)
 	}
 }
@@ -73,7 +73,7 @@ func TestSegScorerTargetShorterThanWindow(t *testing.T) {
 	if s.positions() != 0 {
 		t.Fatalf("m<w scorer has %d positions", s.positions())
 	}
-	if pos, score := s.scan(0, 100, -1, noSeed, true); pos != -1 || !math.IsInf(score, -1) {
+	if pos, score := s.scan(0, 100, noSeed, true); pos != -1 || !math.IsInf(score, -1) {
 		t.Fatalf("m<w scan = (%d, %v)", pos, score)
 	}
 }

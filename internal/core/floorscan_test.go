@@ -9,13 +9,11 @@ import (
 )
 
 // sweepFrom scores every placement of [lo, hi] with scoreAt, in the bounded
-// scan's visiting order (pivot, then outward; an out-of-range pivot means
-// the midpoint), keeping the first strict maximum. It is the reference the
-// bounded scan must reproduce: no bound, no floor, no abandoning.
-func sweepFrom(s *segScorer, lo, hi, pivot int) (pos int, score float64) {
-	if pivot < lo || pivot > hi {
-		pivot = lo + (hi-lo)/2
-	}
+// scan's visiting order (the midpoint, then outward), keeping the first
+// strict maximum. It is the reference the bounded scan must reproduce: no
+// bound, no floor, no abandoning.
+func sweepFrom(s *segScorer, lo, hi int) (pos int, score float64) {
+	pivot := lo + (hi-lo)/2
 	pos, score = -1, math.Inf(-1)
 	take := func(j int) {
 		if sc := s.scoreAt(j); sc > score {
@@ -154,49 +152,44 @@ func TestFloorScanContract(t *testing.T) {
 			ranges := [][2]int{{0, n - 1}, {n / 5, n - n/4}}
 			for _, r := range ranges {
 				lo, hi := r[0], r[1]
-				for _, pivot := range []int{-1, lo, hi, lo + (hi-lo)/3} {
-					wantPos, want := sweepFrom(s, lo, hi, pivot)
-					if trial%4 == 3 {
-						for j := lo; j <= hi; j++ {
-							if j != wantPos && s.scoreAt(j) == want {
-								ties++
-								break
-							}
+				wantPos, want := sweepFrom(s, lo, hi)
+				if trial%4 == 3 {
+					for j := lo; j <= hi; j++ {
+						if j != wantPos && s.scoreAt(j) == want {
+							ties++
+							break
 						}
-					}
-					floors := []float64{math.Inf(-1), want - 0.3, math.Nextafter(want, math.Inf(-1)),
-						want, math.Nextafter(want, math.Inf(1)), want + 0.2, 1.2, 1.0}
-					for _, floor := range floors {
-						s.floor = floor
-						s.abandoned = 0
-						pos, sc := s.scan(lo, hi, pivot, noSeed, true)
-						abandoned[vi] += s.abandoned
-						if want >= floor {
-							if pos != wantPos || sc != want {
-								t.Fatalf("%s trial %d range %v pivot %d floor %v: got (%d, %v), sweep (%d, %v)",
-									v.name, trial, r, pivot, floor, pos, sc, wantPos, want)
-							}
-							exact[vi]++
-							continue
-						}
-						if !(sc < floor) || sc > want {
-							t.Fatalf("%s trial %d range %v pivot %d floor %v: sub-floor maximum %v returned (%d, %v)",
-								v.name, trial, r, pivot, floor, want, pos, sc)
-						}
-						below[vi]++
 					}
 				}
+				floors := []float64{math.Inf(-1), want - 0.3, math.Nextafter(want, math.Inf(-1)),
+					want, math.Nextafter(want, math.Inf(1)), want + 0.2, 1.2, 1.0}
+				for _, floor := range floors {
+					s.floor = floor
+					s.abandoned = 0
+					pos, sc := s.scan(lo, hi, noSeed, true)
+					abandoned[vi] += s.abandoned
+					if want >= floor {
+						if pos != wantPos || sc != want {
+							t.Fatalf("%s trial %d range %v floor %v: got (%d, %v), sweep (%d, %v)",
+								v.name, trial, r, floor, pos, sc, wantPos, want)
+						}
+						exact[vi]++
+						continue
+					}
+					if !(sc < floor) || sc > want {
+						t.Fatalf("%s trial %d range %v floor %v: sub-floor maximum %v returned (%d, %v)",
+							v.name, trial, r, floor, want, pos, sc)
+					}
+					below[vi]++
+				}
 
-				// The seeded scans pivot on the midpoint; their reference is
-				// the midpoint sweep.
-				wantPos, want := sweepFrom(s, lo, hi, -1)
 				seeds := []float64{math.Inf(-1), want - 0.4, math.Nextafter(want, math.Inf(-1)), want,
 					math.Nextafter(want, math.Inf(1)), want + 0.3}
 				for _, floor := range []float64{math.Inf(-1), want, math.Nextafter(want, math.Inf(1)), 1.2} {
 					s.floor = floor
 					for _, seed := range seeds {
 						for _, tiesWin := range []bool{true, false} {
-							pos, sc := s.scan(lo, hi, -1, seed, tiesWin)
+							pos, sc := s.scan(lo, hi, seed, tiesWin)
 							beats := func(v float64) bool { return v > seed || (tiesWin && v == seed) }
 							if want >= floor && beats(want) {
 								if pos != wantPos || sc != want {
@@ -226,5 +219,70 @@ func TestFloorScanContract(t *testing.T) {
 	}
 	if ties == 0 {
 		t.Fatal("fixtures never tied the maximum to the ulp")
+	}
+}
+
+// TestSeededScanCombineEquivalence pins the seeded scan's contract for
+// every scanVariant: the returned best must be bitwise exact whenever this
+// direction would win combine against the seed (the other direction's
+// score, under the given tie rule), and may only undercount — never
+// overcount — when it loses. Either way combine's direction choice equals
+// the cold full scan's, itself checked against the midpoint sweep
+// (sweepFrom). The seed ladder includes the exact maximum itself, which is
+// the clamped-correlation tie case (identical signals score exactly 2 in
+// both directions): a ties-win direction must still find it exactly.
+func TestSeededScanCombineEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	miss := rand.New(rand.NewSource(12))
+	const k, m, w = 5, 120, 16
+	exact, undercut := make([]int, len(scanVariants)), make([]int, len(scanVariants))
+	for trial := 0; trial < 60; trial++ {
+		ref := randRows(rng, k, w)
+		tgt := randRows(rng, k, m)
+		switch trial % 3 {
+		case 1: // strong planted maximum (score near 2)
+			for i := 0; i < k; i++ {
+				copy(tgt[i][60:60+w], ref[i])
+			}
+		case 2: // moderate noisy maximum
+			for i := 0; i < k; i++ {
+				for u := 0; u < w; u++ {
+					tgt[i][30+u] = ref[i][u] + 0.5*rng.NormFloat64()
+				}
+			}
+		}
+		for vi, v := range scanVariants {
+			s := variantScorer(t, miss, v, ref, tgt)
+			n := s.positions()
+			wantPos, wantScore := s.scan(0, n-1, noSeed, true)
+			if sPos, sScore := sweepFrom(s, 0, n-1); wantPos != sPos || wantScore != sScore {
+				t.Fatalf("%s trial %d: full scan (%d, %v), sweep (%d, %v)", v.name, trial, wantPos, wantScore, sPos, sScore)
+			}
+			for _, seed := range []float64{math.Inf(-1), wantScore - 0.5, wantScore, wantScore + 0.3} {
+				for _, tiesWin := range []bool{true, false} {
+					pos, sc := s.scan(0, n-1, seed, tiesWin)
+					beats := wantScore > seed || (tiesWin && wantScore == seed)
+					if beats {
+						if pos != wantPos || sc != wantScore {
+							t.Fatalf("%s trial %d seed %v tiesWin %v: winning direction returned (%d, %v), full scan (%d, %v)",
+								v.name, trial, seed, tiesWin, pos, sc, wantPos, wantScore)
+						}
+						exact[vi]++
+						continue
+					}
+					if sc > wantScore {
+						t.Fatalf("%s trial %d seed %v tiesWin %v: seeded scan overcounted: %v > full scan %v",
+							v.name, trial, seed, tiesWin, sc, wantScore)
+					}
+					undercut[vi]++
+				}
+			}
+			s.release()
+		}
+	}
+	for vi, v := range scanVariants {
+		if exact[vi] == 0 || undercut[vi] == 0 {
+			t.Fatalf("%s: fixture never exercised both branches (exact %d, undercut %d)", v.name, exact[vi], undercut[vi])
+		}
 	}
 }

@@ -31,7 +31,7 @@ func newSearcher(a, b *trajectory.Aware, p Params, reach int) *Searcher {
 // TestHorizonIndexMatchesFullIndex pins the scan-reach index to the
 // whole-context one: a Searcher indexing only the last Params.scanReach
 // metres of each clipped context must resolve reflect.DeepEqual to one
-// indexing all of it, tick after tick with warm trackers (compared too).
+// indexing all of it, tick after tick.
 // The 1100 m contexts are clipped to 1000 m, well past the reach, under
 // default parameters, MaxRelDistM 40 (with the peer exactly 40 m ahead, so
 // the deepest segment's match sits on the reach's first placement), NumSYN
@@ -84,25 +84,20 @@ func TestHorizonIndexMatchesFullIndex(t *testing.T) {
 		}
 		probe.Release()
 
-		tkH, tkF := NewTracker(), NewTracker()
 		found, short := 0, false
 		end := min(c.a.Geo.Marks[c.a.Len()-1].T, c.b.Geo.Marks[c.b.Len()-1].T)
 		for tick := 4; tick >= 0; tick-- {
 			at := end - 3*float64(tick)
 			ta, tb := c.a.PrefixUntil(at), c.b.PrefixUntil(at)
-			resolve := func(reach int, tk *Tracker) (Estimate, bool) {
+			resolve := func(reach int) (Estimate, bool) {
 				s := newSearcher(ta, tb, c.p, reach)
 				defer s.Release()
-				s.SetTracker(tk)
 				return s.Resolve(Sequential)
 			}
-			got, gotOK := resolve(c.p.scanReach(), tkH)
-			want, wantOK := resolve(full, tkF)
+			got, gotOK := resolve(c.p.scanReach())
+			want, wantOK := resolve(full)
 			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s tick %d: reach index (%+v, %v), full index (%+v, %v)", c.name, tick, got, gotOK, want, wantOK)
-			}
-			if !reflect.DeepEqual(tkH, tkF) {
-				t.Fatalf("%s tick %d: trackers diverged: %v, full index %v", c.name, tick, tkH.hints, tkF.hints)
 			}
 			if gotOK {
 				found++

@@ -7,7 +7,6 @@ import (
 
 	"rups/internal/geo"
 	"rups/internal/obs"
-	"rups/internal/obs/flight"
 	"rups/internal/stats"
 	"rups/internal/trajectory"
 )
@@ -151,8 +150,6 @@ type Searcher struct {
 	// ar backs the peer's selected cells and index tables; Release returns
 	// it to the pool, after which the Searcher must not be used.
 	ar *arena
-	// tk is the optional warm-start tracker (SetTracker); nil scans cold.
-	tk *Tracker
 
 	// Telemetry, resolved once per searcher: tel is nil while the metrics
 	// registry is disabled, rec is nil while span tracing is disabled, and
@@ -167,11 +164,6 @@ type Searcher struct {
 	// span. Both 0 by default — spans then root their own trace as before.
 	parent     obs.SpanID
 	scanParent obs.SpanID
-	// fl, when set (SetFlight), receives warm-start hit/demote events
-	// labeled with the pair ids and the batch's sim time.
-	fl       *flight.Ring
-	flA, flB int32
-	flT      float64
 }
 
 // NewSearcher prepares the shared per-pair state for resolving relative
@@ -202,15 +194,6 @@ func NewSearcherOn(side *ResolverSide, b *trajectory.Aware) *Searcher {
 	return s
 }
 
-// SetTracker attaches per-pair warm-start state: FindSYNs will pivot each
-// segment's direction scans on the tracker's previous-tick SYN offsets and
-// refresh them from this search's outcome. Results are identical to the
-// cold path's for any tracker state: a warm pivot only changes the order
-// the exact branch-and-bound scan evaluates placements in, and a
-// cross-direction seed only prunes placements proven unable to win the
-// direction combine (see scanSegment) — never a maximum, never a SYN.
-func (s *Searcher) SetTracker(tk *Tracker) { s.tk = tk }
-
 // SetTrace stitches this search into an existing causal trace — in the
 // convoy pipeline, the cross-vehicle trace begun by the peer's v2v sync
 // session (see obs.TraceRef). The zero ref is ignored: the searcher then
@@ -220,14 +203,6 @@ func (s *Searcher) SetTrace(ref obs.TraceRef) {
 		s.trace = ref.Trace
 		s.parent = ref.Parent
 	}
-}
-
-// SetFlight labels the searcher's flight-recorder events: warm-start
-// hits and demotions are emitted to fl as pair (a, b) at sim time now.
-// The handle is cached here, once per searcher, per the flight package's
-// hot-loop discipline; a nil fl (recorder disabled) costs one nil check.
-func (s *Searcher) SetFlight(fl *flight.Ring, a, b int, now float64) {
-	s.fl, s.flA, s.flB, s.flT = fl, int32(a), int32(b), now
 }
 
 // Release returns the searcher's arena to the pool, and its resolver
@@ -256,14 +231,6 @@ type segmentPlan struct {
 	endOff    int
 	w         int
 	threshold float64
-	// Warm start: pivotB/pivotA are the tracker-predicted window
-	// placements for the two directions (-1 = cold, pivot on the range
-	// midpoint), hintDelta the hint they were derived from. They only
-	// order scanSegment's evaluation; warm marks the plan for the
-	// hit/fallback telemetry (trackSegment).
-	warm           bool
-	pivotB, pivotA int
-	hintDelta      int
 	// Direction results: A's segment over B, and B's segment over A.
 	posB, posA       int
 	scoreAB, scoreBA float64
@@ -292,7 +259,7 @@ func (s *Searcher) planSegment(endOff int) (segmentPlan, bool) {
 	if w < s.p.MinWindowMeters {
 		return segmentPlan{}, false
 	}
-	pl := segmentPlan{endOff: endOff, w: w, threshold: s.p.Coherency, pivotB: -1, pivotA: -1}
+	pl := segmentPlan{endOff: endOff, w: w, threshold: s.p.Coherency}
 	if w < s.p.WindowMeters {
 		pl.threshold = s.p.ShortCoherency
 	}
@@ -310,50 +277,31 @@ func (s *Searcher) bounds(targetLen, w, endOff int) (lo, hi int) {
 
 // scanSegment runs one segment's double-sliding check (paper §IV-D) as one
 // task: two direction scans in dependency order, each one call of the
-// exact branch-and-bound scan (segScorer.scan). The first is pivoted on its
-// tracker hint (a cold plan or an out-of-range hint pivots on the range
-// midpoint). On a live lock its first visit is the true match, whose score
-// prunes nearly every other placement on the cheap column term alone; a
-// stale hint only costs more channel terms, never a different maximum. The
-// first direction is BA only when BA's pivot alone is in range, AB
-// otherwise. The second direction cannot be skipped (its real score can
-// win combine), but it is scanned seeded with the first's score under
-// combine's tie rule: placements that provably cannot win combine are
+// exact branch-and-bound scan (segScorer.scan) pivoted on its range
+// midpoint, the aligned position. AB scans first. BA cannot be skipped (its
+// real score can win combine), but it is scanned seeded with AB's score
+// under combine's tie rule: placements that provably cannot win combine are
 // pruned on their column term, so a direction holding no real alignment
-// costs one column sweep. Either way combine — and the resolved estimate —
-// equals that of two unpruned full scans.
+// costs one column sweep. Combine — and the resolved estimate — equals that
+// of two unpruned full scans.
 func (s *Searcher) scanSegment(pl *segmentPlan) {
 	ab := s.segScorer(s.idxA, s.idxB, s.aCtx.Len()-pl.endOff-pl.w, pl)
 	defer s.finishScan(ab)
 	loB, hiB := s.bounds(s.bCtx.Len(), pl.w, pl.endOff)
+	sp := s.scanSpan("scan_ab", pl)
+	pl.posB, pl.scoreAB = ab.scan(loB, hiB, math.Inf(-1), true)
+	sp.End()
 	if s.p.SingleSided {
-		sp := s.scanSpan("scan_ab", pl)
-		pl.posB, pl.scoreAB = ab.scan(loB, hiB, pl.pivotB, math.Inf(-1), true)
-		sp.End()
 		pl.posA, pl.scoreBA = -1, math.Inf(-1)
 		return
 	}
 	ba := s.segScorer(s.idxB, s.idxA, s.bCtx.Len()-pl.endOff-pl.w, pl)
 	defer s.finishScan(ba)
 	loA, hiA := s.bounds(s.aCtx.Len(), pl.w, pl.endOff)
-	if ba.pivots(pl.pivotA, loA, hiA) && !ab.pivots(pl.pivotB, loB, hiB) {
-		sp := s.scanSpan("scan_ba", pl)
-		pl.posA, pl.scoreBA = ba.scan(loA, hiA, pl.pivotA, math.Inf(-1), true)
-		sp.End()
-		// AB wins combine ties, so the seed prunes only placements that
-		// cannot even reach BA's score.
-		sp = s.scanSpan("scan_ab", pl)
-		pl.posB, pl.scoreAB = ab.scan(loB, hiB, -1, pl.scoreBA, true)
-		sp.End()
-		return
-	}
-	sp := s.scanSpan("scan_ab", pl)
-	pl.posB, pl.scoreAB = ab.scan(loB, hiB, pl.pivotB, math.Inf(-1), true)
-	sp.End()
 	// BA loses combine ties: placements that can at best tie AB's score are
 	// pruned too.
 	sp = s.scanSpan("scan_ba", pl)
-	pl.posA, pl.scoreBA = ba.scan(loA, hiA, -1, pl.scoreAB, false)
+	pl.posA, pl.scoreBA = ba.scan(loA, hiA, pl.scoreAB, false)
 	sp.End()
 }
 
@@ -465,99 +413,23 @@ func (s *Searcher) FindSYNs(n int, par Parallel) []SYNPoint {
 	for i := 0; i < n; i++ {
 		pl, ok := s.planSegment(i * s.p.SegmentStrideMeters)
 		if !ok {
-			// An unplanned ordinal is never scanned or tracked this tick, so
-			// its hint would survive unrefreshed for as long as the segment
-			// stays unplannable — drop it rather than let it go stale.
-			if s.tk != nil {
-				s.tk.forget(i)
-			}
-			plans = append(plans, nil)
 			continue
 		}
 		if t := s.tel; t != nil {
 			t.segments.Inc()
 		}
-		s.warmPlan(&pl, i)
-		p := new(segmentPlan)
-		*p = pl
-		plans = append(plans, p)
-		tasks = append(tasks, func() { s.scanSegment(p) })
+		plans = append(plans, &pl)
+		tasks = append(tasks, func() { s.scanSegment(&pl) })
 	}
 	par(tasks...)
 	var out []SYNPoint
-	for i, pl := range plans {
-		if pl == nil {
-			continue
-		}
+	for _, pl := range plans {
 		syn, ok := s.combine(pl)
-		s.trackSegment(i, pl, syn, ok)
 		if ok {
 			out = append(out, syn)
 		}
 	}
 	return out
-}
-
-// warmPlan pivots the segment's direction scans on the tracker's hint for
-// ordinal seg, when one exists. Each direction anchors one trajectory's
-// index at the segment end, so the hinted delta predicts the other side's
-// window placement directly; indexes are global marks, stable under the
-// appends that happened since the hint was recorded.
-func (s *Searcher) warmPlan(pl *segmentPlan, seg int) {
-	if s.tk == nil {
-		return
-	}
-	delta, ok := s.tk.hint(seg)
-	if !ok {
-		return
-	}
-	endA := s.aCtx.Len() - 1 - pl.endOff
-	endB := s.bCtx.Len() - 1 - pl.endOff
-	pl.warm = true
-	pl.hintDelta = delta
-	pl.pivotB = (s.offA + endA + delta) - s.offB - (pl.w - 1)
-	pl.pivotA = (s.offB + endB - delta) - s.offA - (pl.w - 1)
-}
-
-// trackSegment folds one segment's outcome back into the tracker and the
-// warm-start counters: a warm-pivoted segment whose accepted SYN stayed
-// within the tracker radius of its hint is a hit (the hint paid off — the
-// scan's first visit was at or next to the true match); everything else —
-// first contact, post-rejection cold scans, a drifted lock, rejection —
-// is a fallback (the scan had to hunt for its maximum).
-func (s *Searcher) trackSegment(seg int, pl *segmentPlan, syn SYNPoint, ok bool) {
-	if s.tk == nil {
-		return
-	}
-	if s.tel != nil || s.fl != nil {
-		drift := 0
-		if ok {
-			drift = syn.IdxB - syn.IdxA - pl.hintDelta
-			if drift < 0 {
-				drift = -drift
-			}
-		}
-		hit := pl.warm && ok && drift <= warmRadiusM
-		if t := s.tel; t != nil {
-			if hit {
-				t.warmHits.Inc()
-			} else {
-				t.warmFallbacks.Inc()
-			}
-		}
-		if s.fl != nil && pl.warm {
-			// The flight ring only cares about warm-pivoted segments: a
-			// hit means the hint paid off, a demote means the scan had to
-			// hunt despite the hint. Cold segments are not events.
-			kind := flight.KindWarmHit
-			if !hit {
-				kind = flight.KindWarmDemote
-			}
-			s.fl.Emit(flight.Event{T: s.flT, Kind: kind,
-				A: s.flA, B: s.flB, V1: int64(pl.hintDelta)})
-		}
-	}
-	s.tk.observe(seg, syn, ok)
 }
 
 // Resolve is the full RUPS pipeline for this pair: find up to NumSYN SYN

@@ -17,7 +17,7 @@ func fullScan(sc *segScorer, lo, hi int) (pos int, score float64, unique bool) {
 	if hi < lo {
 		return -1, math.Inf(-1), true
 	}
-	pos, score = sweepFrom(sc, lo, hi, -1)
+	pos, score = sweepFrom(sc, lo, hi)
 	n := 0
 	for j := lo; j <= hi; j++ {
 		if sc.scoreAt(j) == score {
@@ -28,13 +28,11 @@ func fullScan(sc *segScorer, lo, hi int) (pos int, score float64, unique bool) {
 }
 
 // TestSegmentScheduleMatchesFullScans pins the one-task segment schedule
-// to the double-sliding check's definition: for every planned segment and
-// every tracker hint, scanSegment's combine equals combine over two
-// unpruned full scans — the same verdict and Score, and the same IdxA/IdxB
-// wherever the winning direction's maximum is unique. Hints sweep each
-// segment's pivots across the locality range, so both pivots, only AB's,
-// only BA's (BA scans first) or neither land in range, next to the cold
-// plan. The fixtures cover a planted pair, an unrelated pair, a pair 150 m
+// to the double-sliding check's definition: for every planned segment,
+// scanSegment's combine (AB scanned first, BA seeded with its score) equals
+// combine over two unpruned full scans — the same verdict and Score, and
+// the same IdxA/IdxB wherever the winning direction's maximum is unique.
+// The fixtures cover a planted pair, an unrelated pair, a pair 150 m
 // apart, a pair whose contexts start 150 m apart, the single-sided and
 // no-column-term ablations, and a sparse pair whose segments score through
 // stats.Pearson.
@@ -81,14 +79,13 @@ func TestSegmentScheduleMatchesFullScans(t *testing.T) {
 			return a, b
 		}, DefaultParams(), true},
 	}
-	var cold, both, abOnly, baOnly, neither, accepted, rejected int
+	var accepted, rejected int
 	for _, fx := range fixtures {
 		a, b := fx.pair()
 		s := NewSearcher(a, b, fx.p)
 		if fx.sparse == (s.idxA.dense && s.idxB.dense) {
 			t.Fatalf("%s: fixture's density is not what the case needs", fx.name)
 		}
-		R := fx.p.MaxRelDistM
 		for seg := 0; seg < fx.p.NumSYN; seg++ {
 			pl, ok := s.planSegment(seg * fx.p.SegmentStrideMeters)
 			if !ok {
@@ -115,50 +112,14 @@ func TestSegmentScheduleMatchesFullScans(t *testing.T) {
 				unique = baUnique
 			}
 
-			// The aligned hint puts both pivots on their range centres;
-			// offsets from it move pivotB by +o and pivotA by −o.
-			aligned := (s.offB + endB) - (s.offA + endA)
-			deltas := []int{aligned}
-			for _, o := range []int{5, R / 2, R, R + 10, 3 * R} {
-				deltas = append(deltas, aligned+o, aligned-o)
+			s.scanSegment(&pl)
+			syn, gotOK := s.combine(&pl)
+			if gotOK != wantOK || syn.Score != want.Score || syn.WindowLen != want.WindowLen {
+				t.Fatalf("%s seg %d: got (%+v, %v), full scans (%+v, %v)", fx.name, seg, syn, gotOK, want, wantOK)
 			}
-			if wantOK {
-				deltas = append(deltas, want.IdxB-want.IdxA)
-			}
-			for k := -1; k < len(deltas); k++ {
-				got := pl
-				s.tk = nil
-				if k >= 0 {
-					s.tk = NewTracker()
-					s.tk.hints[seg] = deltas[k]
-				}
-				s.warmPlan(&got, seg)
-				s.scanSegment(&got)
-				syn, gotOK := s.combine(&got)
-
-				abIn := ab.pivots(got.pivotB, loB, hiB)
-				baIn := ba != nil && ba.pivots(got.pivotA, loA, hiA)
-				switch {
-				case k < 0:
-					cold++
-				case abIn && baIn:
-					both++
-				case abIn:
-					abOnly++
-				case baIn:
-					baOnly++
-				default:
-					neither++
-				}
-
-				if gotOK != wantOK || syn.Score != want.Score || syn.WindowLen != want.WindowLen {
-					t.Fatalf("%s seg %d hint %d (AB pivot in range %v, BA %v): got (%+v, %v), full scans (%+v, %v)",
-						fx.name, seg, k, abIn, baIn, syn, gotOK, want, wantOK)
-				}
-				if wantOK && unique && (syn.IdxA != want.IdxA || syn.IdxB != want.IdxB) {
-					t.Fatalf("%s seg %d hint %d: SYN at (%d, %d), full scans' unique maximum at (%d, %d)",
-						fx.name, seg, k, syn.IdxA, syn.IdxB, want.IdxA, want.IdxB)
-				}
+			if wantOK && unique && (syn.IdxA != want.IdxA || syn.IdxB != want.IdxB) {
+				t.Fatalf("%s seg %d: SYN at (%d, %d), full scans' unique maximum at (%d, %d)",
+					fx.name, seg, syn.IdxA, syn.IdxB, want.IdxA, want.IdxB)
 			}
 			if wantOK {
 				accepted++
@@ -172,9 +133,8 @@ func TestSegmentScheduleMatchesFullScans(t *testing.T) {
 		}
 		s.Release()
 	}
-	t.Logf("segments: %d accepted, %d rejected; schedules: %d cold, %d both pivots, %d AB only, %d BA only, %d neither",
-		accepted, rejected, cold, both, abOnly, baOnly, neither)
-	if accepted == 0 || rejected == 0 || both == 0 || abOnly == 0 || baOnly == 0 || neither == 0 {
-		t.Fatal("fixtures did not exercise every verdict and pivot placement")
+	t.Logf("segments: %d accepted, %d rejected", accepted, rejected)
+	if accepted == 0 || rejected == 0 {
+		t.Fatal("fixtures did not exercise both verdicts")
 	}
 }

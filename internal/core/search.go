@@ -590,34 +590,24 @@ func (s *segScorer) colTerms(lo int, out []float64) {
 // scan returns the best placement of j ∈ [lo, hi] (context columns,
 // clamped to the placements inside the target index) and its score, or -1
 // and -Inf for an empty range. It is every direction scan's one entry:
-// the bounded scan pivoted on pivot (-1, or
-// any pivot out of range, for the midpoint) and cut against s.floor and
-// the cross-direction seed (-Inf when unseeded). The seed is the other
-// direction's exact score, which this direction must beat for combine to
-// pick it; tiesWin states combine's tie rule for this direction (AB wins
-// exact score ties, BA loses them). The pivot only reorders evaluation, so
-// every pivot gives the same result: the range's maximum, bit-exact, when
-// it reaches the floor and wins combine against the seed, and otherwise
-// some lower score that misses the floor or loses to the seed — combine's
+// the bounded scan cut against s.floor and the cross-direction seed (-Inf
+// when unseeded). The seed is the other direction's exact score, which
+// this direction must beat for combine to pick it; tiesWin states
+// combine's tie rule for this direction (AB wins exact score ties, BA
+// loses them). The result is the range's maximum, bit-exact, when it
+// reaches the floor and wins combine against the seed, and otherwise some
+// lower score that misses the floor or loses to the seed — combine's
 // outcome equals that of two full scans either way.
-func (s *segScorer) scan(lo, hi, pivot int, seed float64, tiesWin bool) (pos int, score float64) {
+func (s *segScorer) scan(lo, hi int, seed float64, tiesWin bool) (pos int, score float64) {
 	b := s.tgt.base
 	lo, hi = clampRange(lo-b, hi-b, s.positions())
 	if hi < lo {
 		return -1, math.Inf(-1)
 	}
-	if pos, score = s.scanBounded(lo, hi, pivot-b, seed, tiesWin); pos >= 0 {
+	if pos, score = s.scanBounded(lo, hi, seed, tiesWin); pos >= 0 {
 		pos += b
 	}
 	return pos, score
-}
-
-// pivots reports whether scan(lo, hi, pivot, …) starts from pivot rather
-// than from the range midpoint.
-func (s *segScorer) pivots(pivot, lo, hi int) bool {
-	b := s.tgt.base
-	lo, hi = clampRange(lo-b, hi-b, s.positions())
-	return pivot-b >= lo && pivot-b <= hi
 }
 
 // scanCut is what a placement's score must clear to change a bounded
@@ -663,13 +653,10 @@ func (c *scanCut) fold() (le, lt float64) {
 // live bound under the cut (see scanCut.dead); under NoColumnTerm every
 // colR is 0 and only the channel term's abandon test cuts. Column terms
 // are evaluated first for the whole range; placements are then visited
-// pivot-outward (an out-of-range pivot means the midpoint). A cold scan
-// pivots on the range midpoint (the aligned position, where the locality
-// bound expects the match); a warm-started scan pivots on the tracker's
-// predicted placement.
-// Either way a strong incumbent appears early, and a placement that
-// survives the column bound is still abandoned inside its channel term as
-// soon as its partial bound dies (chanSum).
+// outward from the range midpoint (the aligned position, where the
+// locality bound expects the match), so a strong incumbent appears early,
+// and a placement that survives the column bound is still abandoned inside
+// its channel term as soon as its partial bound dies (chanSum).
 //
 // Exactness: a placement with the range's maximum score M ≥ max(floor,
 // seed) — strictly above a ties-lose seed — is never pruned or abandoned
@@ -677,10 +664,8 @@ func (c *scanCut) fold() (le, lt float64) {
 // the same (pos, M) as a full scan in the same order. Every other result is
 // a maximum over a subset of exact scores, so it never exceeds M and stays
 // below the floor or loses to the seed.
-func (s *segScorer) scanBounded(lo, hi, pivot int, seed float64, tiesWin bool) (pos int, score float64) {
-	if pivot < lo || pivot > hi {
-		pivot = lo + (hi-lo)/2
-	}
+func (s *segScorer) scanBounded(lo, hi int, seed float64, tiesWin bool) (pos int, score float64) {
+	pivot := lo + (hi-lo)/2
 	colR := s.scratch.growColR(hi - lo + 1)
 	s.colTerms(lo, colR)
 	cut := scanCut{best: math.Inf(-1), floor: s.floor, seed: seed, tiesWin: tiesWin}

@@ -162,7 +162,7 @@ func TestScorerFindsPlantedAlignment(t *testing.T) {
 		}
 	}
 	s := scorerOver(ref, tgt)
-	pos, score := s.scan(0, s.positions()-1, -1, noSeed, true)
+	pos, score := s.scan(0, s.positions()-1, noSeed, true)
 	if pos != at {
 		t.Errorf("scan at %d, want %d (score %v)", pos, at, score)
 	}

@@ -16,10 +16,6 @@ type searchTelemetry struct {
 	accepted  *obs.Counter
 	rejected  *obs.Counter
 	margin    *obs.Histogram
-
-	// Warm-start accounting (tracked searches only — see core.Tracker).
-	warmHits      *obs.Counter
-	warmFallbacks *obs.Counter
 }
 
 var searchTel = obs.NewView(func(r *obs.Registry) *searchTelemetry {
@@ -43,9 +39,5 @@ var searchTel = obs.NewView(func(r *obs.Registry) *searchTelemetry {
 		// candidates land in the underflow bucket.
 		margin: r.Histogram("rups_searcher_coherency_margin",
 			"best-window score minus the segment's coherency threshold", -8, 2),
-		warmHits: r.Counter("rups_core_warmstart_hits_total",
-			"tracked segments whose accepted SYN stayed within the tracker radius of its warm hint"),
-		warmFallbacks: r.Counter("rups_core_warmstart_fallbacks_total",
-			"tracked segments scanned without a usable hint (first contact, demotion, drift, or rejection)"),
 	}
 })

@@ -47,12 +47,11 @@ type Engine struct {
 	closed bool
 
 	// pairs holds each pair's cross-batch state, keyed by its stable
-	// identity (see PairID). tmu guards the map and its entries; a
-	// tracker's hints are only touched by the task its query hands it to.
-	// Entries no batch has queried for trackerIdleBatches generations are
-	// swept, so a departed pair does not accumulate state forever.
+	// identity (see PairID). tmu guards the map and its entries. Entries
+	// no batch has queried for pairIdleBatches generations are swept, so a
+	// departed pair does not accumulate state forever.
 	tmu   sync.Mutex
-	pairs map[PairID]*pairState
+	pairs map[PairID]pairState
 	// gen counts Resolve calls that carried identified queries.
 	gen uint64
 
@@ -81,66 +80,44 @@ func (e *Engine) SetClock(now func() float64) { e.clockNow = now }
 // simNow returns the latest batch sim time donated to the engine.
 func (e *Engine) simNow() float64 { return math.Float64frombits(e.nowBits.Load()) }
 
-// pairState is one pair's cross-batch state: its warm-start tracker, its
-// last staleness class (zero value = fresh) so the flight recorder sees
-// transitions rather than one event per tick, and the last generation
-// that queried it.
+// pairState is one pair's cross-batch state: its last staleness class
+// (zero value = fresh), so the flight recorder sees transitions rather
+// than one event per tick, and the last generation that queried it.
 type pairState struct {
-	tk    *core.Tracker
 	class core.Freshness
 	gen   uint64
 }
 
-// trackerIdleBatches is how many consecutive generations a pair may go
+// pairIdleBatches is how many consecutive generations a pair may go
 // unqueried before its state is swept. Convoy callers resolve every
 // tracked pair every tick, so anything idle this long has left the
 // platoon.
-const trackerIdleBatches = 64
+const pairIdleBatches = 64
 
 // beginGen opens a new generation and sweeps out pairs no batch has
-// queried for trackerIdleBatches generations. The sweep is O(cached
-// pairs) once per Resolve call. A swept pair that returns starts over:
-// cold scans, and a fresh first classification.
-func (e *Engine) beginGen(fl *flight.Ring, now float64) {
+// queried for pairIdleBatches generations. The sweep is O(cached pairs)
+// once per Resolve call. A swept pair that returns starts over with a
+// fresh first classification.
+func (e *Engine) beginGen() {
 	e.tmu.Lock()
 	defer e.tmu.Unlock()
 	e.gen++
 	for id, st := range e.pairs {
-		if e.gen-st.gen > trackerIdleBatches {
-			if fl != nil {
-				a, b := id.flightAB()
-				fl.Emit(flight.Event{T: now, Kind: flight.KindWarmEvict,
-					A: a, B: b, V1: int64(st.gen)})
-			}
+		if e.gen-st.gen > pairIdleBatches {
 			delete(e.pairs, id)
 		}
 	}
 }
 
-// touch records one query of pair id at class cls: it creates the pair's
-// state on first contact, stamps it with the current generation, and on
-// expiry resets its tracker (a context too old to answer with cannot
-// vouch for a warm window either). It returns the tracker only to the
-// generation's first query of the pair, so a pair listed twice in one
-// batch never races on its hints, plus the pair's previous class and the
-// generation.
-func (e *Engine) touch(id PairID, cls core.Freshness) (tk *core.Tracker, prev core.Freshness, gen uint64) {
+// touch records one query of pair id at class cls, stamped with the
+// current generation, and returns the pair's previous class (fresh on
+// first contact).
+func (e *Engine) touch(id PairID, cls core.Freshness) (prev core.Freshness) {
 	e.tmu.Lock()
 	defer e.tmu.Unlock()
-	st := e.pairs[id]
-	if st == nil {
-		st = &pairState{tk: core.NewTracker()}
-		e.pairs[id] = st
-	}
-	if st.gen != e.gen {
-		tk = st.tk
-	}
-	st.gen = e.gen
-	if cls == core.ExpiredContext {
-		st.tk.Reset()
-	}
-	prev, st.class = st.class, cls
-	return tk, prev, e.gen
+	prev = e.pairs[id].class
+	e.pairs[id] = pairState{class: cls, gen: e.gen}
+	return prev
 }
 
 // New starts an engine with the given number of workers; workers <= 0 means
@@ -149,7 +126,7 @@ func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{workers: workers, tasks: make(chan func()), pairs: make(map[PairID]*pairState)}
+	e := &Engine{workers: workers, tasks: make(chan func()), pairs: make(map[PairID]pairState)}
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go e.worker()
@@ -326,8 +303,8 @@ func (e *Engine) Admit(trajs ...*trajectory.Aware) (*Batch, error) {
 func (b *Batch) Len() int { return len(b.snaps) }
 
 // PairID is a pair's stable identity: the ordered (resolver, peer)
-// vehicle IDs. Warm-start trackers and staleness classes key on it, so a
-// pair keeps its state however its trajectories land in a batch's slots.
+// vehicle IDs. Staleness classes key on it, so a pair keeps its state
+// however its trajectories land in a batch's slots.
 // The zero PairID marks a query without identity, which reads and writes
 // no pair state (the cold oracle): {0, 0} would pair a vehicle with
 // itself, never a real pair. Flight events carry each half as its int32
@@ -342,13 +319,13 @@ func (id PairID) flightAB() (a, b int32) {
 
 // Query is one pair to resolve: A and B index the batch's admitted
 // trajectories and Pair names the two vehicles (zero: no identity, so no
-// warm start and no staleness transitions). Deadline > 0 is the
-// absolute time (same domain as Resolve's now) by which the resolution
-// must have *started*; 0 means none. Ref, when nonzero, is the
-// cross-vehicle trace ref of the context admission that produced the
-// pair's snapshot (typically v2v.Session.TraceRef): the pair's queue wait
-// and resolve pipeline then record as children of the sender-side sync
-// spans, so one trace tells the pair's whole story across both vehicles.
+// staleness transitions). Deadline > 0 is the absolute time (same domain
+// as Resolve's now) by which the resolution must have *started*; 0 means
+// none. Ref, when nonzero, is the cross-vehicle trace ref of the context
+// admission that produced the pair's snapshot (typically
+// v2v.Session.TraceRef): the pair's queue wait and resolve pipeline then
+// record as children of the sender-side sync spans, so one trace tells
+// the pair's whole story across both vehicles.
 type Query struct {
 	A, B     int
 	Pair     PairID
@@ -362,9 +339,7 @@ type Query struct {
 // contexts' ages (a resolution is only as current as its weaker side):
 //
 //   - expired pairs are not resolved at all (OK == false, Freshness ==
-//     ExpiredContext): no silently wrong d_r from fossil context — and the
-//     pair's tracker is reset, so the next resolve after re-contact scans
-//     cold;
+//     ExpiredContext): no silently wrong d_r from fossil context;
 //   - stale pairs resolve normally but carry Freshness == StaleContext;
 //   - fresh pairs resolve normally.
 //
@@ -373,11 +348,8 @@ type Query struct {
 // wait for it, and the last to finish releases it. A slot none of whose
 // queries runs builds none.
 //
-// Each pair warm-starts from its tracker: steady-state re-resolves pivot
-// their scans on the previous tick's SYN offsets. A warm bounded scan is
-// accepted only when it is proven to dominate the full scan range (and
-// demotes to the cold scan otherwise), so results are identical to the
-// cold oracle's for any hint.
+// Every pair scans cold, exactly as the core.Resolve oracle does: the
+// engine keeps no scan state across batches.
 //
 // Deadlines shed load: a query already past its deadline at admission is
 // shed before any scheduling (Result.Shed, OK false); with SetClock
@@ -385,8 +357,9 @@ type Query struct {
 // so work that expired while queued behind a backlog is shed instead of
 // run — answers nobody is waiting for never displace live ones.
 //
-// Batches may resolve concurrently on one engine as long as no PairID is
-// in two of them at once: the pair's tracker would be shared.
+// Batches may resolve concurrently on one engine, naming the same pairs or
+// not: the pair map is guarded, and a query reads only its own batch's
+// snapshots.
 func (b *Batch) Resolve(qs []Query, p core.Params, now float64, pol core.Staleness) []Result {
 	e := b.e
 	tel := engineTel.Get()
@@ -399,7 +372,7 @@ func (b *Batch) Resolve(qs []Query, p core.Params, now float64, pol core.Stalene
 	}
 	e.nowBits.Store(math.Float64bits(now))
 	if slices.ContainsFunc(qs, func(q Query) bool { return q.Pair != PairID{} }) {
-		e.beginGen(fl, now)
+		e.beginGen()
 	}
 	out := make([]Result, len(qs))
 	tasks := make([]func(), 0, len(qs))
@@ -426,7 +399,7 @@ func (b *Batch) Resolve(qs []Query, p core.Params, now float64, pol core.Stalene
 		}
 		if q.Deadline > 0 && now > q.Deadline {
 			// Dead on arrival: shed before classification or scheduling —
-			// no tracker touch, no staleness transition.
+			// no staleness transition.
 			shed(i, now-q.Deadline, 0)
 			continue
 		}
@@ -436,23 +409,16 @@ func (b *Batch) Resolve(qs []Query, p core.Params, now float64, pol core.Stalene
 			age = max(core.ContextAge(b.snaps[q.A], now), core.ContextAge(b.snaps[q.B], now))
 			cls = pol.Classify(age)
 		}
-		var tk *core.Tracker
 		if q.Pair != (PairID{}) {
-			var prev core.Freshness
-			var gen uint64
-			tk, prev, gen = e.touch(q.Pair, cls)
-			if fl != nil && prev != cls {
+			if prev := e.touch(q.Pair, cls); fl != nil && prev != cls {
 				fl.Emit(flight.Event{T: now, Kind: flight.KindStaleness,
 					A: fa, B: fb, V1: int64(cls), V2: int64(prev)})
 				if cls == core.ExpiredContext {
 					// Crossing into expiry refuses the pair — one of the
-					// black-box anomaly triggers. Emit the expiry detail
-					// and the tracker reset, then dump (best-effort; the
-					// capsule is advisory).
+					// black-box anomaly triggers. Emit the expiry detail,
+					// then dump (best-effort; the capsule is advisory).
 					fl.Emit(flight.Event{T: now, Kind: flight.KindExpired,
 						A: fa, B: fb, V1: int64(age * 1000)})
-					fl.Emit(flight.Event{T: now, Kind: flight.KindWarmEvict,
-						A: fa, B: fb, V1: int64(gen)})
 					//lint:ignore errflow best-effort black-box dump; resolution must not fail because the disk did
 					_, _ = fl.Anomaly("refused_pair", flight.Event{T: now,
 						Kind: flight.KindRefused, A: fa, B: fb, V1: int64(age * 1000)})
@@ -501,11 +467,7 @@ func (b *Batch) Resolve(qs []Query, p core.Params, now float64, pol core.Stalene
 				t0 = time.Now()
 			}
 			s := core.NewSearcherOn(side.get(e, tel, b.snaps[q.A], p), b.snaps[q.B])
-			s.SetTracker(tk)
 			s.SetTrace(q.Ref)
-			if fl != nil {
-				s.SetFlight(fl, int(fa), int(fb), now)
-			}
 			out[i].Est, out[i].OK = s.Resolve(e.run)
 			s.Release()
 			if timed {
@@ -558,8 +520,8 @@ func (ss *slotSide) done(e *Engine) {
 }
 
 // ResolvePairs resolves the given pairs (indexes into the admitted slice)
-// and returns results in input order. This is the cold oracle: no
-// warm-start state is consulted or updated. It is kept for the frozen
+// and returns results in input order. Its queries carry no pair identity,
+// so no pair state is consulted or updated. It is kept for the frozen
 // benchmark harness (perfbench), its only caller outside tests; new code
 // builds []Query and calls Resolve.
 func (b *Batch) ResolvePairs(pairs [][2]int, p core.Params) []Result {
@@ -569,7 +531,7 @@ func (b *Batch) ResolvePairs(pairs [][2]int, p core.Params) []Result {
 // ResolvePairsAt is Resolve with each pair named by its slot indexes — a
 // stable identity only for callers that admit in a fixed order. With a
 // zero-value (disabled) policy it returns exactly what ResolvePairs
-// would, just faster on repeat contact. It is kept for the frozen
+// would. It is kept for the frozen
 // benchmark harness (perfbench), its only caller outside tests; new code
 // builds []Query and calls Resolve.
 func (b *Batch) ResolvePairsAt(pairs [][2]int, p core.Params, now float64, pol core.Staleness) []Result {

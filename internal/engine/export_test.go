@@ -2,18 +2,18 @@ package engine
 
 import "rups/internal/core"
 
-// TrackerIdleBatches exposes the idle-sweep horizon to the external tests.
-const TrackerIdleBatches = trackerIdleBatches
+// PairIdleBatches exposes the idle-sweep horizon to the external tests.
+const PairIdleBatches = pairIdleBatches
 
-// PairTracker returns the warm-start tracker the engine holds for id.
-func (e *Engine) PairTracker(id PairID) (*core.Tracker, bool) {
+// PairClass returns the staleness class the engine holds for id.
+func (e *Engine) PairClass(id PairID) (core.Freshness, bool) {
 	e.tmu.Lock()
 	defer e.tmu.Unlock()
 	st, ok := e.pairs[id]
 	if !ok {
-		return nil, false
+		return 0, false
 	}
-	return st.tk, true
+	return st.class, true
 }
 
 // PairCount reports how many pairs hold engine state.

@@ -14,10 +14,11 @@ import (
 
 // TestPairIdentitySurvivesPermutation is the identity property: a convoy
 // re-resolved over a tick ladder must give the same answers and leave the
-// same per-pair tracker hints whether its vehicles are admitted and
+// same per-pair staleness class whether its vehicles are admitted and
 // queried in a fixed order or in a fresh random order every tick. State
 // keys on the PairID, never on where a pair's trajectories sit in the
-// batch.
+// batch. The ladder ends past the contexts' last marks, so pairs go stale,
+// expire and come back fresh.
 func TestPairIdentitySurvivesPermutation(t *testing.T) {
 	trajs := syntheticConvoy(21, 4, 400, 25, 1.0)
 	p := convoyParams()
@@ -35,8 +36,8 @@ func TestPairIdentitySurvivesPermutation(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(5))
-	resolved, hinted := 0, 0
-	for _, now := range []float64{1300, 1325, 1350, 1375, 1399} {
+	resolved, aged := 0, 0
+	for _, now := range []float64{1300, 1325, 1350, 1375, 1399, 1440, 1560, 1399} {
 		views := make([]*trajectory.Aware, len(trajs))
 		for i, a := range trajs {
 			views[i] = a.PrefixUntil(now)
@@ -80,24 +81,24 @@ func TestPairIdentitySurvivesPermutation(t *testing.T) {
 			}
 		}
 		for _, id := range ids {
-			tf, okf := fixed.PairTracker(id)
-			ts, oks := shuffled.PairTracker(id)
-			if !okf || !oks || !reflect.DeepEqual(tf, ts) {
-				t.Fatalf("t=%v pair %v: tracker hints differ under permutation:\n%+v\n%+v", now, id, tf, ts)
+			cf, okf := fixed.PairClass(id)
+			cs, oks := shuffled.PairClass(id)
+			if !okf || !oks || cf != cs {
+				t.Fatalf("t=%v pair %v: staleness classes differ under permutation: %v, %v", now, id, cf, cs)
 			}
-			if !reflect.DeepEqual(tf, core.NewTracker()) {
-				hinted++
+			if cf != core.FreshContext {
+				aged++
 			}
 		}
 	}
-	if resolved == 0 || hinted == 0 {
-		t.Fatalf("%d pairs resolved, %d trackers held hints — fixture is broken", resolved, hinted)
+	if resolved == 0 || aged == 0 {
+		t.Fatalf("%d pairs resolved, %d classes held stale or expired — fixture is broken", resolved, aged)
 	}
 }
 
 // TestExpiredPairLeavesNoState: a pair that expires records the crossing
-// once — one staleness transition, one expiry, one refusal anomaly, one
-// tracker reset — however many ticks it stays expired, and once it is
+// once — one staleness transition, one expiry, one refusal anomaly —
+// however many ticks it stays expired, and once it is
 // never queried again its state is swept like any idle pair's.
 func TestExpiredPairLeavesNoState(t *testing.T) {
 	ring := flight.NewRing(0, flight.Config{})
@@ -133,7 +134,7 @@ func TestExpiredPairLeavesNoState(t *testing.T) {
 			kinds[ev.Kind]++
 		}
 	}
-	for _, k := range []flight.Kind{flight.KindStaleness, flight.KindExpired, flight.KindRefused, flight.KindWarmEvict} {
+	for _, k := range []flight.Kind{flight.KindStaleness, flight.KindExpired, flight.KindRefused} {
 		if kinds[k] != 1 {
 			t.Errorf("%v events for a pair expired five ticks running: %d, want 1", k, kinds[k])
 		}
@@ -141,10 +142,10 @@ func TestExpiredPairLeavesNoState(t *testing.T) {
 
 	// Another pair keeps the engine busy (expired too, so nothing scans)
 	// until the departed pair has idled past the sweep horizon.
-	for tick := 0; tick <= engine.TrackerIdleBatches; tick++ {
+	for tick := 0; tick <= engine.PairIdleBatches; tick++ {
 		b.Resolve(query(other), p, newest+500, pol)
 	}
-	if _, ok := e.PairTracker(gone); ok {
+	if _, ok := e.PairClass(gone); ok {
 		t.Error("departed expired pair still holds engine state")
 	}
 	if n := e.PairCount(); n != 1 {
@@ -183,5 +184,63 @@ func TestConcurrentBatchesDisjointPairs(t *testing.T) {
 	wg.Wait()
 	if n := e.PairCount(); n != 3 {
 		t.Errorf("engine holds state for %d pairs, want 3", n)
+	}
+}
+
+// TestConcurrentBatchesSharedPairs: batches naming the same pairs may
+// resolve concurrently on one engine — they share each pair's state, its
+// generation counter and the pool. Meaningful under -race; every answer
+// must still be reflect.DeepEqual to the oracle, and the engine must hold
+// exactly one state per pair.
+func TestConcurrentBatchesSharedPairs(t *testing.T) {
+	trajs := syntheticConvoy(33, 3, 300, 25, 0.5)
+	p := convoyParams()
+	e := engine.New(2)
+	defer e.Close()
+	b, err := e.Admit(trajs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qs []engine.Query
+	for a := range trajs {
+		for c := range trajs {
+			if a != c {
+				qs = append(qs, engine.Query{A: a, B: c, Pair: engine.PairID{uint32(a + 1), uint32(c + 1)}})
+			}
+		}
+	}
+	qs = append(qs, qs[0]) // one pair twice in the same batch too
+	type answer struct {
+		est core.Estimate
+		ok  bool
+	}
+	want := make([]answer, len(qs))
+	resolved := 0
+	for i, q := range qs {
+		want[i].est, want[i].ok = core.Resolve(trajs[q.A], trajs[q.B], p)
+		if want[i].ok {
+			resolved++
+		}
+	}
+	if resolved == 0 {
+		t.Fatal("no pair resolved — fixture is broken")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for tick := 0; tick < 3; tick++ {
+				for i, r := range b.Resolve(qs, p, 1299, core.Staleness{}) {
+					if r.OK != want[i].ok || !reflect.DeepEqual(r.Est, want[i].est) {
+						t.Errorf("batch %d tick %d pair %v diverged from the oracle", g, tick, qs[i].Pair)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := e.PairCount(); n != len(qs)-1 {
+		t.Errorf("engine holds state for %d pairs, want %d", n, len(qs)-1)
 	}
 }

@@ -1,7 +1,7 @@
 // Package flight is the repo's black-box recorder: a lock-free fixed-size
-// ring of small structured events (staleness transitions, warm-start
-// hits/demotes/evicts, go-back-N retransmits and RTO backoffs, queue-depth
-// high-water marks, refused and expired resolves) that runs continuously
+// ring of small structured events (staleness transitions, go-back-N
+// retransmits and RTO backoffs, queue-depth high-water marks, refused and
+// expired resolves) that runs continuously
 // and costs nothing when disabled. Unlike the obs span ring — which traces
 // *how long* pipeline stages took — the flight ring records *what state
 // changes happened*, so when an anomaly fires (a refused pair, an SLO
@@ -36,23 +36,15 @@ func floatFrom(b uint64) float64 { return math.Float64frombits(b) }
 
 // Kind enumerates the structured event types the ring records. Values are
 // stable wire constants — capsules store them raw, and readers must
-// tolerate kinds they do not know (forward compatibility).
+// tolerate kinds they do not know (forward compatibility). Kinds 2–4 were
+// the retired warm-start tracker's hit, demote and evict events: they are
+// never reused, and older capsules holding them print as kind_<n>.
 type Kind uint16
 
 const (
 	// KindStaleness is a per-pair freshness transition: V1 the new
 	// core.Freshness class, V2 the previous one.
 	KindStaleness Kind = 1
-	// KindWarmHit is a warm-start scan served from tracker hints; V1 is
-	// the hinted offset.
-	KindWarmHit Kind = 2
-	// KindWarmDemote is a warm-start hint that failed verification and
-	// fell back to a full scan; V1 is the rejected offset.
-	KindWarmDemote Kind = 3
-	// KindWarmEvict is a pair tracker reset on staleness expiry or swept
-	// with its pair's state for idleness; V1 is the batch generation that
-	// last queried the pair.
-	KindWarmEvict Kind = 4
 	// KindRetransmit is a go-back-N retransmission run: V1 the mark the
 	// sender rolled back to, V2 the cumulative timeout-run count.
 	KindRetransmit Kind = 5
@@ -87,9 +79,6 @@ const (
 // kindNames maps known kinds to their capsule/JSON names.
 var kindNames = map[Kind]string{
 	KindStaleness:      "staleness",
-	KindWarmHit:        "warm_hit",
-	KindWarmDemote:     "warm_demote",
-	KindWarmEvict:      "warm_evict",
 	KindRetransmit:     "retransmit",
 	KindRTOBackoff:     "rto_backoff",
 	KindQueueHighwater: "queue_highwater",

@@ -265,7 +265,7 @@ func TestMain(m *testing.M) {
 // an Active() miss plus a no-op Emit — is equally free.
 func TestEmitZeroAlloc(t *testing.T) {
 	r := NewRing(64, Config{})
-	ev := Event{T: 1.5, Kind: KindWarmHit, A: 1, B: 2, V1: 3, V2: 4}
+	ev := Event{T: 1.5, Kind: KindStaleness, A: 1, B: 2, V1: 3, V2: 4}
 	if n := testing.AllocsPerRun(200, func() { r.Emit(ev) }); n != 0 {
 		t.Errorf("enabled Emit: %v allocs/op, want 0", n)
 	}

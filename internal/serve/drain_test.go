@@ -210,11 +210,11 @@ func TestLoadGeneratorAgainstFaults(t *testing.T) {
 		Workers: 2,
 		Params:  testParams(),
 		// Deliberately tight: force refusal paths under the fleet. The
-		// budget holds ~820 of the fleet's width-8 marks, well under the
-		// 40 × 96 it streams, so eviction must engage.
+		// budget holds 8 of the fleet's 40 width-8 vehicles at the 96
+		// marks each streams, so eviction must engage.
 		QueueCap:       16,
 		PerConnQueries: 4,
-		MemBudgetBytes: residentBytes(820, 8),
+		MemBudgetBytes: 8 * residentBytes(96, 8),
 		OutboxCap:      32,
 		Staleness:      core.Staleness{StaleAfterSec: 30, ExpireAfterSec: 150},
 	})

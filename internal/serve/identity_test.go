@@ -3,6 +3,7 @@ package serve
 import (
 	"testing"
 
+	"rups/internal/core"
 	"rups/internal/obs"
 	"rups/internal/obs/flight"
 	"rups/internal/trajectory"
@@ -41,26 +42,35 @@ func ask(c *conn, a, b uint32, deadline float64) *query {
 	return &query{a: a, b: b, deadline: deadline, admitted: c.s.clock.Now(), c: c}
 }
 
-// TestWarmStartFollowsPairAcrossSlots: a pair re-queried in a batch that
-// puts its vehicles at other slots (vehicle 2 is snapshotted first because
-// an earlier query names it) still warm-starts from its first resolve —
-// the engine keys the tracker on the vehicle pair, not on the slots.
-func TestWarmStartFollowsPairAcrossSlots(t *testing.T) {
+// TestStalenessClassFollowsPairAcrossSlots: a pair re-queried in a batch
+// that puts its vehicles at other slots (vehicle 2 is snapshotted first
+// because an earlier query names it) keeps the staleness class of its
+// first resolve — the engine keys pair state on the vehicle pair, not on
+// the slots, so the second resolve records no new transition.
+func TestStalenessClassFollowsPairAcrossSlots(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.Enable(reg)
 	defer obs.Disable()
+	ring := flight.NewRing(0, flight.Config{})
+	flight.Enable(ring)
+	defer flight.Disable()
 	s, c := identityServer(t, testConvoy(11, 2, 250, 20, 64)...)
-	hits := reg.Counter("rups_core_warmstart_hits_total", "")
+	// The contexts end a second or two before the clock: stale, not expired.
+	s.cfg.Staleness = core.Staleness{StaleAfterSec: 1, ExpireAfterSec: 1000}
 
 	s.resolveBatch([]*query{ask(c, 1, 2, 0)}) // slots (0, 1)
-	if hits.Value() != 0 {
-		t.Fatalf("first contact counted %d warm hits", hits.Value())
-	}
 	// Vehicle 99 is unknown, so this batch admits vehicle 2 at slot 0 and
 	// vehicle 1 at slot 1: the pair resolves at slots (1, 0).
 	s.resolveBatch([]*query{ask(c, 2, 99, 0), ask(c, 1, 2, 0)})
-	if hits.Value() == 0 {
-		t.Error("re-queried pair at new slots never hit its warm hint")
+	var got []flight.Event
+	for _, ev := range ring.Snapshot() {
+		if ev.Kind == flight.KindStaleness {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != 1 || got[0].A != 1 || got[0].B != 2 ||
+		got[0].V1 != int64(core.StaleContext) || got[0].V2 != int64(core.FreshContext) {
+		t.Errorf("staleness transitions %+v, want one fresh→stale for pair (1, 2)", got)
 	}
 	if got := reg.Counter("rups_serve_results_total", "").Value(); got != 3 {
 		t.Errorf("%d results sent, want 3", got)

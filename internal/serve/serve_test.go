@@ -326,8 +326,7 @@ func TestEvictionUnderMemoryBudget(t *testing.T) {
 	defer obs.Disable()
 
 	width := 8
-	perMark := residentBytes(1, width)
-	tab := newVTable(25*perMark, core.Staleness{}) // room for ~25 marks
+	tab := newVTable(residentBytes(10, width)*5/2, core.Staleness{}) // room for two 10-mark vehicles
 	sim := NewSimClock(10)
 	tel := stel()
 	evBefore := tel.evictions.Value()
@@ -356,7 +355,7 @@ func TestEvictionUnderMemoryBudget(t *testing.T) {
 	if n, _ := tab.stats(); n != 2 {
 		t.Fatalf("resident %d, want 2", n)
 	}
-	feed(3, 10) // 30 marks > budget: vehicle 1 (coldest) must go
+	feed(3, 10) // three vehicles > budget: vehicle 1 (coldest) must go
 	if n, _ := tab.stats(); n != 2 {
 		t.Fatalf("resident %d after eviction, want 2", n)
 	}
@@ -487,10 +486,11 @@ func TestMalformedInputsDoNotKillTheServer(t *testing.T) {
 	cl2.Close()
 }
 
-// TestResidentChargePerMark: a vehicle is charged 16 B of geometry plus
-// one byte per stored power cell for every mark it holds, plus its sealed
-// chunks' channel tallies (4 B per channel per 128 marks), and the
-// resident-bytes gauge reports the charge.
+// TestResidentChargePerMark: a vehicle is charged 16 B of geometry for
+// every mark it holds, one byte per channel for every column of every
+// power tile it has allocated (128 columns a tile, the last one partly
+// filled), plus its sealed tiles' channel tallies (4 B per channel), and
+// the resident-bytes gauge reports the charge.
 func TestResidentChargePerMark(t *testing.T) {
 	obs.Enable(obs.NewRegistry())
 	defer obs.Disable()
@@ -498,6 +498,21 @@ func TestResidentChargePerMark(t *testing.T) {
 	const width, marks = 194, 300
 	tab := newVTable(0, core.Staleness{})
 	e, _ := tab.attach(7, width, func() {}, 0)
+	offerMarks(t, e, marks, width)
+	tab.charge(e, 0)
+	want := int64(marks*16 + 3*128*width + 2*width*4)
+	if e.bytes != want {
+		t.Errorf("charged %d B for %d marks × %d channels, want %d", e.bytes, marks, width, want)
+	}
+	if got := stel().residentBytes.Value(); got != want {
+		t.Errorf("resident-bytes gauge %d, want %d", got, want)
+	}
+}
+
+// offerMarks streams marks blank marks of the given width into e's
+// receiver.
+func offerMarks(t *testing.T, e *vehicleEntry, marks, width int) {
+	t.Helper()
 	g := trajectory.Geo{Marks: make([]trajectory.GeoMark, marks)}
 	for i := range g.Marks {
 		g.Marks[i] = trajectory.GeoMark{T: float64(i)}
@@ -511,12 +526,35 @@ func TestResidentChargePerMark(t *testing.T) {
 		e.rx.Offer(fr)
 		e.mu.Unlock()
 	}
-	tab.charge(e, 0)
-	want := int64(marks*(16+width) + marks*width*4/128)
-	if e.bytes != want {
-		t.Errorf("charged %d B for %d marks × %d channels, want %d", e.bytes, marks, width, want)
+}
+
+// TestResidentChargeCoversTiles: a one-mark vehicle already holds a whole
+// width × 128 power tile, so it must be charged at least that — a fleet of
+// wide one-mark vehicles must not slip under the budget at a few hundred
+// bytes each. The fleet is evicted down to the budget.
+func TestResidentChargeCoversTiles(t *testing.T) {
+	obs.Enable(obs.NewRegistry())
+	defer obs.Disable()
+
+	const width, fleet = 194, 10
+	budget := int64(9 * width * trajectory.ChunkMarks / 2) // four and a half tiles: room for 4 such vehicles
+	tab := newVTable(budget, core.Staleness{})
+	for vid := uint32(1); vid <= fleet; vid++ {
+		e, _ := tab.attach(vid, width, func() {}, float64(vid))
+		offerMarks(t, e, 1, width)
+		if e.rx.Copy().Len() != 1 {
+			t.Fatalf("vehicle %d holds %d marks, want 1", vid, e.rx.Copy().Len())
+		}
+		tab.charge(e, float64(vid))
+		if e.bytes < width*trajectory.ChunkMarks {
+			t.Fatalf("one-mark vehicle of width %d charged %d B, under its %d B tile", width, e.bytes, width*trajectory.ChunkMarks)
+		}
 	}
-	if got := stel().residentBytes.Value(); got != want {
-		t.Errorf("resident-bytes gauge %d, want %d", got, want)
+	n, bytes := tab.stats()
+	if bytes > budget {
+		t.Errorf("resident %d B over the %d B budget", bytes, budget)
+	}
+	if n != 4 {
+		t.Errorf("%d of %d one-mark vehicles resident under the budget, want 4", n, fleet)
 	}
 }

@@ -331,7 +331,7 @@ func (s *Server) isDraining() bool {
 
 // resolveBatch answers a batch of queries: snapshot each referenced
 // vehicle once, admit the snapshots, and resolve every pair with its
-// deadline under its vehicle IDs, so a pair's warm-start state follows it
+// deadline under its vehicle IDs, so a pair's staleness class follows it
 // from batch to batch whichever slots its vehicles land in.
 func (s *Server) resolveBatch(batch []*query) {
 	tel := stel()

@@ -51,14 +51,18 @@ func (e *vehicleEntry) snapshot() *trajectory.Aware {
 // markGeoBytes is the resident size of one trajectory.GeoMark (theta, t).
 const markGeoBytes = 16
 
-// residentBytes estimates an entry's footprint: per mark, the GeoMark plus
-// one stored power cell per channel, plus each channel's share of the
-// tally a sealed chunk carries (trajectory.TallyBytes per ChunkMarks
-// marks). Deliberately an estimate — the budget bounds growth, it is not
-// an allocator.
+// residentBytes estimates an entry's footprint: the GeoMark per mark, the
+// power tiles the cells are stored in — a trajectory allocates a whole
+// width × ChunkMarks tile as soon as a mark lands in it, so a partly
+// filled tile costs as much as a full one — and the per-channel tally
+// (trajectory.TallyBytes) each whole tile carries once a snapshot seals
+// it. Deliberately an estimate — the budget bounds growth, it is not an
+// allocator.
 func residentBytes(marks, width int) int64 {
 	m, w := int64(marks), int64(width)
-	return m*(markGeoBytes+trajectory.CellBytes*w) + m*w*trajectory.TallyBytes/trajectory.ChunkMarks
+	tiles := (m + trajectory.ChunkMarks - 1) / trajectory.ChunkMarks
+	sealed := m / trajectory.ChunkMarks
+	return m*markGeoBytes + tiles*w*trajectory.ChunkMarks*trajectory.CellBytes + sealed*w*trajectory.TallyBytes
 }
 
 // vtable is the resident-vehicle table: an LRU over vehicleEntry under a

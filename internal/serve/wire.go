@@ -205,6 +205,10 @@ func parseResult(b []byte) (qid uint32, status byte, stale bool, distance, laten
 	if err != nil {
 		return 0, 0, false, 0, 0, err
 	}
+	if body[9] > 1 {
+		// The stale byte is a bool; anything else would not re-encode.
+		return 0, 0, false, 0, 0, errBadCtrl
+	}
 	return binary.LittleEndian.Uint32(body[4:]),
 		body[8], body[9] != 0,
 		math.Float64frombits(binary.LittleEndian.Uint64(body[10:])),

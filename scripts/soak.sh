@@ -89,10 +89,8 @@ kill -TERM "$srv"
 wait "$srv"
 
 # The clean phase is the control: the failure paths must stay at zero
-# (instrumented but silent), queries must resolve, the resolve-latency
-# SLO must carry traffic without a single breach, and repeated queries of
-# a vehicle pair must find its warm-start tracker (pairs are keyed by
-# vehicle IDs, so a hint survives from one batch to the next).
+# (instrumented but silent), queries must resolve, and the resolve-latency
+# SLO must carry traffic without a single breach.
 "$out/rups-promcheck" \
   -zero rups_serve_refused_total,rups_serve_evictions_total,rups_serve_malformed_total,rups_serve_queries_shed_total,rups_serve_slow_disconnects_total,rups_slo_resolve_latency_breaches_total \
   -slo resolve_latency \
@@ -101,7 +99,6 @@ wait "$srv"
   rups_serve_queries_total \
   rups_serve_results_total \
   rups_serve_resolve_seconds \
-  rups_serve_drains_total \
-  rups_core_warmstart_hits_total
+  rups_serve_drains_total
 
 echo "soak: both phases held"
